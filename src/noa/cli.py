@@ -54,6 +54,9 @@ def _cmd_gen(args) -> int:
         if args.d is not None:
             design = Design(design.matrix[:, : args.d], s=design.s)
         ladder = ((design.s, args.t),)
+    elif args.n is None or args.d is None:
+        print(f"gen --kind {args.kind} requires --n and --d", file=sys.stderr)
+        return EXIT_PLAN
     elif args.kind == "lhs":
         design = construct_lhs(args.n, args.d, seed)
         ladder = ((args.n, 1),)

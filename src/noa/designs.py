@@ -77,16 +77,45 @@ def check_strength(design: Design, t: int) -> StrengthReport:
     n, s = design.n, design.s
     cells = s**t
     expected = n / cells
-    lam = n // cells if n % cells == 0 else None
+    if n % cells:
+        # expected is fractional, so every cell is off and the first violation
+        # is cell 0 of columns (0..t-1); no counters are needed (s^t may
+        # exceed n by far, or not fit in an int64 index)
+        observed = np.count_nonzero(~design.matrix[:, :t].any(axis=1))
+        return StrengthReport(
+            t=t,
+            ok=False,
+            lam=None,
+            violation=Violation(tuple(range(t)), (0,) * t, int(observed), expected),
+        )
+    lam = n // cells
+    columns = np.ascontiguousarray(design.matrix.T)
+    # prefix[k] holds s * (cell index of the tuple's first k + 1 columns);
+    # lexicographic tuples share prefixes, so each is rebuilt only past the
+    # first column that changed
+    prefix = np.empty((t - 1, n), dtype=np.int64)
+    idx = np.empty(n, dtype=np.int64)
+    prev = (-1,) * t
     for cols in itertools.combinations(range(design.d), t):
-        idx = np.zeros(n, dtype=np.int64)
-        for c in cols:
-            idx = idx * s + design.matrix[:, c]
+        start = 0
+        while start < t - 1 and prev[start] == cols[start]:
+            start += 1
+        for k in range(start, t - 1):
+            if k == 0:
+                np.multiply(columns[cols[0]], s, out=prefix[0])
+            else:
+                np.add(prefix[k - 1], columns[cols[k]], out=prefix[k])
+                prefix[k] *= s
+        prev = cols
+        if t == 1:
+            idx = columns[cols[0]]
+        else:
+            np.add(prefix[t - 2], columns[cols[-1]], out=idx)
         counts = np.bincount(idx, minlength=cells)
-        if lam is not None and (counts == lam).all():
+        # the counts sum to n = lam * cells, so max == lam iff all == lam
+        if counts.max() == lam:
             continue
-        bad = np.flatnonzero(counts != expected)
-        first = int(bad[0]) if bad.size else 0
+        first = int(np.flatnonzero(counts != lam)[0])
         levels = []
         v = first
         for _ in range(t):

@@ -156,7 +156,10 @@ def _expand_levels(mat: np.ndarray, s: int, seed: int, stage: int) -> np.ndarray
     if n % s != 0:
         raise UnbalancedColumnError(f"n={n} not divisible by s={s}")
     m = n // s
-    out = np.empty_like(mat)
+    # row lev of ranks is [lev*m, (lev+1)*m): the fine levels of level lev
+    ranks = np.arange(n, dtype=np.int64).reshape(s, m)
+    key_type = np.min_scalar_type(s - 1)  # uint8/uint16 keys sort by radix
+    out = np.empty((d, n), dtype=np.int64)
     for j in range(d):
         col = mat[:, j]
         counts = np.bincount(col, minlength=s)
@@ -165,12 +168,10 @@ def _expand_levels(mat: np.ndarray, s: int, seed: int, stage: int) -> np.ndarray
             raise UnbalancedColumnError(
                 f"column {j}: level {lev} occurs {int(counts[lev])} times, expected {m}"
             )
-        order = np.argsort(col, kind="stable")
-        rng = stream(seed, stage, j)
-        for lev in range(s):
-            rows = order[lev * m : (lev + 1) * m]
-            out[rows, j] = lev * m + rng.permutation(m)
-    return out
+        # the rows holding level lev are order[lev*m : (lev+1)*m]
+        order = np.argsort(col.astype(key_type), kind="stable")
+        out[j, order] = stream(seed, stage, j).permuted(ranks, axis=1).ravel()
+    return out.T
 
 
 def _verify_ladder(design: Design, ladder) -> None:
@@ -193,10 +194,12 @@ def construct_noa(plan: NoaPlan, seed: int) -> NestedDesign:
     fine = _bush_columns(field_new(plan.p, plan.c), 2, d)
     fine = _relabel_replicate(fine, plan.b, pc, seed, STAGE_RELABEL2)
     fine = fine[stream(seed, STAGE_SHUFFLE2).permutation(fine.shape[0])]
-    # one fine row per contiguous block of s3^2 coarse rows
-    combined = coarse * pc + np.repeat(fine, s3 * s3, axis=0)
-    final = _expand_levels(combined, plan.s2, seed, STAGE_EXPAND)
-    design = Design(final, s=plan.n)
+    # one fine row per contiguous block of s3^2 coarse rows, added in place
+    blocks = coarse.reshape(-1, s3 * s3, d)
+    blocks *= pc
+    blocks += fine[:, None, :]
+    design = Design(_expand_levels(coarse, plan.s2, seed, STAGE_EXPAND), s=plan.n)
+    del coarse, blocks  # free the combined n x d matrix before the ladder check
     ladder = ((plan.n, 1), (plan.s2, 2), (s3, 3))
     if __debug__:
         _verify_ladder(design, ladder)
@@ -241,8 +244,7 @@ def construct_tang(n: int, d: int, seed: int) -> NestedDesign:
     base = _bush_columns(field_of_order(s2), 2, d)
     k = n // (s2 * s2)
     mat = _relabel_replicate(base, k, s2, seed, STAGE_RELABEL2)
-    final = _expand_levels(mat, s2, seed, STAGE_EXPAND)
-    design = Design(final, s=n)
+    design = Design(_expand_levels(mat, s2, seed, STAGE_EXPAND), s=n)
     ladder = ((n, 1), (s2, 2))
     if __debug__:
         _verify_ladder(design, ladder)

@@ -25,8 +25,9 @@ class PointSet:
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
         if pts.ndim != 2:
             raise ValueError("points must be 2-d")
-        if pts.size and (pts.min() < 0.0 or pts.max() >= 1.0):
-            raise ValueError("coordinates must lie in [0, 1)")
+        # written so that NaN (which min() propagates) fails the test too
+        if pts.size and not (pts.min() >= 0.0 and pts.max() < 1.0):
+            raise ValueError("coordinates must be finite and lie in [0, 1)")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -47,7 +48,25 @@ def to_points(design: Design, mode: str = "uniform", seed: int = 0) -> PointSet:
         offset = stream(seed, STAGE_JITTER).random(design.matrix.shape)
     else:
         raise ValueError(f"mode must be 'uniform' or 'midpoint', got {mode!r}")
-    return PointSet((design.matrix + offset) / design.s)
+    return PointSet(_place(design.matrix, offset, design.s))
+
+
+def _place(levels: np.ndarray, offset, s: int) -> np.ndarray:
+    """Points (levels + offset) / s with floor(x * s) == levels.
+
+    For offset near 1 (or 0), (m + u) / s can round onto the stratum's upper
+    (or lower) edge, e.g. to (m + 1) / s, which is 1.0 for m = s - 1.  Such
+    points are stepped one ulp at a time back inside their stratum.  As
+    m + 1 is a double, the floor implies x < (m + 1) / s exactly, so x < 1.
+    """
+    x = (levels + offset) / s
+    while True:
+        cell = x * s
+        np.floor(cell, out=cell)
+        off = cell != levels
+        if not off.any():
+            return x
+        x[off] = np.nextafter(x[off], np.where(cell[off] > levels[off], 0.0, 1.0))
 
 
 # --- points CSV format -------------------------------------------------------
@@ -74,7 +93,12 @@ def parse_points(text: str) -> PointSet:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(_MAGIC):
         raise FormatError(f"missing '{_MAGIC}' header")
-    meta = dict(tok.split("=", 1) for tok in lines[0][len(_MAGIC):].split())
+    meta: dict[str, str] = {}
+    for token in lines[0][len(_MAGIC):].split():
+        if "=" not in token:
+            raise FormatError(f"bad header token {token!r}")
+        key, val = token.split("=", 1)
+        meta[key] = val
     try:
         n, d = int(meta["n"]), int(meta["d"])
     except (KeyError, ValueError) as exc:
@@ -83,11 +107,17 @@ def parse_points(text: str) -> PointSet:
         raise FormatError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
-        row = [float(v) for v in ln.split(",")]
+        try:
+            row = [float(v) for v in ln.split(",")]
+        except ValueError as exc:
+            raise FormatError(f"bad row {ln!r}") from exc
         if len(row) != d:
             raise FormatError(f"row {ln!r} has {len(row)} entries, expected {d}")
         rows.append(row)
-    return PointSet(np.array(rows, dtype=np.float64))
+    try:
+        return PointSet(np.array(rows, dtype=np.float64))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def load_points(path) -> PointSet:

@@ -46,6 +46,15 @@ def test_gen_noa3_no_plan(capsys):
     assert "p^4" in err
 
 
+@pytest.mark.parametrize("kind", ["lhs", "tang", "noa3"])
+@pytest.mark.parametrize("given", [(), ("--n", "64"), ("--d", "3")])
+def test_gen_requires_n_and_d(capsys, kind, given):
+    code, stdout, err = run(capsys, "gen", "--kind", kind, *given)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"gen --kind {kind} requires --n and --d\n"
+
+
 def test_gen_tang(tmp_path, capsys):
     out = tmp_path / "t.csv"
     code, stdout, _ = run(

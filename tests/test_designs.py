@@ -6,6 +6,8 @@ import pytest
 
 from noa.designs import (
     Design,
+    StrengthReport,
+    Violation,
     check_strength,
     collapse,
     format_design,
@@ -28,15 +30,16 @@ def rows_design(rows, s):
     return Design(np.array([[int(c) for c in r] for r in rows]), s=s)
 
 
-def naive_strength_ok(design, t):
+def naive_report(design, t):
     """Independent oracle: dictionary counting over explicit tuples."""
-    lam = design.n / design.s**t
+    expected = design.n / design.s**t
     for cols in itertools.combinations(range(design.d), t):
         counts = Counter(tuple(row[list(cols)]) for row in design.matrix)
         for levels in itertools.product(range(design.s), repeat=t):
-            if counts.get(levels, 0) != lam:
-                return False
-    return True
+            if counts.get(levels, 0) != expected:
+                violation = Violation(cols, levels, counts.get(levels, 0), expected)
+                return StrengthReport(t=t, ok=False, lam=None, violation=violation)
+    return StrengthReport(t=t, ok=True, lam=design.n // design.s**t, violation=None)
 
 
 def test_strength2_four_runs():
@@ -74,13 +77,58 @@ def test_bad_strength():
         check_strength(d, 3)
 
 
-def test_check_strength_matches_naive_oracle():
+def oracle_cases():
     rng = np.random.default_rng(5)
-    for _ in range(25):
-        n, d, s, t = 8, 3, 2, rng.integers(1, 3)
-        design = Design(rng.integers(0, s, size=(n, d)), s=s)
-        rep = check_strength(design, int(t))
-        assert rep.ok == naive_strength_ok(design, int(t))
+    for _ in range(60):
+        t = int(rng.integers(1, 4))
+        d = int(rng.integers(t, 6))
+        s = int(rng.integers(1, 5))
+        n = s**t * int(rng.integers(1, 3)) + int(rng.integers(0, 2))
+        yield Design(rng.integers(0, s, size=(n, d)), s=s), t
+    # orthogonal arrays, intact and with two entries of one column swapped
+    # (which keeps strength 1 and breaks only the tuples holding that column)
+    for s, t in itertools.product((2, 3, 4), (2, 3)):
+        base = bush_construct(field_of_order(s), t).matrix
+        yield Design(base, s=s), t
+        for _ in range(3):
+            mat = base.copy()
+            j = int(rng.integers(1, base.shape[1]))
+            r = rng.choice(np.flatnonzero(mat[:, j] != mat[0, j]))
+            mat[[0, r], j] = mat[[r, 0], j]
+            for t_check in range(1, t + 1):
+                yield Design(mat, s=s), t_check
+    # first violation in a tuple sharing its prefix with the tuple before:
+    # (0, 3) after (0, 2), and (0, 1, 4) after (0, 1, 3)
+    mat = bush_construct(field_of_order(3), 2).matrix.copy()
+    mat[:, 3] = mat[:, 0]
+    yield Design(mat, s=3), 2
+    mat = bush_construct(field_of_order(4), 3).matrix.copy()
+    mat[:, 4] = (mat[:, 0] + mat[:, 1]) % 4
+    yield Design(mat, s=4), 3
+
+
+def test_check_strength_matches_naive_oracle():
+    violated = set()
+    for design, t in oracle_cases():
+        rep = check_strength(design, t)
+        assert rep == naive_report(design, t)
+        if not rep.ok:
+            violated.add(rep.violation.columns)
+    assert {(0, 3), (0, 1, 4)} <= violated
+
+
+def test_check_strength_more_cells_than_rows():
+    # s^t > n: every expected count is below 1, so cell 0 of the first tuple
+    # is the first violation, and no counters are needed to find it
+    rows = np.array([[0, 0, 1], [0, 0, 0], [2, 0, 0], [1, 2, 2], [0, 1, 0]])
+    small = Design(rows, s=3)
+    assert check_strength(small, 2) == naive_report(small, 2)
+    assert check_strength(small, 3) == naive_report(small, 3)
+    huge = Design(np.array([[0, 0, 0, 0], [0, 0, 0, 5], [7, 0, 0, 0]] * 3), s=2**20)
+    rep = check_strength(huge, 4)
+    assert rep == StrengthReport(
+        t=4, ok=False, lam=None, violation=Violation((0, 1, 2, 3), (0, 0, 0, 0), 3, 9 / 2**80)
+    )
 
 
 def test_collapse_example():

@@ -180,6 +180,20 @@ def test_expand_to_lhs_bush():
     assert rep2.ok and rep2.lam == 1
 
 
+@pytest.mark.parametrize("n,s", [(64, 4), (2**18, 2**17)])
+def test_expand_to_lhs_refines_and_permutes(n, s):
+    # s <= 2^16 and s > 2^16 sort their level keys in different integer types
+    rng = np.random.default_rng(n)
+    base = Design(rng.permuted(np.tile(np.repeat(np.arange(s), n // s), (2, 1)), axis=1).T, s=s)
+    out = expand_to_lhs(base, 3)
+    assert out.s == n
+    assert (collapse(out, s).matrix == base.matrix).all()
+    for j in range(base.d):
+        assert (np.sort(out.matrix[:, j]) == np.arange(n)).all()
+    assert (expand_to_lhs(base, 3).matrix == out.matrix).all()
+    assert (expand_to_lhs(base, 4).matrix != out.matrix).any()
+
+
 def test_expand_to_lhs_unbalanced():
     with pytest.raises(UnbalancedColumnError):
         expand_to_lhs(Design(np.array([[0, 0], [0, 1]]), s=2), 0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from noa.designs import Design, check_strength
 from noa.errors import FormatError
 from noa.gf import field_of_order
 from noa.nested import construct_lhs, construct_noa, plan_noa
-from noa.sampling import format_points, parse_points, to_points
+from noa.sampling import PointSet, _place, format_points, parse_points, to_points
 
 
 def test_midpoint_values():
@@ -84,3 +85,31 @@ def test_points_csv_round_trip_exact():
 def test_points_csv_bad_header():
     with pytest.raises(FormatError):
         parse_points("0.5,0.5\n")
+
+
+def test_points_csv_bad_row_and_header_token():
+    with pytest.raises(FormatError):
+        parse_points("# noa-points v1 n=1 d=2\n0.5,abc\n")
+    with pytest.raises(FormatError):
+        parse_points("# noa-points v1 n=1 d=2 junk\n0.5,0.5\n")
+    with pytest.raises(FormatError):
+        parse_points("# noa-points v1 n=1 d=2\n0.5,nan\n")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.0, -0.25])
+def test_pointset_rejects_non_finite_and_out_of_range(value):
+    with pytest.raises(ValueError):
+        PointSet(np.array([[0.5, value]]))
+
+
+@pytest.mark.parametrize("s", [3, 49, 2**18])
+@pytest.mark.parametrize("u", [np.nextafter(1.0, 0.0), 0.0])
+def test_placement_stays_inside_stratum(s, u):
+    # (m + u) / s rounds to (m + 1) / s for u one ulp below 1, and
+    # floor(m / s * s) can fall to m - 1 (1/49 * 49 < 1)
+    levels = np.array([[0, 1, 2, 5, s - 2, s - 1]]) % s
+    x = _place(levels, u, s)
+    assert (np.floor(x * s) == levels).all()
+    assert (x < 1.0).all()
+    for xv, m in zip(x.ravel(), levels.ravel()):
+        assert Fraction(float(xv)) < Fraction(int(m) + 1, s)
