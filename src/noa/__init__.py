@@ -35,6 +35,7 @@ from .nested import (
     NoaPlan,
     construct_lhs,
     construct_noa,
+    construct_oa,
     construct_tang,
     expand_to_lhs,
     plan_noa,
@@ -58,6 +59,7 @@ __all__ = [
     "collapse",
     "construct_lhs",
     "construct_noa",
+    "construct_oa",
     "construct_tang",
     "estimate",
     "expand_to_lhs",

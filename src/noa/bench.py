@@ -16,19 +16,17 @@ from typing import Callable
 
 import numpy as np
 
-from .designs import Design
 from .errors import ConstructionError, DimensionMismatchError
-from .gf import field_of_order, prime_power
+from .gf import prime_power
 from .nested import (
     NoaPlan,
-    _bush_columns,
-    _relabel_replicate,
     construct_lhs,
     construct_noa,
+    construct_oa,
     construct_tang,
     plan_noa,
 )
-from .rng import STAGE_BENCH, STAGE_IID, STAGE_OWEN, derive_seed, stream
+from .rng import STAGE_BENCH, STAGE_IID, derive_seed, stream
 from .sampling import PointSet, to_points
 
 E = math.e
@@ -78,15 +76,6 @@ KINDS = ("iid", "lhs", "oa2", "tang", "noa3")
 _KIND_ID = {k: i for i, k in enumerate(KINDS)}
 
 
-def _oa2_base(n: int, d: int) -> np.ndarray:
-    s = math.isqrt(n)
-    if s * s != n or prime_power(s) is None:
-        raise ConstructionError(f"oa2 needs n a square of a prime power, got n={n}")
-    if d > s + 1:
-        raise ConstructionError(f"oa2 with n={n} supports at most d={s + 1}")
-    return _bush_columns(field_of_order(s), 2, d)
-
-
 def kind_points(kind: str, n: int, d: int, seed: int, plan: NoaPlan | None = None) -> PointSet:
     """One randomized point set of the given kind, a pure function of seed."""
     if kind == "iid":
@@ -94,10 +83,12 @@ def kind_points(kind: str, n: int, d: int, seed: int, plan: NoaPlan | None = Non
     if kind == "lhs":
         return to_points(construct_lhs(n, d, seed), "uniform", seed)
     if kind == "oa2":
-        base = _oa2_base(n, d)
         s = math.isqrt(n)
-        mat = _relabel_replicate(base, 1, s, seed, STAGE_OWEN)
-        return to_points(Design(mat, s=s), "uniform", seed)
+        if s * s != n or prime_power(s) is None:
+            raise ConstructionError(f"oa2 needs n a square of a prime power, got n={n}")
+        if d > s + 1:
+            raise ConstructionError(f"oa2 with n={n} supports at most d={s + 1}")
+        return to_points(construct_oa(s, 2, d, seed).design, "uniform", seed)
     if kind == "tang":
         return to_points(construct_tang(n, d, seed).design, "uniform", seed)
     if kind == "noa3":

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 I/O or parse failure, 2 plan/construction error,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import bench as bench_mod
@@ -17,62 +18,58 @@ from .designs import (
     collapse,
     load_design,
     save_design,
+    verify_ladder,
 )
-from .errors import DesignError, FormatError, StrengthError
+from .errors import DesignError, FormatError
 from .gf import field_of_order
 from .nested import construct_lhs, construct_noa, construct_tang, plan_noa
-from .sampling import save_points, to_points
+from .sampling import format_points, save_points, to_points
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_PLAN = 2
 EXIT_VERIFY = 3
 
-
-def _ladder_summary(design: Design, ladder) -> str:
-    """Verify every claimed rung and render `levels,strength,lambda` triples."""
-    parts = []
-    for levels, t in ladder:
-        report = check_strength(collapse(design, levels), t)
-        if not report.ok:
-            raise DesignError(
-                f"self-verification failed at {levels} levels, strength {t}: "
-                f"{report.violation}"
-            )
-        parts.append(f"{levels},{t},{report.lam}")
-    return "  ".join(parts)
+# matched in order: FormatError is a DesignError, so it must come first
+_EXIT_CODES = {
+    FormatError: EXIT_IO,
+    OSError: EXIT_IO,
+    DesignError: EXIT_PLAN,
+    ValueError: EXIT_PLAN,
+}
 
 
 def _cmd_gen(args) -> int:
     seed = args.seed
-    extra = {"seed": str(seed)}
     if args.kind == "bush":
         if args.s is None or args.t is None:
             print("gen --kind bush requires --s and --t", file=sys.stderr)
             return EXIT_PLAN
         design = bush_construct(field_of_order(args.s), args.t)
         if args.d is not None:
+            if not 1 <= args.d <= design.d:
+                print(f"gen --kind bush needs 1 <= --d <= s + 1 = {design.d}", file=sys.stderr)
+                return EXIT_PLAN
             design = Design(design.matrix[:, : args.d], s=design.s)
         ladder = ((design.s, args.t),)
+        verify_ladder(design, ladder)
     elif args.n is None or args.d is None:
         print(f"gen --kind {args.kind} requires --n and --d", file=sys.stderr)
         return EXIT_PLAN
     elif args.kind == "lhs":
         design = construct_lhs(args.n, args.d, seed)
         ladder = ((args.n, 1),)
-    elif args.kind == "tang":
-        nd = construct_tang(args.n, args.d, seed)
+        verify_ladder(design, ladder)
+    else:  # tang and noa3 verify their own ladders
+        if args.kind == "tang":
+            nd = construct_tang(args.n, args.d, seed)
+        else:
+            nd = construct_noa(plan_noa(args.n, args.d), seed)
         design, ladder = nd.design, nd.ladder
-    elif args.kind == "noa3":
-        nd = construct_noa(plan_noa(args.n, args.d), seed)
-        design, ladder = nd.design, nd.ladder
-    else:
-        raise AssertionError(args.kind)
-    extra["ladder"] = ";".join(f"({lv},{t})" for lv, t in ladder)
-    summary = _ladder_summary(design, ladder)
     if args.out:
+        extra = {"seed": str(seed), "ladder": ";".join(f"({lv},{t})" for lv, t in ladder)}
         save_design(design, args.out, extra)
-    print(summary)
+    print("  ".join(f"{lv},{t},{design.n // lv**t}" for lv, t in ladder))
     return EXIT_OK
 
 
@@ -98,8 +95,6 @@ def _cmd_sample(args) -> int:
     if args.out:
         save_points(ps, args.out)
     else:
-        from .sampling import format_points
-
         sys.stdout.write(format_points(ps))
     return EXIT_OK
 
@@ -117,8 +112,6 @@ def _cmd_bench(args) -> int:
                 "slope": fit.slope,
                 "degenerate": fit.degenerate,
             }
-        import json
-
         print(json.dumps(out, indent=2))
         return EXIT_OK
     report = bench_mod.run_bench(
@@ -175,21 +168,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except StrengthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLAN
-    except DesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLAN
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLAN
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     ColumnIndexError,
     FormatError,
+    InternalInvariantError,
     NotDivisorError,
     StrengthError,
 )
@@ -139,6 +140,20 @@ def collapse(design: Design, s_coarse: int) -> Design:
     return Design(design.matrix // step, s=s_coarse)
 
 
+def verify_ladder(design: Design, ladder) -> None:
+    """Check every (levels, strength) rung of a constructed design.
+
+    Each rung must hold with index n / levels^t; a failure is a bug in the
+    construction, not in its input.
+    """
+    for levels, t in ladder:
+        report = check_strength(collapse(design, levels), t)
+        if not report.ok or report.lam != design.n // levels**t:
+            raise InternalInvariantError(
+                f"constructed design fails strength {t} at {levels} levels: {report}"
+            )
+
+
 def replicate(design: Design, k: int) -> Design:
     """Vertically stack k copies; strength is preserved with index k*lambda."""
     if k < 1:
@@ -210,9 +225,17 @@ def parse_design(text: str) -> tuple[Design, dict[str, str]]:
     return Design(np.array(rows, dtype=np.int64), s=s), meta
 
 
-def load_design(path) -> tuple[Design, dict[str, str]]:
+def read_text(path) -> str:
+    """A design or points file's text; undecodable bytes are a FormatError."""
     with open(path) as fh:
-        return parse_design(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not {exc.encoding} text (byte {exc.start})") from exc
+
+
+def load_design(path) -> tuple[Design, dict[str, str]]:
+    return parse_design(read_text(path))
 
 
 # --- 64-run golden fixture ---------------------------------------------------

@@ -10,7 +10,9 @@ reduced modulo a fixed irreducible.  The irreducible is the smallest monic
 irreducible of degree m, where "smallest" reads the coefficient vector
 (constant term as the least significant digit) as a base-p integer.  Both
 operations are backed by precomputed s-by-s tables, which is plenty at the
-field orders used here (a few hundred at most).
+field orders used here (a few hundred at most); the multiplication table is
+gathered from log/antilog tables over a primitive element (Hedayat, Sloane
+and Stufken, *Orthogonal Arrays*, 1999, ch. 3).
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import numpy as np
 
 from .errors import FieldOverflowError, IndexRangeError, NotPrimeError
 
-MAX_ORDER = 1 << 16
+# the add and mul tables are s-by-s int64, 8*s^2 bytes each: 128 MiB at
+# s = 4096 (at 65536 it would be 32 GiB)
+MAX_ORDER = 1 << 12
 
 
 def is_prime(p: int) -> bool:
@@ -114,50 +118,49 @@ class FieldSpec:
         self.add_table.flags.writeable = False
         self.mul_table.flags.writeable = False
 
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _undigits(self, digits: list[int]) -> int:
-        v = 0
-        for d in reversed(digits):
-            v = v * self.p + d
-        return v
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * m - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        # reduce alpha^k for k >= m using alpha^m = -(lower irreducible coeffs)
-        for k in range(len(prod) - 1, m - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i in range(m):
-                    prod[k - m + i] = (prod[k - m + i] - c * self.irreducible[i]) % p
-        return self._undigits(prod[:m])
-
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
         s, p, m = self.s, self.p, self.m
-        idx = np.arange(s)
-        digits = np.stack([(idx // p**k) % p for k in range(m)], axis=1)
-        add_digits = (digits[:, None, :] + digits[None, :, :]) % p
         weights = p ** np.arange(m)
-        add = (add_digits * weights).sum(axis=2)
-        mul = np.empty((s, s), dtype=np.int64)
-        for a in range(s):
-            for b in range(a, s):
-                v = self._mul_raw(a, b)
-                mul[a, b] = v
-                mul[b, a] = v
-        return add.astype(np.int64), mul
+        digits = np.arange(s)[:, None] // weights % p  # row a: the digits of a
+        add = np.zeros((s, s), dtype=np.int64)
+        for k in range(m):  # digit k of a + b
+            add += np.add.outer(digits[:, k], digits[:, k]) % p * weights[k]
+        # log/antilog tables over a primitive element; log 0 points past the
+        # doubled antilog table into zeros, so a row or column of 0 gives 0
+        exp = self._primitive_powers(digits, add)
+        log = np.empty(s, dtype=np.int64)
+        log[exp] = np.arange(s - 1)
+        log[0] = 2 * (s - 1)
+        antilog = np.concatenate([exp, exp, np.zeros(2 * s, dtype=np.int64)])
+        mul = antilog[np.add.outer(log, log)]
+        return add, mul
+
+    def _primitive_powers(self, digits: np.ndarray, add: np.ndarray) -> np.ndarray:
+        """g^0, ..., g^(s-2) for the smallest primitive element g.
+
+        The root alpha of the irreducible need not generate the
+        multiplicative group, as the irreducible need not be primitive, so
+        candidates g are tried in order.  a*g is linear in the digits of a,
+        with the digits of g*alpha^k as rows; a*alpha shifts the digits of a
+        up one place and adds alpha^m = -(lower irreducible coefficients)
+        times the digit shifted out.
+        """
+        s, p, m = self.s, self.p, self.m
+        weights = p ** np.arange(m)
+        lower = np.array(self.irreducible[:-1])
+        times_alpha = add[np.arange(s) % (s // p) * p, -digits[:, -1:] * lower % p @ weights]
+        for g in range(1, s):
+            rows = [g]  # g * alpha^k for k < m
+            for _ in range(m - 1):
+                rows.append(times_alpha[rows[-1]])
+            times_g = (digits @ digits[rows] % p @ weights).tolist()
+            powers, x = [1], g
+            while x != 1:
+                powers.append(x)
+                x = times_g[x]
+            if len(powers) == s - 1:
+                return np.array(powers, dtype=np.int64)
+        raise AssertionError(f"GF({s}) has no primitive element")
 
     def _check(self, *elems: int) -> None:
         for a in elems:

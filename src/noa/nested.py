@@ -1,9 +1,10 @@
 """Nested orthogonal array construction.
 
 The main entry points are ``plan_noa``/``construct_noa`` for the strength-3
-ladder, ``construct_tang`` for the strength-2 ladder, and ``construct_lhs``
-for a plain Latin hypercube.  All constructions are pure functions of their
-parameters and a single user seed.
+ladder, ``construct_tang`` for the strength-2 ladder, ``construct_oa`` for a
+single randomized orthogonal array, and ``construct_lhs`` for a plain Latin
+hypercube.  All constructions are pure functions of their parameters and a
+single user seed, and every ladder they return has been verified.
 
 The strength-3 design is built by combining a replicated strength-3 Bush
 array at s3 levels (first column discarded, so rows sharing a leading
@@ -22,16 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bush import bush_construct
-from .designs import Design, check_strength, collapse
-from .errors import (
-    InternalInvariantError,
-    NoNontrivialPlanError,
-    UnbalancedColumnError,
-)
+from .designs import Design, verify_ladder
+from .errors import NoNontrivialPlanError, UnbalancedColumnError
 from .gf import field_new, field_of_order, is_prime, prime_power
 from .rng import (
     STAGE_EXPAND,
     STAGE_LHS,
+    STAGE_OWEN,
     STAGE_RELABEL2,
     STAGE_RELABEL3,
     STAGE_SHUFFLE2,
@@ -65,11 +63,12 @@ class NestedDesign:
     plan: NoaPlan | None = None
 
 
-def _largest_prime_power_cube_divisor(n: int) -> int | None:
+def _largest_prime_power_root(n: int, k: int) -> int | None:
+    """The largest prime power q with q^k dividing n, or None."""
     best = None
     q = 2
-    while q**3 <= n:
-        if n % q**3 == 0 and prime_power(q) is not None:
+    while q**k <= n:
+        if n % q**k == 0 and prime_power(q) is not None:
             best = q
         q += 1
     return best
@@ -92,7 +91,7 @@ def plan_noa(n: int, d: int) -> NoaPlan:
             f"no prime p with p^4 dividing n={n}; only the trivial ladders "
             "s2=s3 or s3=1 exist (consider the strength-2 construction instead)"
         )
-    s3 = _largest_prime_power_cube_divisor(n)
+    s3 = _largest_prime_power_root(n, 3)
     if s3 is None or d > s3:
         raise NoNontrivialPlanError(
             f"need d <= s3 but d={d}, s3={s3} for n={n} "
@@ -121,27 +120,21 @@ def plan_noa(n: int, d: int) -> NoaPlan:
     return NoaPlan(n=n, d=d, s3=s3, k3=k3, p=p, c=c, b=b, s2=p**c * s3)
 
 
-def _bush_columns(field, t: int, d: int) -> np.ndarray:
-    """The d evaluation columns of a Bush array, preferring columns 1..d.
+def _oa(field, t: int, d: int, k: int, seed: int, stage: int) -> np.ndarray:
+    """k stacked copies of d Bush columns, each copy's levels relabelled per column.
 
-    Column 0 is discarded unless d = s + 1 forces its use; for the coarse
-    strength-3 array the caller never allows that case.
+    The columns are 1..d of the Bush array; column 0 is used only when
+    d = s + 1 forces it, which the coarse strength-3 array never allows.
+    Relabelling copy r's column j by its own permutation keeps strength t.
     """
-    mat = bush_construct(field, t).matrix
-    if d <= field.s:
-        return mat[:, 1 : 1 + d]
-    return mat[:, :d]
-
-
-def _relabel_replicate(base: np.ndarray, k: int, s: int, seed: int, stage: int) -> np.ndarray:
-    """Stack k copies, relabeling each copy's levels per column independently."""
-    n0, d = base.shape
+    base = bush_construct(field, t).matrix
+    base = base[:, 1 : 1 + d] if d <= field.s else base[:, :d]
+    n0 = base.shape[0]
     out = np.empty((k * n0, d), dtype=np.int64)
     for r in range(k):
         block = out[r * n0 : (r + 1) * n0]
         for j in range(d):
-            perm = stream(seed, stage, r, j).permutation(s)
-            block[:, j] = perm[base[:, j]]
+            block[:, j] = stream(seed, stage, r, j).permutation(field.s)[base[:, j]]
     return out
 
 
@@ -174,36 +167,51 @@ def _expand_levels(mat: np.ndarray, s: int, seed: int, stage: int) -> np.ndarray
     return out.T
 
 
-def _verify_ladder(design: Design, ladder) -> None:
-    for levels, t in ladder:
-        rung = collapse(design, levels)
-        report = check_strength(rung, t)
-        want = design.n // levels**t
-        if not report.ok or report.lam != want:
-            raise InternalInvariantError(
-                f"constructed design fails strength {t} at {levels} levels: {report}"
-            )
+def _expanded(levels: np.ndarray, s: int, ladder, seed: int, plan) -> NestedDesign:
+    """Expand an n x d matrix at s levels to n levels and verify the ladder.
+
+    A caller that passes the matrix without keeping a reference to it (as
+    construct_noa does) has it freed before the ladder check.
+    """
+    n = levels.shape[0]
+    design = Design(_expand_levels(levels, s, seed, STAGE_EXPAND), s=n)
+    del levels
+    verify_ladder(design, ladder)
+    return NestedDesign(design=design, ladder=ladder, seed=seed, plan=plan)
 
 
-def construct_noa(plan: NoaPlan, seed: int) -> NestedDesign:
-    """Build the strength-3 nested design for a plan, deterministically per seed."""
-    s3, k3, d = plan.s3, plan.k3, plan.d
+def _noa_levels(plan: NoaPlan, seed: int) -> np.ndarray:
+    """The n x d matrix at s2 levels: coarse strength-3 rows plus fine rows."""
+    s3, d = plan.s3, plan.d
     pc = plan.p**plan.c
-    coarse = _bush_columns(field_of_order(s3), 3, d)  # d <= s3, column 0 dropped
-    coarse = _relabel_replicate(coarse, k3, s3, seed, STAGE_RELABEL3)
-    fine = _bush_columns(field_new(plan.p, plan.c), 2, d)
-    fine = _relabel_replicate(fine, plan.b, pc, seed, STAGE_RELABEL2)
+    coarse = _oa(field_of_order(s3), 3, d, plan.k3, seed, STAGE_RELABEL3)  # d <= s3
+    fine = _oa(field_new(plan.p, plan.c), 2, d, plan.b, seed, STAGE_RELABEL2)
     fine = fine[stream(seed, STAGE_SHUFFLE2).permutation(fine.shape[0])]
     # one fine row per contiguous block of s3^2 coarse rows, added in place
     blocks = coarse.reshape(-1, s3 * s3, d)
     blocks *= pc
     blocks += fine[:, None, :]
-    design = Design(_expand_levels(coarse, plan.s2, seed, STAGE_EXPAND), s=plan.n)
-    del coarse, blocks  # free the combined n x d matrix before the ladder check
-    ladder = ((plan.n, 1), (plan.s2, 2), (s3, 3))
-    if __debug__:
-        _verify_ladder(design, ladder)
-    return NestedDesign(design=design, ladder=ladder, seed=seed, plan=plan)
+    return coarse
+
+
+def construct_noa(plan: NoaPlan, seed: int) -> NestedDesign:
+    """Build the strength-3 nested design for a plan, deterministically per seed."""
+    ladder = ((plan.n, 1), (plan.s2, 2), (plan.s3, 3))
+    return _expanded(_noa_levels(plan, seed), plan.s2, ladder, seed, plan)
+
+
+def construct_oa(s: int, t: int, d: int, seed: int) -> NestedDesign:
+    """Randomized OA(s^t, d, s, t): Bush columns, each relabelled at random.
+
+    This is Owen's (1992) randomized orthogonal array.  Its ladder is the
+    single rung (s, t), or (s, d) when d < t columns form a full factorial.
+    """
+    if not 1 <= d <= s + 1:
+        raise ValueError(f"need 1 <= d <= s + 1, got s={s}, d={d}")
+    design = Design(_oa(field_of_order(s), t, d, 1, seed, STAGE_OWEN), s=s)
+    ladder = ((s, min(t, d)),)
+    verify_ladder(design, ladder)
+    return NestedDesign(design=design, ladder=ladder, seed=seed, plan=None)
 
 
 def construct_lhs(n: int, d: int, seed: int) -> Design:
@@ -231,21 +239,12 @@ def construct_tang(n: int, d: int, seed: int) -> NestedDesign:
     """Strength-2 nested design: Bush array at s2 levels expanded to n levels."""
     if n < 4 or d < 2:
         raise ValueError("need n >= 4 and d >= 2")
-    s2 = None
-    q = 2
-    while q * q <= n:
-        if n % (q * q) == 0 and prime_power(q) is not None and q + 1 >= d:
-            s2 = q
-        q += 1
-    if s2 is None:
+    # the largest s2 is the only candidate: s2 + 1 >= d is monotone in s2
+    s2 = _largest_prime_power_root(n, 2)
+    if s2 is None or s2 + 1 < d:
         raise NoNontrivialPlanError(
             f"no prime power s2 with s2^2 | n={n} and s2 + 1 >= d={d}"
         )
-    base = _bush_columns(field_of_order(s2), 2, d)
     k = n // (s2 * s2)
-    mat = _relabel_replicate(base, k, s2, seed, STAGE_RELABEL2)
-    design = Design(_expand_levels(mat, s2, seed, STAGE_EXPAND), s=n)
-    ladder = ((n, 1), (s2, 2))
-    if __debug__:
-        _verify_ladder(design, ladder)
-    return NestedDesign(design=design, ladder=ladder, seed=seed, plan=None)
+    levels = _oa(field_of_order(s2), 2, d, k, seed, STAGE_RELABEL2)
+    return _expanded(levels, s2, ((n, 1), (s2, 2)), seed, None)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Design
+from .designs import Design, read_text
 from .errors import FormatError
 from .rng import STAGE_JITTER, stream
 
@@ -121,5 +121,4 @@ def parse_points(text: str) -> PointSet:
 
 
 def load_points(path) -> PointSet:
-    with open(path) as fh:
-        return parse_points(fh.read())
+    return parse_points(read_text(path))

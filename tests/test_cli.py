@@ -74,6 +74,18 @@ def test_gen_bush(tmp_path, capsys):
     assert stdout.strip() == "3,2,1"
 
 
+@pytest.mark.parametrize("d", ["0", "6"])
+def test_gen_bush_rejects_column_count(tmp_path, capsys, d):
+    out = tmp_path / "b.csv"
+    code, stdout, err = run(
+        capsys, "gen", "--kind", "bush", "--s", "4", "--t", "2", "--d", d, "--out", str(out)
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == "gen --kind bush needs 1 <= --d <= s + 1 = 5\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -81,6 +93,7 @@ def test_gen_bush(tmp_path, capsys):
         ("gen", "--kind", "tang", "--n", "9", "--d", "3", "--seed", "4"),
         ("gen", "--kind", "lhs", "--n", "12", "--d", "2", "--seed", "5"),
         ("gen", "--kind", "bush", "--s", "4", "--t", "3"),
+        ("gen", "--kind", "bush", "--s", "4", "--t", "2", "--d", "5"),
     ],
 )
 def test_gen_verify_round_trip(tmp_path, capsys, argv):
@@ -122,6 +135,16 @@ def test_verify_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--in", str(path), "--t", "1")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [("verify", "--t", "1"), ("sample",)])
+def test_undecodable_file(tmp_path, capsys, argv):
+    path = tmp_path / "bin.csv"
+    path.write_bytes(b"\xff\xfe# noa-design v1 n=1 d=1 s=1\n0\n")
+    code, stdout, err = run(capsys, argv[0], "--in", str(path), *argv[1:])
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sample_midpoint(tmp_path, capsys):

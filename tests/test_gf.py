@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from noa.errors import FieldOverflowError, IndexRangeError, NotPrimeError
-from noa.gf import FieldSpec, field_new, field_of_order, prime_power
+from noa.gf import FieldSpec, _poly_divmod, field_new, field_of_order, prime_power
 
 PRIME_POWERS_64 = [s for s in range(2, 65) if prime_power(s) is not None]
 
@@ -30,6 +30,9 @@ def test_not_prime():
 def test_overflow():
     with pytest.raises(FieldOverflowError):
         FieldSpec(2, 17)
+    # 2^13 would need two 512 MiB tables; it is refused before any is built
+    with pytest.raises(FieldOverflowError):
+        FieldSpec(2, 13)
 
 
 def test_gf4_add_paper_values():
@@ -101,6 +104,38 @@ def test_field_axioms_exhaustive(s):
     assert ((add == 0).sum(axis=1) == 1).all()
     # multiplicative inverses for nonzero elements
     assert ((mul[1:, 1:] == 1).sum(axis=1) == 1).all()
+
+
+def schoolbook_mul(f, a, b):
+    """a*b by polynomial product of the digit vectors, reduced modulo the irreducible."""
+    da = [a // f.p**k % f.p for k in range(f.m)]
+    db = [b // f.p**k % f.p for k in range(f.m)]
+    prod = [0] * (2 * f.m - 1)
+    for i, ca in enumerate(da):
+        for j, cb in enumerate(db):
+            prod[i + j] = (prod[i + j] + ca * cb) % f.p
+    _, rem = _poly_divmod(prod, f.irreducible, f.p)
+    return sum(c * f.p**k for k, c in enumerate(rem))
+
+
+@pytest.mark.parametrize("s", PRIME_POWERS_64)
+def test_mul_table_matches_schoolbook(s):
+    f = field_of_order(s)
+    expected = [[schoolbook_mul(f, a, b) for b in range(s)] for a in range(s)]
+    assert f.mul_table.tolist() == expected
+
+
+def test_non_primitive_irreducible():
+    # x^8+x^4+x^3+x+1 is irreducible but x has order 51, not 255, so the
+    # log tables must be built over another generator
+    f = field_new(2, 8)
+    assert f.irreducible == [1, 1, 0, 1, 1, 0, 0, 0, 1]
+    x, order = 2, 1
+    while x != 1:
+        x, order = f.mul(x, 2), order + 1
+    assert order == 51
+    assert ((f.mul_table[1:, 1:] == 1).sum(axis=1) == 1).all()
+    assert f.mul(0x53, 0xCA) == 1  # the AES inverse pair
 
 
 @pytest.mark.parametrize("s", PRIME_POWERS_64)

@@ -1,15 +1,19 @@
 import itertools
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from noa.bush import bush_construct
 from noa.designs import Design, check_strength, collapse
-from noa.errors import NoNontrivialPlanError, UnbalancedColumnError
+from noa.errors import NoNontrivialPlanError, NotPrimeError, UnbalancedColumnError
 from noa.gf import field_of_order, is_prime, prime_power
 from noa.nested import (
     construct_lhs,
     construct_noa,
+    construct_oa,
     construct_tang,
     expand_to_lhs,
     plan_noa,
@@ -199,10 +203,20 @@ def test_expand_to_lhs_unbalanced():
         expand_to_lhs(Design(np.array([[0, 0], [0, 1]]), s=2), 0)
 
 
-@pytest.mark.parametrize("n,d,s2", [(9, 3, 3), (16, 4, 4), (64, 3, 8)])
-def test_tang_ladder(n, d, s2):
-    nd = construct_tang(n, d, 5)
-    assert nd.ladder == ((n, 1), (s2, 2))
+@pytest.mark.parametrize(
+    "build,ladder",
+    [
+        pytest.param(lambda: construct_tang(9, 3, 5), ((9, 1), (3, 2)), id="9-3-3"),
+        pytest.param(lambda: construct_tang(16, 4, 5), ((16, 1), (4, 2)), id="16-4-4"),
+        pytest.param(lambda: construct_tang(64, 3, 5), ((64, 1), (8, 2)), id="64-3-8"),
+        pytest.param(lambda: construct_oa(8, 2, 9, 5), ((8, 2),), id="oa-8-2-9"),
+        pytest.param(lambda: construct_oa(5, 3, 4, 5), ((5, 3),), id="oa-5-3-4"),
+        pytest.param(lambda: construct_oa(4, 3, 2, 5), ((4, 2),), id="oa-4-3-2"),
+    ],
+)
+def test_tang_ladder(build, ladder):
+    nd = build()
+    assert nd.ladder == ladder
     assert_ladder(nd)
 
 
@@ -212,6 +226,49 @@ def test_tang_no_plan():
 
 
 def test_tang_deterministic():
-    a = construct_tang(16, 4, 8)
-    b = construct_tang(16, 4, 8)
-    assert (a.design.matrix == b.design.matrix).all()
+    builds = (lambda seed: construct_tang(16, 4, seed), lambda seed: construct_oa(7, 2, 5, seed))
+    for build in builds:
+        a, b, c = build(8), build(8), build(9)
+        assert (a.design.matrix == b.design.matrix).all()
+        assert (a.design.matrix != c.design.matrix).any()
+
+
+def test_oa_rejects_bad_parameters():
+    with pytest.raises(ValueError):
+        construct_oa(4, 2, 6, 0)  # d > s + 1
+    with pytest.raises(ValueError):
+        construct_oa(4, 2, 0, 0)
+    with pytest.raises(NotPrimeError):
+        construct_oa(6, 2, 3, 0)
+
+
+def test_ladder_check_runs_under_optimize():
+    # with the strength count patched to fail, every constructor must raise,
+    # also when python -O strips assert statements and __debug__ blocks
+    script = textwrap.dedent(
+        """
+        import sys
+        import noa.designs
+        from noa.errors import InternalInvariantError
+        from noa.nested import construct_noa, construct_oa, construct_tang, plan_noa
+
+        assert False, "assert statements must be stripped under -O"
+        failed = noa.designs.StrengthReport(t=1, ok=False, lam=None, violation=None)
+        noa.designs.check_strength = lambda design, t: failed
+        builds = {
+            "noa": lambda: construct_noa(plan_noa(64, 3), 0),
+            "tang": lambda: construct_tang(16, 3, 0),
+            "oa": lambda: construct_oa(4, 2, 3, 0),
+        }
+        for name, build in builds.items():
+            try:
+                build()
+            except InternalInvariantError:
+                print(name, "raised")
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["noa raised", "tang raised", "oa raised", ""]

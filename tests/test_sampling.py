@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from noa.bush import bush_construct
-from noa.designs import Design, check_strength
+from noa.designs import Design, check_strength, load_design
 from noa.errors import FormatError
 from noa.gf import field_of_order
 from noa.nested import construct_lhs, construct_noa, plan_noa
-from noa.sampling import PointSet, _place, format_points, parse_points, to_points
+from noa.sampling import PointSet, _place, format_points, load_points, parse_points, to_points
 
 
 def test_midpoint_values():
@@ -94,6 +94,14 @@ def test_points_csv_bad_row_and_header_token():
         parse_points("# noa-points v1 n=1 d=2 junk\n0.5,0.5\n")
     with pytest.raises(FormatError):
         parse_points("# noa-points v1 n=1 d=2\n0.5,nan\n")
+
+
+@pytest.mark.parametrize("load", [load_points, load_design])
+def test_undecodable_file_is_format_error(tmp_path, load):
+    path = tmp_path / "bin.csv"
+    path.write_bytes(b"\xff\xfe# noa-points v1 n=1 d=1\n0.5\n")
+    with pytest.raises(FormatError, match="byte 0"):
+        load(path)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.0, -0.25])
