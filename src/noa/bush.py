@@ -9,41 +9,40 @@ polynomial evaluated at field element j-1.
 The row order is part of the contract: all rows sharing a leading
 coefficient are contiguous (s^(t-1) of them), which the nested combiner
 relies on.
+
+Only the columns a caller asks for are built, and nothing is cached: a
+strength-3 array over GF(64) has 65 columns of 262144 rows, of which the
+nested constructions use a few.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from .designs import Design
 from .errors import StrengthError
-from .gf import FieldSpec, field_new
+from .gf import FieldSpec
 
 
-def bush_construct(field: FieldSpec, t: int) -> Design:
-    return _bush_cached(field.p, field.m, t)
-
-
-@lru_cache(maxsize=None)
-def _bush_cached(p: int, m: int, t: int) -> Design:
-    field = field_new(p, m)
+def bush_construct(field: FieldSpec, t: int, d: int | None = None) -> Design:
+    """The first d columns (all s + 1 by default) of the Bush array."""
     s = field.s
+    if d is None:
+        d = s + 1
     if not 1 <= t <= 3:
         raise StrengthError(f"strength t={t} outside supported range [1, 3]")
-    if s < 2:
-        raise StrengthError(f"field order {s} too small")
-    n = s**t
-    idx = np.arange(n)
-    # coeffs[:, k] is the coefficient of y^k; the leading one is most significant
-    coeffs = np.stack([(idx // s**k) % s for k in range(t)], axis=1)
-    mat = np.empty((n, s + 1), dtype=np.int64)
-    mat[:, 0] = coeffs[:, t - 1]
+    if not 1 <= d <= s + 1:
+        raise ValueError(f"need 1 <= d <= s + 1 = {s + 1}, got d={d}")
+    lead = np.arange(s)
+    mat = np.empty((s**t, d), dtype=np.int64)
+    mat[:, 0] = np.repeat(lead, s ** (t - 1))
     add, mul = field.add_table, field.mul_table
-    for x in range(s):
-        acc = coeffs[:, t - 1]
-        for k in range(t - 2, -1, -1):
-            acc = add[mul[acc, x], coeffs[:, k]]
+    for x in range(d - 1):
+        # Horner over all rows at once: row a of add[mul[acc, x]] holds
+        # acc[a] * x + c for every next coefficient c, so raveling keeps the
+        # coefficients read first as the more significant digits
+        acc = lead
+        for _ in range(t - 1):
+            acc = add[mul[acc, x]].ravel()
         mat[:, 1 + x] = acc
     return Design(mat, s=s)

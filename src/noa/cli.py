@@ -12,14 +12,7 @@ import sys
 
 from . import bench as bench_mod
 from .bush import bush_construct
-from .designs import (
-    Design,
-    check_strength,
-    collapse,
-    load_design,
-    save_design,
-    verify_ladder,
-)
+from .designs import check_strength, collapse, load_design, save_design, verify_ladder
 from .errors import DesignError, FormatError
 from .gf import field_of_order
 from .nested import construct_lhs, construct_noa, construct_tang, plan_noa
@@ -45,12 +38,10 @@ def _cmd_gen(args) -> int:
         if args.s is None or args.t is None:
             print("gen --kind bush requires --s and --t", file=sys.stderr)
             return EXIT_PLAN
-        design = bush_construct(field_of_order(args.s), args.t)
-        if args.d is not None:
-            if not 1 <= args.d <= design.d:
-                print(f"gen --kind bush needs 1 <= --d <= s + 1 = {design.d}", file=sys.stderr)
-                return EXIT_PLAN
-            design = Design(design.matrix[:, : args.d], s=design.s)
+        if args.d is not None and not 1 <= args.d <= args.s + 1:
+            print(f"gen --kind bush needs 1 <= --d <= s + 1 = {args.s + 1}", file=sys.stderr)
+            return EXIT_PLAN
+        design = bush_construct(field_of_order(args.s), args.t, args.d)
         ladder = ((design.s, args.t),)
         verify_ladder(design, ladder)
     elif args.n is None or args.d is None:

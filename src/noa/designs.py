@@ -171,6 +171,53 @@ def select_columns(design: Design, indices) -> Design:
     return Design(design.matrix[:, indices], s=design.s)
 
 
+# --- table files --------------------------------------------------------------
+#
+# Both CSV formats are one header line, a magic string followed by
+# key=value tokens that include integer n and d, then n lines of d
+# comma-separated values.
+
+
+def format_table(magic: str, header, rows) -> str:
+    """The file text for (key, value) header pairs and rows of value strings."""
+    head = " ".join([magic, *(f"{k}={v}" for k, v in header)])
+    return "\n".join([head, *(",".join(row) for row in rows)]) + "\n"
+
+
+def parse_table(text: str, magic: str, keys, convert) -> tuple[list, dict[str, str]]:
+    """Rows of converted values and the header, whose keys (n, d first) are integers.
+
+    Raises FormatError on a missing magic line, a token without '=', a
+    missing or non-integer key, a row count other than n, and a row that
+    does not convert or has other than d entries.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith(magic):
+        raise FormatError(f"missing '{magic}' header")
+    meta: dict[str, str] = {}
+    for token in lines[0][len(magic):].split():
+        if "=" not in token:
+            raise FormatError(f"bad header token {token!r}")
+        key, val = token.split("=", 1)
+        meta[key] = val
+    try:
+        n, d, *_ = [int(meta[k]) for k in keys]
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"header must carry integer {', '.join(keys)}: {exc}") from exc
+    if len(lines) - 1 != n:
+        raise FormatError(f"expected {n} rows, found {len(lines) - 1}")
+    rows = []
+    for ln in lines[1:]:
+        try:
+            row = list(map(convert, ln.split(",")))
+        except ValueError as exc:
+            raise FormatError(f"bad row {ln!r}") from exc
+        if len(row) != d:
+            raise FormatError(f"row {ln!r} has {len(row)} entries, expected {d}")
+        rows.append(row)
+    return rows, meta
+
+
 # --- design CSV format -------------------------------------------------------
 #
 # First line:  # noa-design v1 n=<n> d=<d> s=<s> [key=value ...]
@@ -180,13 +227,8 @@ _MAGIC = "# noa-design v1"
 
 
 def format_design(design: Design, extra: dict[str, str] | None = None) -> str:
-    fields = [f"n={design.n}", f"d={design.d}", f"s={design.s}"]
-    for k, v in (extra or {}).items():
-        fields.append(f"{k}={v}")
-    lines = [f"{_MAGIC} {' '.join(fields)}"]
-    for row in design.matrix:
-        lines.append(",".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    header = [("n", design.n), ("d", design.d), ("s", design.s), *(extra or {}).items()]
+    return format_table(_MAGIC, header, (map(str, row) for row in design.matrix.tolist()))
 
 
 def save_design(design: Design, path, extra: dict[str, str] | None = None) -> None:
@@ -195,34 +237,15 @@ def save_design(design: Design, path, extra: dict[str, str] | None = None) -> No
 
 
 def parse_design(text: str) -> tuple[Design, dict[str, str]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(_MAGIC):
-        raise FormatError(f"missing '{_MAGIC}' header")
-    meta: dict[str, str] = {}
-    for token in lines[0][len(_MAGIC):].split():
-        if "=" not in token:
-            raise FormatError(f"bad header token {token!r}")
-        key, val = token.split("=", 1)
-        meta[key] = val
+    rows, meta = parse_table(text, _MAGIC, ("n", "d", "s"), int)
+    s = int(meta["s"])
+    if rows and not 0 <= min(map(min, rows)) <= max(map(max, rows)) < s:
+        v = next(v for row in rows for v in row if not 0 <= v < s)
+        raise FormatError(f"entry {v} outside [0, {s})")
     try:
-        n, d, s = int(meta["n"]), int(meta["d"]), int(meta["s"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"header must carry integer n, d, s: {exc}") from exc
-    if len(lines) - 1 != n:
-        raise FormatError(f"expected {n} rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        try:
-            row = [int(v) for v in ln.split(",")]
-        except ValueError as exc:
-            raise FormatError(f"bad row {ln!r}") from exc
-        if len(row) != d:
-            raise FormatError(f"row {ln!r} has {len(row)} entries, expected {d}")
-        for v in row:
-            if not 0 <= v < s:
-                raise FormatError(f"entry {v} outside [0, {s})")
-        rows.append(row)
-    return Design(np.array(rows, dtype=np.int64), s=s), meta
+        return Design(np.array(rows, dtype=np.int64), s=s), meta
+    except ValueError as exc:  # no rows, or s < 1
+        raise FormatError(str(exc)) from exc
 
 
 def read_text(path) -> str:

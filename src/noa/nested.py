@@ -25,7 +25,7 @@ import numpy as np
 from .bush import bush_construct
 from .designs import Design, verify_ladder
 from .errors import NoNontrivialPlanError, UnbalancedColumnError
-from .gf import field_new, field_of_order, is_prime, prime_power
+from .gf import MAX_ORDER, field_new, field_of_order, is_prime, prime_power
 from .rng import (
     STAGE_EXPAND,
     STAGE_LHS,
@@ -64,10 +64,10 @@ class NestedDesign:
 
 
 def _largest_prime_power_root(n: int, k: int) -> int | None:
-    """The largest prime power q with q^k dividing n, or None."""
+    """The largest buildable prime power q (at most MAX_ORDER) with q^k | n, or None."""
     best = None
     q = 2
-    while q**k <= n:
+    while q <= MAX_ORDER and q**k <= n:
         if n % q**k == 0 and prime_power(q) is not None:
             best = q
         q += 1
@@ -80,7 +80,8 @@ def plan_noa(n: int, d: int) -> NoaPlan:
     s3 is the largest prime power whose cube divides n; among all (p, c)
     with p^(2c) dividing k3*s3 and p^c + 1 >= d, the pair maximizing p^c is
     chosen (ties broken toward smaller p), which maximizes the strength-2
-    resolution s2 = p^c * s3.
+    resolution s2 = p^c * s3.  Both s3 and p^c are field orders, so only
+    those up to gf.MAX_ORDER are considered: the plan is always buildable.
     """
     if n < 8:
         raise ValueError(f"n={n} must be >= 8")
@@ -100,11 +101,11 @@ def plan_noa(n: int, d: int) -> NoaPlan:
     k3 = n // s3**3
     best: tuple[int, int] | None = None
     residual = k3 * s3
-    for p in range(2, residual + 1):
+    for p in range(2, min(residual, MAX_ORDER) + 1):
         if not is_prime(p) or residual % (p * p) != 0:
             continue
         c = 1
-        while residual % p ** (2 * (c + 1)) == 0:
+        while residual % p ** (2 * (c + 1)) == 0 and p ** (c + 1) <= MAX_ORDER:
             c += 1
         if p**c + 1 < d:
             continue
@@ -123,12 +124,12 @@ def plan_noa(n: int, d: int) -> NoaPlan:
 def _oa(field, t: int, d: int, k: int, seed: int, stage: int) -> np.ndarray:
     """k stacked copies of d Bush columns, each copy's levels relabelled per column.
 
-    The columns are 1..d of the Bush array; column 0 is used only when
-    d = s + 1 forces it, which the coarse strength-3 array never allows.
-    Relabelling copy r's column j by its own permutation keeps strength t.
+    The columns are the last d of the Bush array's first d + 1, so column 0
+    is used only when d = s + 1 forces it, which the coarse strength-3 array
+    never allows.  Relabelling copy r's column j by its own permutation
+    keeps strength t.
     """
-    base = bush_construct(field, t).matrix
-    base = base[:, 1 : 1 + d] if d <= field.s else base[:, :d]
+    base = bush_construct(field, t, min(d + 1, field.s + 1)).matrix[:, -d:]
     n0 = base.shape[0]
     out = np.empty((k * n0, d), dtype=np.int64)
     for r in range(k):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Design, read_text
+from .designs import Design, format_table, parse_table, read_text
 from .errors import FormatError
 from .rng import STAGE_JITTER, stream
 
@@ -78,10 +78,8 @@ _MAGIC = "# noa-points v1"
 
 
 def format_points(ps: PointSet) -> str:
-    lines = [f"{_MAGIC} n={ps.n} d={ps.d}"]
-    for row in ps.points:
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    return "\n".join(lines) + "\n"
+    rows = (map("{:.17g}".format, row) for row in ps.points.tolist())
+    return format_table(_MAGIC, [("n", ps.n), ("d", ps.d)], rows)
 
 
 def save_points(ps: PointSet, path) -> None:
@@ -90,30 +88,7 @@ def save_points(ps: PointSet, path) -> None:
 
 
 def parse_points(text: str) -> PointSet:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(_MAGIC):
-        raise FormatError(f"missing '{_MAGIC}' header")
-    meta: dict[str, str] = {}
-    for token in lines[0][len(_MAGIC):].split():
-        if "=" not in token:
-            raise FormatError(f"bad header token {token!r}")
-        key, val = token.split("=", 1)
-        meta[key] = val
-    try:
-        n, d = int(meta["n"]), int(meta["d"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"header must carry integer n, d: {exc}") from exc
-    if len(lines) - 1 != n:
-        raise FormatError(f"expected {n} rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        try:
-            row = [float(v) for v in ln.split(",")]
-        except ValueError as exc:
-            raise FormatError(f"bad row {ln!r}") from exc
-        if len(row) != d:
-            raise FormatError(f"row {ln!r} has {len(row)} entries, expected {d}")
-        rows.append(row)
+    rows, _meta = parse_table(text, _MAGIC, ("n", "d"), float)
     try:
         return PointSet(np.array(rows, dtype=np.float64))
     except ValueError as exc:

@@ -74,10 +74,38 @@ def test_strength1():
 
 def test_strength_out_of_range():
     f = field_of_order(3)
-    with pytest.raises(StrengthError):
-        bush_construct(f, 4)
-    with pytest.raises(StrengthError):
-        bush_construct(f, 0)
+    for t, d, error in [
+        (4, None, StrengthError),
+        (0, None, StrengthError),
+        (2, 0, ValueError),
+        (2, 5, ValueError),
+    ]:
+        with pytest.raises(error):
+            bush_construct(f, t, d)
+
+
+def horner_rows(field, t, d):
+    """The first d Bush columns, one polynomial at a time by field.add/mul."""
+    s = field.s
+    rows = []
+    for i in range(s**t):
+        coeffs = [i // s**k % s for k in range(t)]  # constant term first
+        row = [coeffs[-1]]
+        for x in range(d - 1):
+            acc = coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                acc = field.add(field.mul(acc, x), c)
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("s", PRIME_POWERS_9)
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_columns_match_horner_oracle(s, t):
+    field = field_of_order(s)
+    for d in sorted({1, 2, s + 1}):
+        assert bush_construct(field, t, d).matrix.tolist() == horner_rows(field, t, d)
 
 
 def test_deterministic():

@@ -238,6 +238,11 @@ def test_csv_rejects_row_count_mismatch():
         parse_design("# noa-design v1 n=2 d=2 s=2\n0,1\n")
 
 
+def test_csv_rejects_empty_design():
+    with pytest.raises(FormatError, match="nonempty"):
+        parse_design("# noa-design v1 n=0 d=2 s=2\n")
+
+
 # --- 64-run fixture ----------------------------------------------------------
 
 

@@ -3,7 +3,11 @@
 - no ``__debug__``: behaviour must not change under ``python -O``;
 - no ``assert`` statement: ``-O`` strips it, so a check must raise;
 - no ``from .mod import _name``: another module's private helpers stay
-  private, so the public names are the only coupling between modules.
+  private, so the public names are the only coupling between modules;
+- no import that the module never references (``__init__.py`` imports to
+  re-export, so it is exempt);
+- no ``functools.lru_cache``/``functools.cache`` except on ``gf.field_new``:
+  a process-lifetime cache of arrays holds their memory until exit.
 """
 
 import ast
@@ -12,6 +16,9 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "noa").glob("*.py"))
+
+
+CACHES = {"lru_cache", "cache"}
 
 
 def problems(path):
@@ -28,6 +35,49 @@ def problems(path):
             for alias in node.names:
                 if alias.name.startswith("_"):
                     yield f"{where}: imports private {node.module}.{alias.name}"
+    yield from unused_imports(path, tree)
+    yield from caches(path, tree)
+
+
+def unused_imports(path, tree):
+    if path.name == "__init__.py":
+        return
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                yield f"{path.name}:{node.lineno}: unused import {name}"
+
+
+def caches(path, tree):
+    """Every use of a functools cache other than the decorator of gf.field_new."""
+    names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in CACHES
+    }
+    allowed = set()
+    for node in ast.walk(tree):
+        if path.name == "gf.py" and isinstance(node, ast.FunctionDef) and node.name == "field_new":
+            for dec in node.decorator_list:
+                allowed.update(map(id, ast.walk(dec)))
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if (isinstance(node, ast.Name) and node.id in names) or (
+            isinstance(node, ast.Attribute)
+            and node.attr in CACHES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            yield f"{path.name}:{node.lineno}: cache outside gf.field_new"
 
 
 def test_sources_found():
@@ -52,4 +102,36 @@ def test_rules_catch_violations(tmp_path):
         "imports private noa.gf._poly_divmod",
         "__debug__",
         "assert statement",
+        "unused import _oa",
+        "unused import _poly_divmod",
     ]
+
+
+def test_rules_catch_unused_imports_and_caches(tmp_path):
+    # the shape of a module-level array cache: a cached builder plus the
+    # import it no longer needs
+    bad = tmp_path / "bush.py"
+    bad.write_text(
+        "import functools\n"
+        "from functools import lru_cache as memo\n"
+        "import numpy as np\n"
+        "from .designs import Design, check_strength\n"
+        "@memo(maxsize=None)\n"
+        "def _cached(s):\n"
+        "    return check_strength\n"
+        "keep = functools.cache(_cached)\n"
+    )
+    assert [p.split(": ", 1)[1] for p in problems(bad)] == [
+        "unused import np",
+        "unused import Design",
+        "cache outside gf.field_new",
+        "cache outside gf.field_new",
+    ]
+    allowed = tmp_path / "gf.py"
+    allowed.write_text(
+        "from functools import lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def field_new(p, m):\n"
+        "    return p\n"
+    )
+    assert list(problems(allowed)) == []

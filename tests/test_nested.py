@@ -9,8 +9,9 @@ import pytest
 from noa.bush import bush_construct
 from noa.designs import Design, check_strength, collapse
 from noa.errors import NoNontrivialPlanError, NotPrimeError, UnbalancedColumnError
-from noa.gf import field_of_order, is_prime, prime_power
+from noa.gf import MAX_ORDER, field_of_order, is_prime, prime_power
 from noa.nested import (
+    _largest_prime_power_root,
     construct_lhs,
     construct_noa,
     construct_oa,
@@ -76,6 +77,23 @@ def test_plan_matches_brute_force():
         else:
             plan = plan_noa(n, 3)
             assert (plan.s3, plan.k3, plan.p, plan.c, plan.b, plan.s2) == oracle
+
+
+def test_largest_root_is_buildable():
+    # 2^26 = 8192^2, 2^39 = 8192^3 and 3^16 = 6561^2, all above MAX_ORDER;
+    # nothing is built at these n
+    assert MAX_ORDER == 4096
+    assert _largest_prime_power_root(2**26, 2) == 4096
+    assert _largest_prime_power_root(2**39, 3) == 4096
+    assert _largest_prime_power_root(3**16, 2) == 3**7
+    assert _largest_prime_power_root(2**24, 2) == 4096
+
+
+def test_plan_fields_are_buildable():
+    # unbounded, s3 would be 2^20 and the fine field 2^10
+    plan = plan_noa(2**60, 3)
+    assert (plan.s3, plan.p, plan.c) == (4096, 2, 12)
+    assert plan.b * plan.p ** (2 * plan.c) == plan.k3 * plan.s3
 
 
 def test_plan_preconditions():
@@ -272,3 +290,21 @@ def test_ladder_check_runs_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["noa raised", "tang raised", "oa raised", ""]
+
+
+def test_tang_builds_only_the_columns_it_uses():
+    # n = 65536 takes s2 = 256: all 257 Bush columns would be 128 MiB, the 3
+    # used ones are 1.5 MiB, so a fresh process stays well under 100 MiB
+    script = textwrap.dedent(
+        """
+        import resource
+        from noa.nested import construct_tang
+
+        construct_tang(65536, 3, 0)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak_mib = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mib < 100
