@@ -12,7 +12,8 @@ relies on.
 
 Only the columns a caller asks for are built, and nothing is cached: a
 strength-3 array over GF(64) has 65 columns of 262144 rows, of which the
-nested constructions use a few.
+nested constructions use a few.  The array is column-major, and one of more
+than MAX_ENTRIES entries is refused before it is allocated.
 """
 
 from __future__ import annotations
@@ -20,8 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from .designs import Design
-from .errors import StrengthError
+from .errors import FieldOverflowError, StrengthError
 from .gf import FieldSpec
+
+# 8 bytes per int64 entry: 1 GiB (GF(512) at strength 3 would need 513 GiB)
+MAX_ENTRIES = 1 << 27
 
 
 def bush_construct(field: FieldSpec, t: int, d: int | None = None) -> Design:
@@ -33,8 +37,12 @@ def bush_construct(field: FieldSpec, t: int, d: int | None = None) -> Design:
         raise StrengthError(f"strength t={t} outside supported range [1, 3]")
     if not 1 <= d <= s + 1:
         raise ValueError(f"need 1 <= d <= s + 1 = {s + 1}, got d={d}")
+    if s**t * d > MAX_ENTRIES:
+        raise FieldOverflowError(
+            f"Bush array of {s}^{t} rows x {d} columns exceeds {MAX_ENTRIES} entries"
+        )
     lead = np.arange(s)
-    mat = np.empty((s**t, d), dtype=np.int64)
+    mat = np.empty((s**t, d), dtype=np.int64, order="F")
     mat[:, 0] = np.repeat(lead, s ** (t - 1))
     add, mul = field.add_table, field.mul_table
     for x in range(d - 1):

@@ -42,7 +42,8 @@ def _cmd_gen(args) -> int:
             print(f"gen --kind bush needs 1 <= --d <= s + 1 = {args.s + 1}", file=sys.stderr)
             return EXIT_PLAN
         design = bush_construct(field_of_order(args.s), args.t, args.d)
-        ladder = ((design.s, args.t),)
+        # fewer than t columns form a full factorial, as in construct_oa
+        ladder = ((design.s, min(args.t, design.d)),)
         verify_ladder(design, ladder)
     elif args.n is None or args.d is None:
         print(f"gen --kind {args.kind} requires --n and --d", file=sys.stderr)

@@ -1,8 +1,12 @@
 """Design matrices, exact strength verification, and the CSV file format.
 
 A design is an n-by-d integer matrix with a single level count s shared by
-all columns.  Strength is verified by exhaustive counting: for every
+all columns, stored column-major and read-only: every kernel reads it one
+column at a time.  Strength is verified by exhaustive counting: for every
 t-subset of columns, every level t-tuple must occur exactly n/s^t times.
+When that index is 1 (n = s^t), a t-subset is checked by testing that its
+cell indices form a permutation of 0..n-1, which by pigeonhole is the same
+condition; only a failing subset is counted cell by cell.
 """
 
 from __future__ import annotations
@@ -23,13 +27,17 @@ from .errors import (
 
 @dataclass(frozen=True, eq=False)
 class Design:
-    """An n x d matrix whose entries are levels in [0, s)."""
+    """An n x d matrix whose entries are levels in [0, s).
+
+    The matrix is stored as a read-only column-major (Fortran-order) int64
+    array, so each column is contiguous.
+    """
 
     matrix: np.ndarray
     s: int
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(self.matrix, dtype=np.int64)
+        mat = np.asfortranarray(self.matrix, dtype=np.int64)
         if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
             raise ValueError("matrix must be 2-d and nonempty")
         if self.s < 1:
@@ -90,12 +98,15 @@ def check_strength(design: Design, t: int) -> StrengthReport:
             violation=Violation(tuple(range(t)), (0,) * t, int(observed), expected),
         )
     lam = n // cells
-    columns = np.ascontiguousarray(design.matrix.T)
+    columns = design.matrix.T  # C-contiguous: row j is column j
     # prefix[k] holds s * (cell index of the tuple's first k + 1 columns);
     # lexicographic tuples share prefixes, so each is rebuilt only past the
     # first column that changed
     prefix = np.empty((t - 1, n), dtype=np.int64)
     idx = np.empty(n, dtype=np.int64)
+    # with one row per cell, n indices hit every cell iff none repeats, so
+    # flagging the cells hit decides the tuple without counting
+    seen = np.empty(n, dtype=bool) if lam == 1 else None
     prev = (-1,) * t
     for cols in itertools.combinations(range(design.d), t):
         start = 0
@@ -112,6 +123,11 @@ def check_strength(design: Design, t: int) -> StrengthReport:
             idx = columns[cols[0]]
         else:
             np.add(prefix[t - 2], columns[cols[-1]], out=idx)
+        if seen is not None:
+            seen.fill(False)
+            seen[idx] = True
+            if seen.all():
+                continue
         counts = np.bincount(idx, minlength=cells)
         # the counts sum to n = lam * cells, so max == lam iff all == lam
         if counts.max() == lam:
@@ -137,6 +153,8 @@ def collapse(design: Design, s_coarse: int) -> Design:
     if s_coarse < 1 or design.s % s_coarse != 0:
         raise NotDivisorError(f"{s_coarse} does not divide s={design.s}")
     step = design.s // s_coarse
+    if step == 1:  # designs are immutable, so the design is its own collapse
+        return design
     return Design(design.matrix // step, s=s_coarse)
 
 
@@ -178,10 +196,16 @@ def select_columns(design: Design, indices) -> Design:
 # comma-separated values.
 
 
-def format_table(magic: str, header, rows) -> str:
-    """The file text for (key, value) header pairs and rows of value strings."""
+def format_table(magic: str, header, matrix: np.ndarray, spec: str) -> str:
+    """The file text for (key, value) header pairs and a matrix.
+
+    Every entry is rendered by the %-format spec, the whole body by one
+    template.
+    """
     head = " ".join([magic, *(f"{k}={v}" for k, v in header)])
-    return "\n".join([head, *(",".join(row) for row in rows)]) + "\n"
+    n, d = matrix.shape
+    row = ",".join([spec] * d) + "\n"
+    return head + "\n" + (row * n) % tuple(matrix.ravel().tolist())
 
 
 def parse_table(text: str, magic: str, keys, convert) -> tuple[list, dict[str, str]]:
@@ -228,7 +252,7 @@ _MAGIC = "# noa-design v1"
 
 def format_design(design: Design, extra: dict[str, str] | None = None) -> str:
     header = [("n", design.n), ("d", design.d), ("s", design.s), *(extra or {}).items()]
-    return format_table(_MAGIC, header, (map(str, row) for row in design.matrix.tolist()))
+    return format_table(_MAGIC, header, design.matrix, "%d")
 
 
 def save_design(design: Design, path, extra: dict[str, str] | None = None) -> None:

@@ -10,7 +10,7 @@ class NotPrimeError(DesignError):
 
 
 class FieldOverflowError(DesignError):
-    """Requested field order is too large to enumerate."""
+    """Requested field order, or an array over it, is too large to enumerate."""
 
 
 class IndexRangeError(DesignError):

@@ -122,9 +122,12 @@ class FieldSpec:
         s, p, m = self.s, self.p, self.m
         weights = p ** np.arange(m)
         digits = np.arange(s)[:, None] // weights % p  # row a: the digits of a
-        add = np.zeros((s, s), dtype=np.int64)
-        for k in range(m):  # digit k of a + b
-            add += np.add.outer(digits[:, k], digits[:, k]) % p * weights[k]
+        if p == 2:  # digit-wise sum mod 2 is exclusive or
+            add = np.bitwise_xor.outer(np.arange(s), np.arange(s))
+        else:
+            add = np.zeros((s, s), dtype=np.int64)
+            for k in range(m):  # digit k of a + b
+                add += np.add.outer(digits[:, k], digits[:, k]) % p * weights[k]
         # log/antilog tables over a primitive element; log 0 points past the
         # doubled antilog table into zeros, so a row or column of 0 gives 0
         exp = self._primitive_powers(digits, add)

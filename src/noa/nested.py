@@ -131,7 +131,7 @@ def _oa(field, t: int, d: int, k: int, seed: int, stage: int) -> np.ndarray:
     """
     base = bush_construct(field, t, min(d + 1, field.s + 1)).matrix[:, -d:]
     n0 = base.shape[0]
-    out = np.empty((k * n0, d), dtype=np.int64)
+    out = np.empty((k * n0, d), dtype=np.int64, order="F")
     for r in range(k):
         block = out[r * n0 : (r + 1) * n0]
         for j in range(d):
@@ -153,7 +153,7 @@ def _expand_levels(mat: np.ndarray, s: int, seed: int, stage: int) -> np.ndarray
     # row lev of ranks is [lev*m, (lev+1)*m): the fine levels of level lev
     ranks = np.arange(n, dtype=np.int64).reshape(s, m)
     key_type = np.min_scalar_type(s - 1)  # uint8/uint16 keys sort by radix
-    out = np.empty((d, n), dtype=np.int64)
+    out = np.empty((n, d), dtype=np.int64, order="F")
     for j in range(d):
         col = mat[:, j]
         counts = np.bincount(col, minlength=s)
@@ -164,8 +164,8 @@ def _expand_levels(mat: np.ndarray, s: int, seed: int, stage: int) -> np.ndarray
             )
         # the rows holding level lev are order[lev*m : (lev+1)*m]
         order = np.argsort(col.astype(key_type), kind="stable")
-        out[j, order] = stream(seed, stage, j).permuted(ranks, axis=1).ravel()
-    return out.T
+        out[:, j][order] = stream(seed, stage, j).permuted(ranks, axis=1).ravel()
+    return out
 
 
 def _expanded(levels: np.ndarray, s: int, ladder, seed: int, plan) -> NestedDesign:
@@ -189,9 +189,10 @@ def _noa_levels(plan: NoaPlan, seed: int) -> np.ndarray:
     fine = _oa(field_new(plan.p, plan.c), 2, d, plan.b, seed, STAGE_RELABEL2)
     fine = fine[stream(seed, STAGE_SHUFFLE2).permutation(fine.shape[0])]
     # one fine row per contiguous block of s3^2 coarse rows, added in place
-    blocks = coarse.reshape(-1, s3 * s3, d)
+    # through the column-major matrix's (d, blocks, s3^2) view
+    blocks = coarse.T.reshape(d, -1, s3 * s3)
     blocks *= pc
-    blocks += fine[:, None, :]
+    blocks += fine.T[:, :, None]
     return coarse
 
 
@@ -219,7 +220,7 @@ def construct_lhs(n: int, d: int, seed: int) -> Design:
     """Latin hypercube: each column an independent uniform permutation of 0..n-1."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    mat = np.empty((n, d), dtype=np.int64)
+    mat = np.empty((n, d), dtype=np.int64, order="F")
     for j in range(d):
         mat[:, j] = stream(seed, STAGE_LHS, j).permutation(n)
     return Design(mat, s=n)

@@ -78,8 +78,7 @@ _MAGIC = "# noa-points v1"
 
 
 def format_points(ps: PointSet) -> str:
-    rows = (map("{:.17g}".format, row) for row in ps.points.tolist())
-    return format_table(_MAGIC, [("n", ps.n), ("d", ps.d)], rows)
+    return format_table(_MAGIC, [("n", ps.n), ("d", ps.d)], ps.points, "%.17g")
 
 
 def save_points(ps: PointSet, path) -> None:

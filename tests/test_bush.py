@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from noa import bush
 from noa.bush import bush_construct
 from noa.designs import Design, check_strength
-from noa.errors import StrengthError
+from noa.errors import FieldOverflowError, StrengthError
 from noa.gf import field_of_order
 
 PRIME_POWERS_9 = [2, 3, 4, 5, 7, 8, 9]
@@ -82,6 +83,16 @@ def test_strength_out_of_range():
     ]:
         with pytest.raises(error):
             bush_construct(f, t, d)
+
+
+def test_size_refused_before_allocation(monkeypatch):
+    # GF(512) at strength 3 has 2^27 rows x 513 columns: about 513 GiB
+    with pytest.raises(FieldOverflowError, match="exceeds"):
+        bush_construct(field_of_order(512), 3)
+    monkeypatch.setattr(bush, "MAX_ENTRIES", 32)
+    assert bush_construct(field_of_order(4), 2, 2).matrix.size == 32
+    with pytest.raises(FieldOverflowError):
+        bush_construct(field_of_order(4), 2, 3)
 
 
 def horner_rows(field, t, d):

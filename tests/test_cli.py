@@ -86,6 +86,15 @@ def test_gen_bush_rejects_column_count(tmp_path, capsys, d):
     assert not out.exists()
 
 
+def test_gen_bush_too_large(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    code, stdout, err = run(capsys, "gen", "--kind", "bush", "--s", "512", "--t", "3", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: Bush array of 512^3 rows x 513 columns exceeds 134217728 entries\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -94,6 +103,7 @@ def test_gen_bush_rejects_column_count(tmp_path, capsys, d):
         ("gen", "--kind", "lhs", "--n", "12", "--d", "2", "--seed", "5"),
         ("gen", "--kind", "bush", "--s", "4", "--t", "3"),
         ("gen", "--kind", "bush", "--s", "4", "--t", "2", "--d", "5"),
+        ("gen", "--kind", "bush", "--s", "4", "--t", "2", "--d", "1"),
     ],
 )
 def test_gen_verify_round_trip(tmp_path, capsys, argv):

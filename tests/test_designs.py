@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -105,16 +106,59 @@ def oracle_cases():
     mat = bush_construct(field_of_order(4), 3).matrix.copy()
     mat[:, 4] = (mat[:, 0] + mat[:, 1]) % 4
     yield Design(mat, s=4), 3
+    # one row per cell (n = s^t), where a permutation test decides each
+    # tuple: intact, with two entries of a column swapped (which breaks
+    # strength t >= 2 only), and with one entry overwritten by another
+    for s, t in itertools.product((2, 3, 5), (1, 2, 3)):
+        base = bush_construct(field_of_order(s), t).matrix
+        yield Design(base, s=s), t
+        for swap in (True, False):
+            mat = base.copy()
+            j = int(rng.integers(0, base.shape[1]))
+            r = rng.choice(np.flatnonzero(mat[:, j] != mat[0, j]))
+            mat[[0, r], j] = mat[[r, 0], j] if swap else mat[0, j]
+            yield Design(mat, s=s), t
 
 
 def test_check_strength_matches_naive_oracle():
     violated = set()
+    one_row_per_cell = set()
     for design, t in oracle_cases():
         rep = check_strength(design, t)
         assert rep == naive_report(design, t)
         if not rep.ok:
             violated.add(rep.violation.columns)
+        if design.n == design.s**t:
+            one_row_per_cell.add(rep.ok)
     assert {(0, 3), (0, 1, 4)} <= violated
+    assert one_row_per_cell == {True, False}
+
+
+def test_matrix_is_column_major_whatever_the_input_layout():
+    base = bush_construct(field_of_order(4), 3).matrix.copy()
+    base[[0, 1], 2] = base[[1, 0], 2]
+    by_row = Design(np.ascontiguousarray(base), s=4)
+    by_column = Design(np.asfortranarray(base), s=4)
+    for design in (by_row, by_column):
+        assert design.matrix.flags.f_contiguous
+        assert not design.matrix.flags.writeable
+    for t in (1, 2, 3):
+        assert check_strength(by_row, t) == check_strength(by_column, t)
+    assert not check_strength(by_row, 2).ok
+
+
+def test_check_strength_reads_columns_in_place():
+    # 262144 x 8 = 16 MiB of int64; counting needs a few n-sized buffers,
+    # not a second copy of the matrix
+    design = bush_construct(field_of_order(64), 3, 8)
+    tracemalloc.start()
+    try:
+        rep = check_strength(design, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.lam == 1
+    assert peak < design.matrix.nbytes
 
 
 def test_check_strength_more_cells_than_rows():
@@ -215,6 +259,8 @@ def test_design_validation():
 def test_csv_round_trip():
     d = bush_construct(field_of_order(3), 2)
     text = format_design(d, {"seed": "7"})
+    rows = "".join(",".join(map(str, row)) + "\n" for row in d.matrix.tolist())
+    assert text == "# noa-design v1 n=9 d=4 s=3 seed=7\n" + rows
     loaded, meta = parse_design(text)
     assert (loaded.matrix == d.matrix).all()
     assert loaded.s == d.s

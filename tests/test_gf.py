@@ -125,6 +125,14 @@ def test_mul_table_matches_schoolbook(s):
     assert f.mul_table.tolist() == expected
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_binary_add_table_is_digitwise(m):
+    f = field_new(2, m)
+    digits = np.arange(f.s)[:, None] >> np.arange(m) & 1
+    expected = (digits[:, None, :] + digits[None, :, :]) % 2 @ (1 << np.arange(m))
+    assert f.add_table.tolist() == expected.tolist()
+
+
 def test_non_primitive_irreducible():
     # x^8+x^4+x^3+x+1 is irreducible but x has order 51, not 255, so the
     # log tables must be built over another generator

@@ -78,7 +78,10 @@ def test_midpoint_exactness_noa_ladder():
 def test_points_csv_round_trip_exact():
     design = construct_lhs(12, 3, 7)
     ps = to_points(design, "uniform", seed=1)
-    loaded = parse_points(format_points(ps))
+    text = format_points(ps)
+    rows = "".join(",".join(map("{:.17g}".format, row)) + "\n" for row in ps.points.tolist())
+    assert text == "# noa-points v1 n=12 d=3\n" + rows
+    loaded = parse_points(text)
     assert (loaded.points == ps.points).all()
 
 
