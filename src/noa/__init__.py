@@ -23,11 +23,8 @@ from .designs import (
     check_strength,
     collapse,
     load_design,
-    nested64_fixture,
     parse_design,
-    replicate,
     save_design,
-    select_columns,
 )
 from .gf import FieldSpec, field_new, field_of_order, is_prime, prime_power
 from .nested import (
@@ -70,15 +67,12 @@ __all__ = [
     "load_design",
     "load_points",
     "make_integrand",
-    "nested64_fixture",
     "parse_design",
     "parse_points",
     "plan_noa",
     "prime_power",
-    "replicate",
     "run_bench",
     "save_design",
     "save_points",
-    "select_columns",
     "to_points",
 ]

@@ -86,8 +86,6 @@ def kind_points(kind: str, n: int, d: int, seed: int, plan: NoaPlan | None = Non
         s = math.isqrt(n)
         if s * s != n or prime_power(s) is None:
             raise ConstructionError(f"oa2 needs n a square of a prime power, got n={n}")
-        if d > s + 1:
-            raise ConstructionError(f"oa2 with n={n} supports at most d={s + 1}")
         return to_points(construct_oa(s, 2, d, seed).design, "uniform", seed)
     if kind == "tang":
         return to_points(construct_tang(n, d, seed).design, "uniform", seed)

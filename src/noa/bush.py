@@ -20,12 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .designs import Design
+from .designs import MAX_ENTRIES, Design
 from .errors import FieldOverflowError, StrengthError
 from .gf import FieldSpec
-
-# 8 bytes per int64 entry: 1 GiB (GF(512) at strength 3 would need 513 GiB)
-MAX_ENTRIES = 1 << 27
 
 
 def bush_construct(field: FieldSpec, t: int, d: int | None = None) -> Design:

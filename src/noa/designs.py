@@ -16,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ColumnIndexError,
-    FormatError,
-    InternalInvariantError,
-    NotDivisorError,
-    StrengthError,
-)
+from .errors import FormatError, InternalInvariantError, NotDivisorError, StrengthError
+
+# the most entries of any design or array built: 8 bytes per int64 entry, so
+# 1 GiB (GF(512) at strength 3 would need 513 GiB)
+MAX_ENTRIES = 1 << 27
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,23 +168,6 @@ def verify_ladder(design: Design, ladder) -> None:
             raise InternalInvariantError(
                 f"constructed design fails strength {t} at {levels} levels: {report}"
             )
-
-
-def replicate(design: Design, k: int) -> Design:
-    """Vertically stack k copies; strength is preserved with index k*lambda."""
-    if k < 1:
-        raise ValueError(f"replication count k={k} must be >= 1")
-    return Design(np.tile(design.matrix, (k, 1)), s=design.s)
-
-
-def select_columns(design: Design, indices) -> Design:
-    indices = list(indices)
-    if len(set(indices)) != len(indices):
-        raise ColumnIndexError(f"duplicate column in {indices}")
-    for i in indices:
-        if not 0 <= i < design.d:
-            raise ColumnIndexError(f"column {i} outside [0, {design.d})")
-    return Design(design.matrix[:, indices], s=design.s)
 
 
 # --- table files --------------------------------------------------------------

@@ -10,11 +10,7 @@ class NotPrimeError(DesignError):
 
 
 class FieldOverflowError(DesignError):
-    """Requested field order, or an array over it, is too large to enumerate."""
-
-
-class IndexRangeError(DesignError):
-    """A field element index was outside [0, s)."""
+    """Requested field order, or an array, is too large to enumerate."""
 
 
 class StrengthError(DesignError):
@@ -23,10 +19,6 @@ class StrengthError(DesignError):
 
 class NotDivisorError(DesignError):
     """Requested coarse level count does not divide the design's levels."""
-
-
-class ColumnIndexError(DesignError):
-    """Column selection referenced a bad or duplicate index."""
 
 
 class NoNontrivialPlanError(DesignError):

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FieldOverflowError, IndexRangeError, NotPrimeError
+from .errors import FieldOverflowError, NotPrimeError
 
 # the add and mul tables are s-by-s int64, 8*s^2 bytes each: 128 MiB at
 # s = 4096 (at 65536 it would be 32 GiB)
@@ -122,12 +122,13 @@ class FieldSpec:
         s, p, m = self.s, self.p, self.m
         weights = p ** np.arange(m)
         digits = np.arange(s)[:, None] // weights % p  # row a: the digits of a
-        if p == 2:  # digit-wise sum mod 2 is exclusive or
-            add = np.bitwise_xor.outer(np.arange(s), np.arange(s))
-        else:
-            add = np.zeros((s, s), dtype=np.int64)
-            for k in range(m):  # digit k of a + b
-                add += np.add.outer(digits[:, k], digits[:, k]) % p * weights[k]
+        # addition is digit-wise mod p: each pass puts one more significant
+        # digit, summed by the p x p table, above the table of the q = p^k
+        # elements below it
+        base = np.add.outer(np.arange(p), np.arange(p)) % p
+        add = base
+        for q in weights[1:].tolist():
+            add = (base[:, None, :, None] * q + add[None, :, None, :]).reshape(p * q, p * q)
         # log/antilog tables over a primitive element; log 0 points past the
         # doubled antilog table into zeros, so a row or column of 0 gives 0
         exp = self._primitive_powers(digits, add)
@@ -165,34 +166,12 @@ class FieldSpec:
                 return np.array(powers, dtype=np.int64)
         raise AssertionError(f"GF({s}) has no primitive element")
 
-    def _check(self, *elems: int) -> None:
-        for a in elems:
-            if not 0 <= a < self.s:
-                raise IndexRangeError(f"element {a} outside [0, {self.s})")
-
-    def add(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return int(self.add_table[a, b])
-
-    def mul(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return int(self.mul_table[a, b])
-
-    def poly_eval(self, coeffs: list[int], x: int) -> int:
-        """Horner evaluation of a polynomial given constant-first coefficients."""
-        if not coeffs:
-            raise ValueError("coeffs must be nonempty")
-        self._check(x, *coeffs)
-        acc = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = int(self.add_table[self.mul_table[acc, x], c])
-        return acc
-
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, m={self.m})"
 
 
-@lru_cache(maxsize=None)
+# a GF(4096) context holds 256 MiB of tables, so only the latest few are kept
+@lru_cache(maxsize=8)
 def field_new(p: int, m: int) -> FieldSpec:
     """Return the GF(p^m) context; cached since construction is deterministic."""
     return FieldSpec(p, m)

@@ -6,14 +6,14 @@ single randomized orthogonal array, and ``construct_lhs`` for a plain Latin
 hypercube.  All constructions are pure functions of their parameters and a
 single user seed, and every ladder they return has been verified.
 
-The strength-3 design is built by combining a replicated strength-3 Bush
-array at s3 levels (first column discarded, so rows sharing a leading
+The strength-3 design is built by combining stacked copies of a strength-3
+Bush array at s3 levels (first column discarded, so rows sharing a leading
 coefficient form contiguous blocks of s3^2 rows that are strength 2 on the
-remaining columns) with a replicated, shuffled strength-2 Bush array at p^c
-levels, one row per block: out = coarse * p^c + fine.  The result has s2 =
-p^c * s3 levels, keeps strength 3 under the coarse strata, gains strength 2
-at s2, and is then expanded to n distinct levels per column to add the
-Latin hypercube rung.
+remaining columns) with stacked, shuffled copies of a strength-2 Bush array
+at p^c levels, one row per block: out = coarse * p^c + fine.  The result
+has s2 = p^c * s3 levels, keeps strength 3 under the coarse strata, gains
+strength 2 at s2, and is then expanded to n distinct levels per column to
+add the Latin hypercube rung.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bush import bush_construct
-from .designs import Design, verify_ladder
-from .errors import NoNontrivialPlanError, UnbalancedColumnError
+from .designs import MAX_ENTRIES, Design, verify_ladder
+from .errors import FieldOverflowError, NoNontrivialPlanError, UnbalancedColumnError
 from .gf import MAX_ORDER, field_new, field_of_order, is_prime, prime_power
 from .rng import (
     STAGE_EXPAND,
@@ -121,6 +121,12 @@ def plan_noa(n: int, d: int) -> NoaPlan:
     return NoaPlan(n=n, d=d, s3=s3, k3=k3, p=p, c=c, b=b, s2=p**c * s3)
 
 
+def _check_size(n: int, d: int) -> None:
+    """Refuse an n x d design of more than MAX_ENTRIES entries before building any of it."""
+    if n * d > MAX_ENTRIES:
+        raise FieldOverflowError(f"design of {n} rows x {d} columns exceeds {MAX_ENTRIES} entries")
+
+
 def _oa(field, t: int, d: int, k: int, seed: int, stage: int) -> np.ndarray:
     """k stacked copies of d Bush columns, each copy's levels relabelled per column.
 
@@ -198,6 +204,7 @@ def _noa_levels(plan: NoaPlan, seed: int) -> np.ndarray:
 
 def construct_noa(plan: NoaPlan, seed: int) -> NestedDesign:
     """Build the strength-3 nested design for a plan, deterministically per seed."""
+    _check_size(plan.n, plan.d)
     ladder = ((plan.n, 1), (plan.s2, 2), (plan.s3, 3))
     return _expanded(_noa_levels(plan, seed), plan.s2, ladder, seed, plan)
 
@@ -220,6 +227,7 @@ def construct_lhs(n: int, d: int, seed: int) -> Design:
     """Latin hypercube: each column an independent uniform permutation of 0..n-1."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
+    _check_size(n, d)
     mat = np.empty((n, d), dtype=np.int64, order="F")
     for j in range(d):
         mat[:, j] = stream(seed, STAGE_LHS, j).permutation(n)
@@ -241,6 +249,7 @@ def construct_tang(n: int, d: int, seed: int) -> NestedDesign:
     """Strength-2 nested design: Bush array at s2 levels expanded to n levels."""
     if n < 4 or d < 2:
         raise ValueError("need n >= 4 and d >= 2")
+    _check_size(n, d)
     # the largest s2 is the only candidate: s2 + 1 >= d is monotone in s2
     s2 = _largest_prime_power_root(n, 2)
     if s2 is None or s2 + 1 < d:

@@ -83,9 +83,11 @@ def test_run_bench_degenerate_single_rep():
 
 
 def test_run_bench_labels_failing_kind():
-    with pytest.raises(ConstructionError) as exc:
-        run_bench(24, 3, ["noa3"], "ADD-LIN", 2, 0)
-    assert "noa3" in str(exc.value)
+    # n=24 has no noa3 plan; oa2 at n=16 has s=4, so at most s + 1 = 5 columns
+    for n, d, kind in [(24, 3, "noa3"), (16, 6, "oa2")]:
+        with pytest.raises(ConstructionError) as exc:
+            run_bench(n, d, [kind], "ADD-LIN", 2, 0)
+        assert f"kind {kind!r} failed" in str(exc.value)
 
 
 def test_oa2_requires_square():

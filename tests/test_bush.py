@@ -96,7 +96,7 @@ def test_size_refused_before_allocation(monkeypatch):
 
 
 def horner_rows(field, t, d):
-    """The first d Bush columns, one polynomial at a time by field.add/mul."""
+    """The first d Bush columns, one polynomial at a time by the add and mul tables."""
     s = field.s
     rows = []
     for i in range(s**t):
@@ -105,7 +105,7 @@ def horner_rows(field, t, d):
         for x in range(d - 1):
             acc = coeffs[-1]
             for c in reversed(coeffs[:-1]):
-                acc = field.add(field.mul(acc, x), c)
+                acc = int(field.add_table[field.mul_table[acc, x], c])
             row.append(acc)
         rows.append(row)
     return rows

@@ -95,6 +95,17 @@ def test_gen_bush_too_large(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind,n", [("lhs", "1000000000000"), ("tang", "1099511627776")])
+def test_gen_design_too_large(tmp_path, capsys, kind, n):
+    # refused before any column is allocated: n x 3 int64 would be terabytes
+    out = tmp_path / "g.csv"
+    code, stdout, err = run(capsys, "gen", "--kind", kind, "--n", n, "--d", "3", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: design of {n} rows x 3 columns exceeds 134217728 entries\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -14,15 +14,8 @@ from noa.designs import (
     format_design,
     nested64_fixture,
     parse_design,
-    replicate,
-    select_columns,
 )
-from noa.errors import (
-    ColumnIndexError,
-    FormatError,
-    NotDivisorError,
-    StrengthError,
-)
+from noa.errors import FormatError, NotDivisorError, StrengthError
 from noa.bush import bush_construct
 from noa.gf import field_of_order
 
@@ -201,36 +194,6 @@ def test_collapse_index_scaling():
     assert rep.ok and rep.lam == 4
 
 
-def test_replicate():
-    base = bush_construct(field_of_order(2), 2)
-    rep2 = replicate(base, 2)
-    assert rep2.n == 8
-    r = check_strength(rep2, 2)
-    assert r.ok and r.lam == 2
-    assert (replicate(base, 1).matrix == base.matrix).all()
-
-
-def test_replicate_bush_gf4_strength3():
-    base = select_columns(bush_construct(field_of_order(4), 3), [1, 2, 3, 4])
-    doubled = replicate(base, 2)
-    r = check_strength(doubled, 3)
-    assert r.ok and r.lam == 2
-
-
-def test_select_columns():
-    d = bush_construct(field_of_order(3), 2)  # 9 x 4
-    sub = select_columns(d, [0, 1, 2])
-    r = check_strength(sub, 2)
-    assert r.ok and r.lam == 1
-    assert (select_columns(d, range(4)).matrix == d.matrix).all()
-    swapped = select_columns(d, [2, 0])
-    assert (swapped.matrix[:, 0] == d.matrix[:, 2]).all()
-    with pytest.raises(ColumnIndexError):
-        select_columns(d, [0, 0])
-    with pytest.raises(ColumnIndexError):
-        select_columns(d, [4])
-
-
 def test_strength_monotonicity():
     d = bush_construct(field_of_order(3), 3)
     for t in (3, 2, 1):
@@ -309,10 +272,10 @@ def test_fixture_pairwise_balance_beyond_first_column():
     # column 0: the fine bits of columns 2-4 are a function of column 0's
     # coarse level, so the (0, j>=2) pairs cannot balance
     fx = nested64_fixture()
-    sub = select_columns(fx, [1, 2, 3, 4])
+    sub = Design(fx.matrix[:, [1, 2, 3, 4]], s=8)
     rep = check_strength(sub, 2)
     assert rep.ok and rep.lam == 1
-    pair01 = check_strength(select_columns(fx, [0, 1]), 2)
+    pair01 = check_strength(Design(fx.matrix[:, [0, 1]], s=8), 2)
     assert pair01.ok and pair01.lam == 1
     full = check_strength(fx, 2)
     assert not full.ok

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noa.errors import FieldOverflowError, IndexRangeError, NotPrimeError
+from noa.errors import FieldOverflowError, NotPrimeError
 from noa.gf import FieldSpec, _poly_divmod, field_new, field_of_order, prime_power
 
 PRIME_POWERS_64 = [s for s in range(2, 65) if prime_power(s) is not None]
@@ -36,50 +36,23 @@ def test_overflow():
 
 
 def test_gf4_add_paper_values():
-    f = field_new(2, 2)
-    assert f.add(2, 3) == 1  # a + (a+1) = 1
+    add = field_new(2, 2).add_table
+    assert add[2, 3] == 1  # a + (a+1) = 1
     for x in range(4):
-        assert f.add(x, 0) == x
+        assert add[x, 0] == x
 
 
 def test_gf3_add():
-    assert field_new(3, 1).add(2, 2) == 1
+    assert field_new(3, 1).add_table[2, 2] == 1
 
 
 def test_gf4_mul_paper_values():
-    f = field_new(2, 2)
-    assert f.mul(2, 2) == 3  # a*a = a+1
-    assert f.mul(2, 3) == 1  # a*(a+1) = 1
+    mul = field_new(2, 2).mul_table
+    assert mul[2, 2] == 3  # a*a = a+1
+    assert mul[2, 3] == 1  # a*(a+1) = 1
     for x in range(4):
-        assert f.mul(x, 1) == x
-        assert f.mul(x, 0) == 0
-
-
-def test_index_range():
-    f = field_new(2, 2)
-    with pytest.raises(IndexRangeError):
-        f.add(0, 4)
-    with pytest.raises(IndexRangeError):
-        f.mul(-1, 0)
-
-
-def test_poly_eval_paper_example():
-    # a*x + (a+1) evaluated at 0, 1, a, a+1 gives a+1, 1, 0, a
-    f = field_new(2, 2)
-    coeffs = [3, 2]
-    assert [f.poly_eval(coeffs, x) for x in range(4)] == [3, 1, 0, 2]
-
-
-def test_poly_eval_constant():
-    f = field_new(3, 2)
-    for c in range(f.s):
-        for x in range(f.s):
-            assert f.poly_eval([c], x) == c
-
-
-def test_poly_eval_empty():
-    with pytest.raises(ValueError):
-        field_new(2, 1).poly_eval([], 0)
+        assert mul[x, 1] == x
+        assert mul[x, 0] == 0
 
 
 @pytest.mark.parametrize("s", PRIME_POWERS_64)
@@ -125,12 +98,25 @@ def test_mul_table_matches_schoolbook(s):
     assert f.mul_table.tolist() == expected
 
 
+def digitwise_sum(p, m):
+    """The addition table by definition: each base-p digit of a + b summed mod p."""
+    elems = np.arange(p**m)
+    add = np.zeros((p**m, p**m), dtype=np.int64)
+    for k in range(m):
+        digit = elems // p**k % p
+        add += (digit[:, None] + digit[None, :]) % p * p**k
+    return add
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_binary_add_table_is_digitwise(m):
-    f = field_new(2, m)
-    digits = np.arange(f.s)[:, None] >> np.arange(m) & 1
-    expected = (digits[:, None, :] + digits[None, :, :]) % 2 @ (1 << np.arange(m))
-    assert f.add_table.tolist() == expected.tolist()
+    assert np.array_equal(field_new(2, m).add_table, digitwise_sum(2, m))
+
+
+@pytest.mark.parametrize("s", [s for s in PRIME_POWERS_64 if s % 2] + [3**7, 7**4])
+def test_add_table_is_digitwise(s):
+    f = FieldSpec(*prime_power(s))  # not field_of_order: the cache would keep 3^7 and 7^4
+    assert np.array_equal(f.add_table, digitwise_sum(f.p, f.m))
 
 
 def test_non_primitive_irreducible():
@@ -140,10 +126,10 @@ def test_non_primitive_irreducible():
     assert f.irreducible == [1, 1, 0, 1, 1, 0, 0, 0, 1]
     x, order = 2, 1
     while x != 1:
-        x, order = f.mul(x, 2), order + 1
+        x, order = f.mul_table[x, 2], order + 1
     assert order == 51
     assert ((f.mul_table[1:, 1:] == 1).sum(axis=1) == 1).all()
-    assert f.mul(0x53, 0xCA) == 1  # the AES inverse pair
+    assert f.mul_table[0x53, 0xCA] == 1  # the AES inverse pair
 
 
 @pytest.mark.parametrize("s", PRIME_POWERS_64)
@@ -152,8 +138,18 @@ def test_characteristic(s):
     for a in range(s):
         acc = 0
         for _ in range(f.p):
-            acc = f.add(acc, a)
+            acc = f.add_table[acc, a]
         assert acc == 0
+
+
+def test_field_cache_is_bounded():
+    # a GF(4096) context holds 256 MiB of tables, so the cache keeps only a few
+    maxsize = field_new.cache_parameters()["maxsize"]
+    assert maxsize is not None and maxsize < len(PRIME_POWERS_64)
+    field_new.cache_clear()
+    for s in PRIME_POWERS_64:
+        field_of_order(s)
+    assert field_new.cache_info().currsize == maxsize
 
 
 def test_deterministic_construction():

@@ -7,7 +7,10 @@
 - no import that the module never references (``__init__.py`` imports to
   re-export, so it is exempt);
 - no ``functools.lru_cache``/``functools.cache`` except on ``gf.field_new``:
-  a process-lifetime cache of arrays holds their memory until exit.
+  a process-lifetime cache of arrays holds their memory until exit;
+- no name in ``noa.__all__`` that only its definition and the tests use:
+  every public name is read somewhere in the package beyond its definition
+  and ``__init__.py``, or by the benchmark in ``benchmarks/*.py``.
 """
 
 import ast
@@ -15,7 +18,11 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "noa").glob("*.py"))
+import noa
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "noa").glob("*.py"))
+BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
 
 
 CACHES = {"lru_cache", "cache"}
@@ -80,6 +87,20 @@ def caches(path, tree):
             yield f"{path.name}:{node.lineno}: cache outside gf.field_new"
 
 
+def unused_exports(exports, paths):
+    """The exported names that no module in paths reads, imports or looks up."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [name for name in exports if name not in used]
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "gf.py", "nested.py"}
 
@@ -87,6 +108,29 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_hygiene(path):
     assert list(problems(path)) == []
+
+
+def test_all_holds_only_used_names():
+    users = [p for p in SOURCES if p.name != "__init__.py"] + BENCHMARKS
+    assert BENCHMARKS
+    assert unused_exports(noa.__all__, users) == []
+
+
+def test_all_rule_catches_test_only_names(tmp_path):
+    # a definition is not a use, and neither is a store to the same name
+    lib = tmp_path / "designs.py"
+    lib.write_text(
+        "KINDS = ('a',)\n"
+        "def replicate(design, k):\n"
+        "    return design\n"
+        "def collapse(design, s):\n"
+        "    return design.matrix\n"
+    )
+    bench = tmp_path / "run.py"
+    bench.write_text("from noa import collapse as shrink\n")
+    exports = ["KINDS", "replicate", "collapse", "matrix"]
+    assert unused_exports(exports, [lib]) == ["KINDS", "replicate", "collapse"]
+    assert unused_exports(exports, [lib, bench]) == ["KINDS", "replicate"]
 
 
 def test_rules_catch_violations(tmp_path):

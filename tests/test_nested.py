@@ -6,9 +6,15 @@ import textwrap
 import numpy as np
 import pytest
 
+from noa import nested
 from noa.bush import bush_construct
 from noa.designs import Design, check_strength, collapse
-from noa.errors import NoNontrivialPlanError, NotPrimeError, UnbalancedColumnError
+from noa.errors import (
+    FieldOverflowError,
+    NoNontrivialPlanError,
+    NotPrimeError,
+    UnbalancedColumnError,
+)
 from noa.gf import MAX_ORDER, field_of_order, is_prime, prime_power
 from noa.nested import (
     _largest_prime_power_root,
@@ -260,6 +266,31 @@ def test_oa_rejects_bad_parameters():
         construct_oa(6, 2, 3, 0)
 
 
+def test_size_refused_before_allocation(monkeypatch):
+    # n*d is checked before any field table or column is built: 2^40 rows of
+    # a small-s3 plan would need 24 TiB
+    huge = nested.NoaPlan(n=2**40, d=3, s3=4, k3=2**34, p=2, c=18, b=1, s2=2**20)
+    for build in (
+        lambda: construct_lhs(10**12, 3, 0),
+        lambda: construct_tang(2**40, 3, 0),
+        lambda: construct_noa(huge, 0),
+    ):
+        with pytest.raises(FieldOverflowError, match="exceeds"):
+            build()
+    # the bound is exact: 1024 x 4 fits in 4096 entries, 1024 x 5 does not
+    monkeypatch.setattr(nested, "MAX_ENTRIES", 4096)
+    assert construct_lhs(1024, 4, 0).matrix.size == 4096
+    assert construct_tang(1024, 4, 0).design.matrix.size == 4096
+    assert construct_noa(plan_noa(1024, 4), 0).design.matrix.size == 4096
+    for build in (
+        lambda: construct_lhs(1024, 5, 0),
+        lambda: construct_tang(1024, 5, 0),
+        lambda: construct_noa(plan_noa(1024, 5), 0),
+    ):
+        with pytest.raises(FieldOverflowError, match="1024 rows x 5 columns exceeds 4096"):
+            build()
+
+
 def test_ladder_check_runs_under_optimize():
     # with the strength count patched to fail, every constructor must raise,
     # also when python -O strips assert statements and __debug__ blocks
@@ -297,14 +328,16 @@ def test_tang_builds_only_the_columns_it_uses():
     # used ones are 1.5 MiB, so a fresh process stays well under 100 MiB
     script = textwrap.dedent(
         """
-        import resource
         from noa.nested import construct_tang
 
         construct_tang(65536, 3, 0)
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        # VmHWM is the peak of this process alone; ru_maxrss also carries the
+        # peak of the process that started it over exec
+        with open("/proc/self/status") as fh:
+            print(next(ln.split()[1] for ln in fh if ln.startswith("VmHWM:")))
         """
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    peak_mib = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    peak_mib = int(proc.stdout) / 1024  # VmHWM is in KiB on Linux
     assert peak_mib < 100
