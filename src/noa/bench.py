@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstructionError, DimensionMismatchError
+from .designs import MAX_ENTRIES
+from .errors import ConstructionError, DesignError, DimensionMismatchError, FieldOverflowError
 from .gf import prime_power
 from .nested import (
     NoaPlan,
@@ -150,9 +151,13 @@ def run_bench(
     reps: int,
     seed: int,
 ) -> BenchReport:
-    """Estimate the integrand with `reps` fresh designs of each kind."""
+    """Estimate the integrand with `reps` fresh designs of each kind, sizes checked first."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    if n * d > MAX_ENTRIES:
+        raise FieldOverflowError(f"design of {n} rows x {d} columns exceeds {MAX_ENTRIES} entries")
     f = make_integrand(integrand, d) if isinstance(integrand, str) else integrand
     results: dict[str, KindStats] = {}
     for kind in kinds:
@@ -168,7 +173,7 @@ def run_bench(
                 ests[r] = estimate(kind_points(kind, n, d, rep_seed, plan), f)
         except ConstructionError:
             raise
-        except Exception as exc:
+        except (DesignError, ValueError) as exc:
             raise ConstructionError(f"kind {kind!r} failed for n={n}, d={d}: {exc}") from exc
         mean = float(ests.mean())
         var = float(ests.var(ddof=1)) if reps > 1 else 0.0
@@ -200,8 +205,8 @@ class RateFit:
 def fit_rate(ns, d: int, kind: str, integrand: str, reps: int, seed: int) -> RateFit:
     """Least-squares slope of log variance against log n."""
     ns = tuple(int(v) for v in ns)
-    if len(ns) < 3:
-        raise ValueError("need at least 3 run counts")
+    if len(set(ns)) < 3:
+        raise ValueError(f"need at least 3 distinct run counts, got {ns}")
     variances = []
     for n in ns:
         rep = run_bench(n, d, [kind], integrand, reps, seed)

@@ -93,6 +93,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_bench(args) -> int:
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+    if not kinds:
+        print("bench --kinds names no design kind", file=sys.stderr)
+        return EXIT_PLAN
     if args.rate:
         ns = [int(v) for v in args.rate.split(",")]
         out = {}

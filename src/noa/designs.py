@@ -189,12 +189,13 @@ def format_table(magic: str, header, matrix: np.ndarray, spec: str) -> str:
     return head + "\n" + (row * n) % tuple(matrix.ravel().tolist())
 
 
-def parse_table(text: str, magic: str, keys, convert) -> tuple[list, dict[str, str]]:
-    """Rows of converted values and the header, whose keys (n, d first) are integers.
+def parse_table(text: str, magic: str, keys, dtype) -> tuple[np.ndarray, dict[str, str]]:
+    """The n x d body as one array of dtype, and the header, whose keys (n, d first) are integers.
 
-    Raises FormatError on a missing magic line, a token without '=', a
-    missing or non-integer key, a row count other than n, and a row that
-    does not convert or has other than d entries.
+    The body is split and converted in one pass.  Raises FormatError on a
+    missing magic line, a token without '=', a missing or non-integer key,
+    a row count other than n, a row of other than d entries, and an entry
+    that does not convert.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(magic):
@@ -209,18 +210,21 @@ def parse_table(text: str, magic: str, keys, convert) -> tuple[list, dict[str, s
         n, d, *_ = [int(meta[k]) for k in keys]
     except (KeyError, ValueError) as exc:
         raise FormatError(f"header must carry integer {', '.join(keys)}: {exc}") from exc
-    if len(lines) - 1 != n:
-        raise FormatError(f"expected {n} rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        try:
-            row = list(map(convert, ln.split(",")))
-        except ValueError as exc:
-            raise FormatError(f"bad row {ln!r}") from exc
-        if len(row) != d:
-            raise FormatError(f"row {ln!r} has {len(row)} entries, expected {d}")
-        rows.append(row)
-    return rows, meta
+    body = lines[1:]
+    if len(body) != n:
+        raise FormatError(f"expected {n} rows, found {len(body)}")
+    for ln in body:
+        if ln.count(",") != d - 1:
+            raise FormatError(f"row {ln!r} has {ln.count(',') + 1} entries, expected {d}")
+    tokens = ",".join(body).split(",") if body else []
+    try:
+        values = np.array(tokens, dtype=dtype)
+    except ValueError as exc:  # numpy's message quotes the token
+        raise FormatError(f"bad entry: {exc}") from exc
+    except OverflowError as exc:  # an integer past int64, read by int() as numpy reads it
+        big = next(t for t in tokens if not -(2**63) <= int(t) < 2**63)
+        raise FormatError(f"entry {big.strip()} outside the int64 range") from exc
+    return values.reshape(n, d), meta
 
 
 # --- design CSV format -------------------------------------------------------
@@ -242,14 +246,10 @@ def save_design(design: Design, path, extra: dict[str, str] | None = None) -> No
 
 
 def parse_design(text: str) -> tuple[Design, dict[str, str]]:
-    rows, meta = parse_table(text, _MAGIC, ("n", "d", "s"), int)
-    s = int(meta["s"])
-    if rows and not 0 <= min(map(min, rows)) <= max(map(max, rows)) < s:
-        v = next(v for row in rows for v in row if not 0 <= v < s)
-        raise FormatError(f"entry {v} outside [0, {s})")
+    matrix, meta = parse_table(text, _MAGIC, ("n", "d", "s"), np.int64)
     try:
-        return Design(np.array(rows, dtype=np.int64), s=s), meta
-    except ValueError as exc:  # no rows, or s < 1
+        return Design(matrix, s=int(meta["s"])), meta
+    except ValueError as exc:  # no rows, s < 1, or an entry outside [0, s)
         raise FormatError(str(exc)) from exc
 
 

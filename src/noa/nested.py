@@ -14,18 +14,23 @@ at p^c levels, one row per block: out = coarse * p^c + fine.  The result
 has s2 = p^c * s3 levels, keeps strength 3 under the coarse strata, gains
 strength 2 at s2, and is then expanded to n distinct levels per column to
 add the Latin hypercube rung.
+
+``plan_noa`` enumerates every pair of field orders (s3, p^c) that this
+construction can build for (n, d) and takes the one with the largest s3,
+then the largest s2; s2 itself need not be a prime power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
 from .bush import bush_construct
 from .designs import MAX_ENTRIES, Design, verify_ladder
 from .errors import FieldOverflowError, NoNontrivialPlanError, UnbalancedColumnError
-from .gf import MAX_ORDER, field_new, field_of_order, is_prime, prime_power
+from .gf import MAX_ORDER, field_new, field_of_order, prime_power
 from .rng import (
     STAGE_EXPAND,
     STAGE_LHS,
@@ -63,62 +68,41 @@ class NestedDesign:
     plan: NoaPlan | None = None
 
 
-def _largest_prime_power_root(n: int, k: int) -> int | None:
-    """The largest buildable prime power q (at most MAX_ORDER) with q^k | n, or None."""
-    best = None
-    q = 2
-    while q <= MAX_ORDER and q**k <= n:
-        if n % q**k == 0 and prime_power(q) is not None:
-            best = q
-        q += 1
-    return best
+def _prime_power_roots(n: int, k: int) -> list[int]:
+    """The buildable prime powers q (at most MAX_ORDER) with q^k | n, ascending."""
+    qs = takewhile(lambda q: q**k <= n, range(2, MAX_ORDER + 1))
+    return [q for q in qs if n % q**k == 0 and prime_power(q) is not None]
 
 
 def plan_noa(n: int, d: int) -> NoaPlan:
-    """Solve the divisibility ladder for (n, d).
+    """The buildable plan for (n, d) with the largest s3, then the largest s2.
 
-    s3 is the largest prime power whose cube divides n; among all (p, c)
-    with p^(2c) dividing k3*s3 and p^c + 1 >= d, the pair maximizing p^c is
-    chosen (ties broken toward smaller p), which maximizes the strength-2
-    resolution s2 = p^c * s3.  Both s3 and p^c are field orders, so only
-    those up to gf.MAX_ORDER are considered: the plan is always buildable.
+    A plan is a pair of prime powers s3 and q = p^c, both field orders up to
+    gf.MAX_ORDER, with s3 >= d, s3^3 | n, q + 1 >= d and q^2 | n / s3^2
+    (the Bush bound at each field and the NoaPlan identities).  Every such
+    pair is enumerated; s2 = q * s3 need not be a prime power, e.g. n=108,
+    d=3 gives s3=3, q=2, s2=6.
     """
     if n < 8:
         raise ValueError(f"n={n} must be >= 8")
     if d < 3:
         raise ValueError(f"d={d} must be >= 3")
-    if not any(is_prime(p) and n % p**4 == 0 for p in range(2, int(n**0.25) + 2)):
+    plans = [
+        (s3, q)
+        for s3 in _prime_power_roots(n, 3)
+        if s3 >= d
+        for q in _prime_power_roots(n // s3**2, 2)
+        if q + 1 >= d
+    ]
+    if not plans:
         raise NoNontrivialPlanError(
-            f"no prime p with p^4 dividing n={n}; only the trivial ladders "
-            "s2=s3 or s3=1 exist (consider the strength-2 construction instead)"
-        )
-    s3 = _largest_prime_power_root(n, 3)
-    if s3 is None or d > s3:
-        raise NoNontrivialPlanError(
-            f"need d <= s3 but d={d}, s3={s3} for n={n} "
+            f"no plan for n={n}, d={d}: no prime powers s3, q <= {MAX_ORDER} with "
+            "s3 >= d, s3^3 | n, q + 1 >= d and q^2 | n/s3^2 "
             "(consider the strength-2 construction instead)"
         )
-    k3 = n // s3**3
-    best: tuple[int, int] | None = None
-    residual = k3 * s3
-    for p in range(2, min(residual, MAX_ORDER) + 1):
-        if not is_prime(p) or residual % (p * p) != 0:
-            continue
-        c = 1
-        while residual % p ** (2 * (c + 1)) == 0 and p ** (c + 1) <= MAX_ORDER:
-            c += 1
-        if p**c + 1 < d:
-            continue
-        if best is None or p**c > best[0] ** best[1]:
-            best = (p, c)
-    if best is None:
-        raise NoNontrivialPlanError(
-            f"no prime p with p^2 | k3*s3 = {residual} and p^c + 1 >= d={d} "
-            f"(n={n}, s3={s3}, k3={k3})"
-        )
-    p, c = best
-    b = residual // p ** (2 * c)
-    return NoaPlan(n=n, d=d, s3=s3, k3=k3, p=p, c=c, b=b, s2=p**c * s3)
+    s3, q = max(plans)
+    p, c = prime_power(q)
+    return NoaPlan(n=n, d=d, s3=s3, k3=n // s3**3, p=p, c=c, b=n // (q * s3) ** 2, s2=q * s3)
 
 
 def _check_size(n: int, d: int) -> None:
@@ -250,9 +234,9 @@ def construct_tang(n: int, d: int, seed: int) -> NestedDesign:
     if n < 4 or d < 2:
         raise ValueError("need n >= 4 and d >= 2")
     _check_size(n, d)
-    # the largest s2 is the only candidate: s2 + 1 >= d is monotone in s2
-    s2 = _largest_prime_power_root(n, 2)
-    if s2 is None or s2 + 1 < d:
+    # the largest s2 (0 if none) is the only candidate: s2 + 1 >= d is monotone in s2
+    s2 = max(_prime_power_roots(n, 2), default=0)
+    if s2 + 1 < d:
         raise NoNontrivialPlanError(
             f"no prime power s2 with s2^2 | n={n} and s2 + 1 >= d={d}"
         )

@@ -87,9 +87,9 @@ def save_points(ps: PointSet, path) -> None:
 
 
 def parse_points(text: str) -> PointSet:
-    rows, _meta = parse_table(text, _MAGIC, ("n", "d"), float)
+    points, _meta = parse_table(text, _MAGIC, ("n", "d"), np.float64)
     try:
-        return PointSet(np.array(rows, dtype=np.float64))
+        return PointSet(points)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

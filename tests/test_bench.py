@@ -104,8 +104,10 @@ def test_fit_rate_degenerate_constant():
 
 
 def test_fit_rate_needs_three_points():
-    with pytest.raises(ValueError):
-        fit_rate([8, 16], 3, "iid", "ADD-LIN", 10, 0)
+    # three equal run counts are one point: the fit would be degenerate
+    for ns in ([8, 16], [8, 8, 8]):
+        with pytest.raises(ValueError):
+            fit_rate(ns, 3, "iid", "ADD-LIN", 10, 0)
 
 
 def test_estimates_csv():

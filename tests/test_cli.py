@@ -43,7 +43,7 @@ def test_gen_lhs(tmp_path, capsys):
 def test_gen_noa3_no_plan(capsys):
     code, _, err = run(capsys, "gen", "--kind", "noa3", "--n", "24", "--d", "3")
     assert code == 2
-    assert "p^4" in err
+    assert err.count("\n") == 1 and "n=24, d=3" in err
 
 
 @pytest.mark.parametrize("kind", ["lhs", "tang", "noa3"])
@@ -233,6 +233,23 @@ def test_bench_unconstructible(capsys):
     )
     assert code == 2
     assert "noa3" in err
+
+
+@pytest.mark.parametrize(
+    "sizes,kinds,message",
+    [
+        (("--n", "0", "--d", "3"), "iid", "error: need n >= 1 and d >= 1, got n=0, d=3\n"),
+        (("--n", "16", "--d", "3"), ",", "bench --kinds names no design kind\n"),
+    ],
+)
+def test_bench_rejects_bad_sizes(capsys, sizes, kinds, message):
+    # refused before any kind runs: no JSON, no NaN, no numpy warning
+    code, stdout, err = run(
+        capsys, "bench", *sizes, "--kinds", kinds, "--integrand", "ADD-LIN", "--reps", "3"
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == message
 
 
 def test_bench_rate(capsys):

@@ -233,6 +233,9 @@ def test_csv_round_trip():
 def test_csv_rejects_out_of_range_entry():
     with pytest.raises(FormatError):
         parse_design("# noa-design v1 n=1 d=2 s=2\n0,2\n")
+    # past int64: the error names the entry instead of an OverflowError escaping
+    with pytest.raises(FormatError, match="99999999999999999999"):
+        parse_design("# noa-design v1 n=1 d=2 s=2\n0,99999999999999999999\n")
 
 
 def test_csv_rejects_bad_header():
@@ -245,6 +248,9 @@ def test_csv_rejects_bad_header():
 def test_csv_rejects_row_count_mismatch():
     with pytest.raises(FormatError):
         parse_design("# noa-design v1 n=2 d=2 s=2\n0,1\n")
+    # n*d entries in all, but not d in every row
+    with pytest.raises(FormatError, match="row '0,1,1' has 3 entries, expected 2"):
+        parse_design("# noa-design v1 n=2 d=2 s=2\n0,1,1\n1\n")
 
 
 def test_csv_rejects_empty_design():

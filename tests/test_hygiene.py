@@ -2,6 +2,9 @@
 
 - no ``__debug__``: behaviour must not change under ``python -O``;
 - no ``assert`` statement: ``-O`` strips it, so a check must raise;
+- no bare ``except:`` and no ``except Exception``/``BaseException``: a
+  handler names the errors it expects, so a programming error keeps its
+  traceback;
 - no ``from .mod import _name``: another module's private helpers stay
   private, so the public names are the only coupling between modules;
 - no import that the module never references (``__init__.py`` imports to
@@ -26,6 +29,7 @@ BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
 
 
 CACHES = {"lru_cache", "cache"}
+BROAD = {"Exception", "BaseException"}
 
 
 def problems(path):
@@ -36,6 +40,13 @@ def problems(path):
             yield f"{where}: __debug__"
         elif isinstance(node, ast.Assert):
             yield f"{where}: assert statement"
+        elif isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None:
+                yield f"{where}: bare except"
+            for name in caught:
+                if isinstance(name, ast.Name) and name.id in BROAD:
+                    yield f"{where}: except {name.id}"
         elif isinstance(node, ast.ImportFrom):
             if not (node.level or (node.module or "").startswith("noa")):
                 continue
@@ -140,12 +151,25 @@ def test_rules_catch_violations(tmp_path):
         "from noa.gf import _poly_divmod\n"
         "if __debug__:\n"
         "    assert construct_oa\n"
+        "try:\n"
+        "    construct_oa()\n"
+        "except:\n"
+        "    pass\n"
+        "try:\n"
+        "    construct_oa()\n"
+        "except (ValueError, Exception):\n"
+        "    pass\n"
+        "except BaseException:\n"
+        "    pass\n"
     )
     assert [p.split(": ", 1)[1] for p in problems(bad)] == [
         "imports private nested._oa",
         "imports private noa.gf._poly_divmod",
         "__debug__",
         "assert statement",
+        "bare except",
+        "except Exception",
+        "except BaseException",
         "unused import _oa",
         "unused import _poly_divmod",
     ]

@@ -17,7 +17,7 @@ from noa.errors import (
 )
 from noa.gf import MAX_ORDER, field_of_order, is_prime, prime_power
 from noa.nested import (
-    _largest_prime_power_root,
+    _prime_power_roots,
     construct_lhs,
     construct_noa,
     construct_oa,
@@ -28,27 +28,28 @@ from noa.nested import (
 
 
 def brute_force_plan(n, d):
-    """Independent enumeration of the parameter ladder."""
-    if not any(is_prime(p) and n % p**4 == 0 for p in range(2, n)):
-        return None
-    s3 = max(
-        (q for q in range(2, n + 1) if prime_power(q) and n % q**3 == 0),
-        default=None,
-    )
-    if s3 is None or d > s3:
-        return None
-    k3 = n // s3**3
+    """Independent plain-loop enumeration of the NoaPlan identities.
+
+    Every (s3, p, c) with k3 * s3^3 = n, b * p^(2c) = k3 * s3, s3 >= d and
+    p^c + 1 >= d is a candidate; the largest s3, then the largest p^c, wins.
+    """
     cands = []
-    for p in range(2, k3 * s3 + 1):
-        if not is_prime(p):
+    for s3 in range(d, n + 1):
+        if s3**3 > n:
+            break
+        if not prime_power(s3) or n % s3**3:
             continue
-        for c in range(1, 20):
-            if (k3 * s3) % p ** (2 * c) == 0 and p**c + 1 >= d:
-                cands.append((p, c))
+        k3 = n // s3**3
+        for p in range(2, k3 * s3 + 1):
+            if not is_prime(p):
+                continue
+            for c in range(1, 20):
+                if (k3 * s3) % p ** (2 * c) == 0 and p**c + 1 >= d:
+                    cands.append((s3, p**c, k3, p, c, (k3 * s3) // p ** (2 * c)))
     if not cands:
         return None
-    p, c = max(cands, key=lambda pc: (pc[0] ** pc[1], -pc[0]))
-    return (s3, k3, p, c, (k3 * s3) // p ** (2 * c), p**c * s3)
+    s3, pc, k3, p, c, b = max(cands)
+    return (s3, k3, p, c, b, pc * s3)
 
 
 @pytest.mark.parametrize(
@@ -58,6 +59,11 @@ def brute_force_plan(n, d):
         (256, 4, (4, 4, 2, 2, 1, 16)),
         (81, 3, (3, 3, 3, 1, 1, 9)),
         (128, 3, (4, 2, 2, 1, 2, 8)),
+        # s2 = 6 is not a prime power
+        (108, 3, (3, 4, 2, 1, 3, 6)),
+        # the largest s3 (16, 32) leaves no fine field with p^c + 1 >= 8
+        (4096, 8, (8, 8, 2, 3, 1, 64)),
+        (32768, 8, (16, 8, 2, 3, 2, 128)),
     ],
 )
 def test_plan_examples(n, d, expected):
@@ -69,19 +75,20 @@ def test_plan_examples(n, d, expected):
 
 
 def test_plan_no_nontrivial():
-    with pytest.raises(NoNontrivialPlanError) as exc:
-        plan_noa(24, 3)
-    assert "p^4" in str(exc.value)
+    for n, d in [(24, 3), (64, 4), (512, 5)]:
+        with pytest.raises(NoNontrivialPlanError) as exc:
+            plan_noa(n, d)
+        assert f"n={n}, d={d}" in str(exc.value)
 
 
 def test_plan_matches_brute_force():
-    for n in range(8, 600):
-        oracle = brute_force_plan(n, 3)
+    for n, d in itertools.product(range(8, 600), [3, 4, 5, 6]):
+        oracle = brute_force_plan(n, d)
         if oracle is None:
             with pytest.raises(NoNontrivialPlanError):
-                plan_noa(n, 3)
+                plan_noa(n, d)
         else:
-            plan = plan_noa(n, 3)
+            plan = plan_noa(n, d)
             assert (plan.s3, plan.k3, plan.p, plan.c, plan.b, plan.s2) == oracle
 
 
@@ -89,10 +96,10 @@ def test_largest_root_is_buildable():
     # 2^26 = 8192^2, 2^39 = 8192^3 and 3^16 = 6561^2, all above MAX_ORDER;
     # nothing is built at these n
     assert MAX_ORDER == 4096
-    assert _largest_prime_power_root(2**26, 2) == 4096
-    assert _largest_prime_power_root(2**39, 3) == 4096
-    assert _largest_prime_power_root(3**16, 2) == 3**7
-    assert _largest_prime_power_root(2**24, 2) == 4096
+    assert _prime_power_roots(2**26, 2)[-1] == 4096
+    assert _prime_power_roots(2**39, 3)[-1] == 4096
+    assert _prime_power_roots(3**16, 2)[-1] == 3**7
+    assert _prime_power_roots(2**24, 2)[-1] == 4096
 
 
 def test_plan_fields_are_buildable():
@@ -116,7 +123,7 @@ def assert_ladder(nd):
         assert rep.ok and rep.lam == n // levels**t
 
 
-@pytest.mark.parametrize("n,d", [(64, 3), (128, 3), (81, 3), (256, 4)])
+@pytest.mark.parametrize("n,d", [(64, 3), (128, 3), (81, 3), (256, 4), (108, 3)])
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 def test_noa_ladder(n, d, seed):
     nd = construct_noa(plan_noa(n, d), seed)

@@ -91,7 +91,7 @@ def test_points_csv_bad_header():
 
 
 def test_points_csv_bad_row_and_header_token():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="'abc'"):
         parse_points("# noa-points v1 n=1 d=2\n0.5,abc\n")
     with pytest.raises(FormatError):
         parse_points("# noa-points v1 n=1 d=2 junk\n0.5,0.5\n")
