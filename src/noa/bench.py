@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .designs import MAX_ENTRIES
-from .errors import ConstructionError, DesignError, DimensionMismatchError, FieldOverflowError
+from .designs import check_size
+from .errors import ConstructionError, DesignError, DimensionMismatchError
 from .gf import prime_power
 from .nested import (
     NoaPlan,
@@ -100,6 +100,19 @@ def kind_points(kind: str, n: int, d: int, seed: int, plan: NoaPlan | None = Non
 # --- benchmark driver --------------------------------------------------------
 
 
+def check_inputs(ns, d: int, kinds, reps: int) -> None:
+    """Refuse bad run counts, sizes or kind names before any replication is built."""
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    for n in ns:
+        if n < 1 or d < 1:
+            raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+        check_size(n, d)
+    for kind in kinds:
+        if kind not in _KIND_ID:
+            raise ValueError(f"unknown design kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class KindStats:
     mean: float
@@ -151,18 +164,12 @@ def run_bench(
     reps: int,
     seed: int,
 ) -> BenchReport:
-    """Estimate the integrand with `reps` fresh designs of each kind, sizes checked first."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    if n * d > MAX_ENTRIES:
-        raise FieldOverflowError(f"design of {n} rows x {d} columns exceeds {MAX_ENTRIES} entries")
+    """Estimate the integrand with `reps` fresh designs of each kind, inputs checked first."""
+    kinds = list(kinds)
+    check_inputs((n,), d, kinds, reps)
     f = make_integrand(integrand, d) if isinstance(integrand, str) else integrand
     results: dict[str, KindStats] = {}
     for kind in kinds:
-        if kind not in _KIND_ID:
-            raise ValueError(f"unknown design kind {kind!r}")
         plan = None
         try:
             if kind == "noa3":
@@ -203,10 +210,11 @@ class RateFit:
 
 
 def fit_rate(ns, d: int, kind: str, integrand: str, reps: int, seed: int) -> RateFit:
-    """Least-squares slope of log variance against log n."""
+    """Least-squares slope of log variance against log n, every run count checked first."""
     ns = tuple(int(v) for v in ns)
     if len(set(ns)) < 3:
         raise ValueError(f"need at least 3 distinct run counts, got {ns}")
+    check_inputs(ns, d, (kind,), reps)
     variances = []
     for n in ns:
         rep = run_bench(n, d, [kind], integrand, reps, seed)

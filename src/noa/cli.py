@@ -98,6 +98,7 @@ def _cmd_bench(args) -> int:
         return EXIT_PLAN
     if args.rate:
         ns = [int(v) for v in args.rate.split(",")]
+        bench_mod.check_inputs(ns, args.d, kinds, args.reps)  # every kind, before the first fit
         out = {}
         for kind in kinds:
             fit = bench_mod.fit_rate(ns, args.d, kind, args.integrand, args.reps, args.seed)

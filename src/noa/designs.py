@@ -16,11 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InternalInvariantError, NotDivisorError, StrengthError
+from .errors import (
+    FieldOverflowError, FormatError, InternalInvariantError, NotDivisorError, StrengthError
+)
 
 # the most entries of any design or array built: 8 bytes per int64 entry, so
 # 1 GiB (GF(512) at strength 3 would need 513 GiB)
 MAX_ENTRIES = 1 << 27
+
+
+def check_size(n: int, d: int) -> None:
+    """Refuse an n x d design of more than MAX_ENTRIES entries before building any of it."""
+    if n * d > MAX_ENTRIES:
+        raise FieldOverflowError(f"design of {n} rows x {d} columns exceeds {MAX_ENTRIES} entries")
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,8 +9,8 @@ Addition is digit-wise mod p; multiplication is polynomial multiplication
 reduced modulo a fixed irreducible.  The irreducible is the smallest monic
 irreducible of degree m, where "smallest" reads the coefficient vector
 (constant term as the least significant digit) as a base-p integer.  Both
-operations are backed by precomputed s-by-s tables, which is plenty at the
-field orders used here (a few hundred at most); the multiplication table is
+operations are backed by precomputed s-by-s tables, which bounds the field
+order at MAX_ORDER = 4096 (two 128 MiB tables); the multiplication table is
 gathered from log/antilog tables over a primitive element (Hedayat, Sloane
 and Stufken, *Orthogonal Arrays*, 1999, ch. 3).
 """

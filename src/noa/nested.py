@@ -28,18 +28,10 @@ from itertools import takewhile
 import numpy as np
 
 from .bush import bush_construct
-from .designs import MAX_ENTRIES, Design, verify_ladder
-from .errors import FieldOverflowError, NoNontrivialPlanError, UnbalancedColumnError
+from .designs import Design, check_size, verify_ladder
+from .errors import NoNontrivialPlanError, UnbalancedColumnError
 from .gf import MAX_ORDER, field_new, field_of_order, prime_power
-from .rng import (
-    STAGE_EXPAND,
-    STAGE_LHS,
-    STAGE_OWEN,
-    STAGE_RELABEL2,
-    STAGE_RELABEL3,
-    STAGE_SHUFFLE2,
-    stream,
-)
+from .rng import STAGE_DESIGN, stream
 
 
 @dataclass(frozen=True)
@@ -64,7 +56,6 @@ class NoaPlan:
 class NestedDesign:
     design: Design
     ladder: tuple[tuple[int, int], ...]  # (levels, strength) pairs
-    seed: int
     plan: NoaPlan | None = None
 
 
@@ -105,31 +96,25 @@ def plan_noa(n: int, d: int) -> NoaPlan:
     return NoaPlan(n=n, d=d, s3=s3, k3=n // s3**3, p=p, c=c, b=n // (q * s3) ** 2, s2=q * s3)
 
 
-def _check_size(n: int, d: int) -> None:
-    """Refuse an n x d design of more than MAX_ENTRIES entries before building any of it."""
-    if n * d > MAX_ENTRIES:
-        raise FieldOverflowError(f"design of {n} rows x {d} columns exceeds {MAX_ENTRIES} entries")
-
-
-def _oa(field, t: int, d: int, k: int, seed: int, stage: int) -> np.ndarray:
+def _oa(field, t: int, d: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """k stacked copies of d Bush columns, each copy's levels relabelled per column.
 
     The columns are the last d of the Bush array's first d + 1, so column 0
     is used only when d = s + 1 forces it, which the coarse strength-3 array
-    never allows.  Relabelling copy r's column j by its own permutation
-    keeps strength t.
+    never allows.  One draw of d * k independent permutations of the s
+    levels relabels copy r's column j by the (j, r) permutation, which keeps
+    strength t.
     """
     base = bush_construct(field, t, min(d + 1, field.s + 1)).matrix[:, -d:]
     n0 = base.shape[0]
-    out = np.empty((k * n0, d), dtype=np.int64, order="F")
-    for r in range(k):
-        block = out[r * n0 : (r + 1) * n0]
-        for j in range(d):
-            block[:, j] = stream(seed, stage, r, j).permutation(field.s)[base[:, j]]
-    return out
+    perms = rng.permuted(np.broadcast_to(np.arange(field.s), (d, k, field.s)), axis=2)
+    # (d, k, n0): entry (j, r, i) is copy r's relabel of base[i, j]; its
+    # transpose is the column-major (k * n0, d) stack of the copies
+    index = np.broadcast_to(base.T[:, None, :], (d, k, n0))
+    return np.asfortranarray(np.take_along_axis(perms, index, axis=2).reshape(d, k * n0).T)
 
 
-def _expand_levels(mat: np.ndarray, s: int, seed: int, stage: int) -> np.ndarray:
+def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndarray:
     """Map each level's n/s occurrences to distinct fine levels, per column.
 
     Occurrences of level i in column j become a random arrangement of
@@ -144,7 +129,7 @@ def _expand_levels(mat: np.ndarray, s: int, seed: int, stage: int) -> np.ndarray
     ranks = np.arange(n, dtype=np.int64).reshape(s, m)
     key_type = np.min_scalar_type(s - 1)  # uint8/uint16 keys sort by radix
     out = np.empty((n, d), dtype=np.int64, order="F")
-    for j in range(d):
+    for j in range(d):  # one column at a time: an all-column sort costs peak memory
         col = mat[:, j]
         counts = np.bincount(col, minlength=s)
         if (counts != m).any():
@@ -154,30 +139,30 @@ def _expand_levels(mat: np.ndarray, s: int, seed: int, stage: int) -> np.ndarray
             )
         # the rows holding level lev are order[lev*m : (lev+1)*m]
         order = np.argsort(col.astype(key_type), kind="stable")
-        out[:, j][order] = stream(seed, stage, j).permuted(ranks, axis=1).ravel()
+        out[:, j][order] = rng.permuted(ranks, axis=1).ravel()
     return out
 
 
-def _expanded(levels: np.ndarray, s: int, ladder, seed: int, plan) -> NestedDesign:
+def _expanded(levels: np.ndarray, s: int, ladder, rng: np.random.Generator, plan) -> NestedDesign:
     """Expand an n x d matrix at s levels to n levels and verify the ladder.
 
     A caller that passes the matrix without keeping a reference to it (as
     construct_noa does) has it freed before the ladder check.
     """
     n = levels.shape[0]
-    design = Design(_expand_levels(levels, s, seed, STAGE_EXPAND), s=n)
+    design = Design(_expand_levels(levels, s, rng), s=n)
     del levels
     verify_ladder(design, ladder)
-    return NestedDesign(design=design, ladder=ladder, seed=seed, plan=plan)
+    return NestedDesign(design=design, ladder=ladder, plan=plan)
 
 
-def _noa_levels(plan: NoaPlan, seed: int) -> np.ndarray:
+def _noa_levels(plan: NoaPlan, rng: np.random.Generator) -> np.ndarray:
     """The n x d matrix at s2 levels: coarse strength-3 rows plus fine rows."""
     s3, d = plan.s3, plan.d
     pc = plan.p**plan.c
-    coarse = _oa(field_of_order(s3), 3, d, plan.k3, seed, STAGE_RELABEL3)  # d <= s3
-    fine = _oa(field_new(plan.p, plan.c), 2, d, plan.b, seed, STAGE_RELABEL2)
-    fine = fine[stream(seed, STAGE_SHUFFLE2).permutation(fine.shape[0])]
+    coarse = _oa(field_of_order(s3), 3, d, plan.k3, rng)  # d <= s3
+    fine = _oa(field_new(plan.p, plan.c), 2, d, plan.b, rng)
+    fine = fine[rng.permutation(fine.shape[0])]
     # one fine row per contiguous block of s3^2 coarse rows, added in place
     # through the column-major matrix's (d, blocks, s3^2) view
     blocks = coarse.T.reshape(d, -1, s3 * s3)
@@ -188,9 +173,10 @@ def _noa_levels(plan: NoaPlan, seed: int) -> np.ndarray:
 
 def construct_noa(plan: NoaPlan, seed: int) -> NestedDesign:
     """Build the strength-3 nested design for a plan, deterministically per seed."""
-    _check_size(plan.n, plan.d)
+    check_size(plan.n, plan.d)
     ladder = ((plan.n, 1), (plan.s2, 2), (plan.s3, 3))
-    return _expanded(_noa_levels(plan, seed), plan.s2, ladder, seed, plan)
+    rng = stream(seed, STAGE_DESIGN)
+    return _expanded(_noa_levels(plan, rng), plan.s2, ladder, rng, plan)
 
 
 def construct_oa(s: int, t: int, d: int, seed: int) -> NestedDesign:
@@ -201,20 +187,19 @@ def construct_oa(s: int, t: int, d: int, seed: int) -> NestedDesign:
     """
     if not 1 <= d <= s + 1:
         raise ValueError(f"need 1 <= d <= s + 1, got s={s}, d={d}")
-    design = Design(_oa(field_of_order(s), t, d, 1, seed, STAGE_OWEN), s=s)
+    design = Design(_oa(field_of_order(s), t, d, 1, stream(seed, STAGE_DESIGN)), s=s)
     ladder = ((s, min(t, d)),)
     verify_ladder(design, ladder)
-    return NestedDesign(design=design, ladder=ladder, seed=seed, plan=None)
+    return NestedDesign(design=design, ladder=ladder, plan=None)
 
 
 def construct_lhs(n: int, d: int, seed: int) -> Design:
     """Latin hypercube: each column an independent uniform permutation of 0..n-1."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    _check_size(n, d)
+    check_size(n, d)
     mat = np.empty((n, d), dtype=np.int64, order="F")
-    for j in range(d):
-        mat[:, j] = stream(seed, STAGE_LHS, j).permutation(n)
+    stream(seed, STAGE_DESIGN).permuted(np.broadcast_to(np.arange(n), (d, n)), axis=1, out=mat.T)
     return Design(mat, s=n)
 
 
@@ -224,16 +209,15 @@ def expand_to_lhs(design: Design, seed: int) -> Design:
     Collapsing the result back to design.s recovers the input exactly; with
     a strength-2 input this is the orthogonal-array-based Latin hypercube.
     """
-    return Design(
-        _expand_levels(design.matrix, design.s, seed, STAGE_EXPAND), s=design.n
-    )
+    rng = stream(seed, STAGE_DESIGN)
+    return Design(_expand_levels(design.matrix, design.s, rng), s=design.n)
 
 
 def construct_tang(n: int, d: int, seed: int) -> NestedDesign:
     """Strength-2 nested design: Bush array at s2 levels expanded to n levels."""
     if n < 4 or d < 2:
         raise ValueError("need n >= 4 and d >= 2")
-    _check_size(n, d)
+    check_size(n, d)
     # the largest s2 (0 if none) is the only candidate: s2 + 1 >= d is monotone in s2
     s2 = max(_prime_power_roots(n, 2), default=0)
     if s2 + 1 < d:
@@ -241,5 +225,5 @@ def construct_tang(n: int, d: int, seed: int) -> NestedDesign:
             f"no prime power s2 with s2^2 | n={n} and s2 + 1 >= d={d}"
         )
     k = n // (s2 * s2)
-    levels = _oa(field_of_order(s2), 2, d, k, seed, STAGE_RELABEL2)
-    return _expanded(levels, s2, ((n, 1), (s2, 2)), seed, None)
+    rng = stream(seed, STAGE_DESIGN)
+    return _expanded(_oa(field_of_order(s2), 2, d, k, rng), s2, ((n, 1), (s2, 2)), rng, None)

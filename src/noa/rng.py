@@ -1,23 +1,19 @@
 """Seeded, keyed random streams.
 
-Every randomized stage draws from its own stream keyed by a stage constant
-plus context (repetition, column, ...) under the single user seed, so
-results do not depend on loop or evaluation order.
+Each public construction opens one generator, ``stream(seed, STAGE_DESIGN)``,
+and draws every random step from it in a fixed order, whole arrays at a time.
+Jittered points, iid samples and the bench replication seeds have stages of
+their own, so they do not depend on how a design is drawn.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-STAGE_RELABEL3 = 1
-STAGE_RELABEL2 = 2
-STAGE_SHUFFLE2 = 3
-STAGE_EXPAND = 4
-STAGE_LHS = 5
+STAGE_DESIGN = 1
 STAGE_JITTER = 6
 STAGE_BENCH = 7
 STAGE_IID = 8
-STAGE_OWEN = 9
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

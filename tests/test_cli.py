@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from noa import bench
 from noa.cli import main
 from noa.designs import format_design, load_design, nested64_fixture, save_design, Design
 from noa.sampling import load_points
@@ -250,6 +251,37 @@ def test_bench_rejects_bad_sizes(capsys, sizes, kinds, message):
     assert code == 2
     assert stdout == ""
     assert err == message
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--kinds", "iid,lhs,noa3,bogus"), "unknown design kind 'bogus'"),
+        (("--kinds", "lhs", "--rate", "64,256,0"), "need n >= 1 and d >= 1, got n=0, d=3"),
+        (("--kinds", "lhs,bogus", "--rate", "16,32,64"), "unknown design kind 'bogus'"),
+        (
+            ("--kinds", "iid", "--rate", "16,32,50000000"),
+            "design of 50000000 rows x 3 columns exceeds 134217728 entries",
+        ),
+    ],
+)
+def test_bench_refuses_bad_input_before_any_replication(capsys, monkeypatch, argv, message):
+    built = []
+
+    def counting_kind_points(*args, **kwargs):
+        built.append(args)
+        return kind_points(*args, **kwargs)
+
+    kind_points = bench.kind_points
+    monkeypatch.setattr(bench, "kind_points", counting_kind_points)
+    code, stdout, err = run(
+        capsys, "bench", "--n", "64", "--d", "3", *argv,
+        "--integrand", "ADD-EXP", "--reps", "3000",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+    assert built == []
 
 
 def test_bench_rate(capsys):

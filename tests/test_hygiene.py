@@ -11,6 +11,9 @@
   re-export, so it is exempt);
 - no ``functools.lru_cache``/``functools.cache`` except on ``gf.field_new``:
   a process-lifetime cache of arrays holds their memory until exit;
+- no ``stream(...)`` call inside a ``for``/``while`` loop or a comprehension:
+  a construction opens one generator and draws whole arrays from it, so a
+  stream per copy or column (and its seeding cost) stays out of the loops;
 - no name in ``noa.__all__`` that only its definition and the tests use:
   every public name is read somewhere in the package beyond its definition
   and ``__init__.py``, or by the benchmark in ``benchmarks/*.py``.
@@ -30,6 +33,7 @@ BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
 
 CACHES = {"lru_cache", "cache"}
 BROAD = {"Exception", "BaseException"}
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def problems(path):
@@ -55,6 +59,7 @@ def problems(path):
                     yield f"{where}: imports private {node.module}.{alias.name}"
     yield from unused_imports(path, tree)
     yield from caches(path, tree)
+    yield from streams_in_loops(path, tree)
 
 
 def unused_imports(path, tree):
@@ -96,6 +101,20 @@ def caches(path, tree):
             and node.value.id == "functools"
         ):
             yield f"{path.name}:{node.lineno}: cache outside gf.field_new"
+
+
+def streams_in_loops(path, tree):
+    """Every call of a function named ``stream`` lexically inside a loop or comprehension."""
+    calls = {
+        node
+        for loop in ast.walk(tree)
+        if isinstance(loop, LOOPS)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "stream"
+    }
+    for node in sorted(calls, key=lambda node: (node.lineno, node.col_offset)):
+        yield f"{path.name}:{node.lineno}: stream call in a loop"
 
 
 def unused_exports(exports, paths):
@@ -161,6 +180,11 @@ def test_rules_catch_violations(tmp_path):
         "    pass\n"
         "except BaseException:\n"
         "    pass\n"
+        "rng = stream(0, 1)\n"
+        "for j in range(3):\n"
+        "    while rng:\n"
+        "        rng = stream(0, j)\n"
+        "gens = [rng.stream(j) for j in range(3)]\n"
     )
     assert [p.split(": ", 1)[1] for p in problems(bad)] == [
         "imports private nested._oa",
@@ -172,6 +196,8 @@ def test_rules_catch_violations(tmp_path):
         "except BaseException",
         "unused import _oa",
         "unused import _poly_divmod",
+        "stream call in a loop",
+        "stream call in a loop",
     ]
 
 

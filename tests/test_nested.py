@@ -6,7 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from noa import nested
+from noa import designs, nested
 from noa.bush import bush_construct
 from noa.designs import Design, check_strength, collapse
 from noa.errors import (
@@ -264,6 +264,40 @@ def test_tang_deterministic():
         assert (a.design.matrix != c.design.matrix).any()
 
 
+def test_oa_relabelling_matches_loop():
+    # reference loop over copies r and columns j, fed the same (d, k, s) draw
+    field, d, k = field_of_order(4), 3, 2
+    got = nested._oa(field, 2, d, k, np.random.default_rng(5))
+    perms = np.random.default_rng(5).permuted(np.broadcast_to(np.arange(4), (d, k, 4)), axis=2)
+    base = bush_construct(field, 2, d + 1).matrix[:, 1:]
+    want = np.vstack(
+        [np.column_stack([perms[j, r][base[:, j]] for j in range(d)]) for r in range(k)]
+    )
+    assert got.flags.f_contiguous
+    assert (got == want).all()
+
+
+def test_relabelling_independent_across_copies():
+    # n=32, d=3 stacks k=2 copies of the 16-run Bush array at 4 levels; the
+    # copies' relabellings of a column agree with probability 1/4! = 1/24,
+    # so over 300 seeds each column agrees ~12.5 times (P(> 35) < 2e-8)
+    # and copies sharing one relabelling would agree 300 times
+    agree = np.zeros(3, dtype=int)
+    for seed in range(300):
+        blocks = collapse(construct_tang(32, 3, seed).design, 4).matrix.reshape(2, 16, 3)
+        agree += (blocks[0] == blocks[1]).all(axis=0)
+    assert (agree <= 35).all(), agree
+
+
+def test_relabelling_independent_across_columns():
+    # Bush row 0 is all zeros, so row 0 of a randomized OA(9, 2, 3, 2) is the
+    # pair of its columns' relabels of 0: uniform over the 9 cells when the
+    # columns are relabelled independently, only the diagonal when they share
+    # a permutation; 200 seeds miss some cell with probability < 9 (8/9)^200 < 1e-9
+    cells = {tuple(construct_oa(3, 2, 2, seed).design.matrix[0]) for seed in range(200)}
+    assert cells == set(itertools.product(range(3), repeat=2))
+
+
 def test_oa_rejects_bad_parameters():
     with pytest.raises(ValueError):
         construct_oa(4, 2, 6, 0)  # d > s + 1
@@ -285,7 +319,7 @@ def test_size_refused_before_allocation(monkeypatch):
         with pytest.raises(FieldOverflowError, match="exceeds"):
             build()
     # the bound is exact: 1024 x 4 fits in 4096 entries, 1024 x 5 does not
-    monkeypatch.setattr(nested, "MAX_ENTRIES", 4096)
+    monkeypatch.setattr(designs, "MAX_ENTRIES", 4096)
     assert construct_lhs(1024, 4, 0).matrix.size == 4096
     assert construct_tang(1024, 4, 0).design.matrix.size == 4096
     assert construct_noa(plan_noa(1024, 4), 0).design.matrix.size == 4096
