@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,6 +36,8 @@ E = math.e
 
 @dataclass(frozen=True)
 class Integrand:
+    """An integrand on [0,1)^d; fn maps each row of an (m, d) array on its own, to (m,)."""
+
     name: str
     d: int
     fn: Callable[[np.ndarray], np.ndarray]
@@ -63,12 +66,16 @@ def make_integrand(name: str, d: int) -> Integrand:
 
 
 INTEGRANDS = ("ADD-LIN", "ADD-EXP", "BILIN", "TRILIN", "PROD-EXP")
+_BLOCK_ROWS = 8192  # rows per integrand call: temporaries of one block, not of n x d
 
 
 def estimate(points: PointSet, f: Integrand) -> float:
     if points.d != f.d:
         raise DimensionMismatchError(f"points have d={points.d}, integrand d={f.d}")
-    return float(np.mean(f.fn(points.points)))
+    values = np.empty(points.n)
+    for i in range(0, points.n, _BLOCK_ROWS):
+        values[i:i + _BLOCK_ROWS] = f.fn(points.points[i:i + _BLOCK_ROWS])
+    return float(np.mean(values))
 
 
 # --- design kinds ------------------------------------------------------------
@@ -77,22 +84,36 @@ KINDS = ("iid", "lhs", "oa2", "tang", "noa3")
 _KIND_ID = {k: i for i, k in enumerate(KINDS)}
 
 
-def kind_points(kind: str, n: int, d: int, seed: int, plan: NoaPlan | None = None) -> PointSet:
-    """One randomized point set of the given kind, a pure function of seed."""
+def kind_plan(kind: str, n: int, d: int) -> NoaPlan | int | None:
+    """What a kind needs before its first replication: noa3's plan, oa2's field order."""
+    if kind == "noa3":
+        return plan_noa(n, d)
+    if kind == "oa2":
+        s = math.isqrt(n)
+        if s * s != n or prime_power(s) is None:
+            raise ConstructionError(f"oa2 needs n a square of a prime power, got n={n}")
+        return s
+    return None
+
+
+def kind_points(
+    kind: str, n: int, d: int, seed: int, plan: NoaPlan | int | None = None
+) -> PointSet:
+    """One randomized point set of the given kind, a pure function of seed.
+
+    plan is kind_plan(kind, n, d), made here when it is not given.
+    """
+    if plan is None:
+        plan = kind_plan(kind, n, d)
     if kind == "iid":
         return PointSet(stream(seed, STAGE_IID).random((n, d)))
     if kind == "lhs":
         return to_points(construct_lhs(n, d, seed), "uniform", seed)
     if kind == "oa2":
-        s = math.isqrt(n)
-        if s * s != n or prime_power(s) is None:
-            raise ConstructionError(f"oa2 needs n a square of a prime power, got n={n}")
-        return to_points(construct_oa(s, 2, d, seed).design, "uniform", seed)
+        return to_points(construct_oa(plan, 2, d, seed).design, "uniform", seed)
     if kind == "tang":
         return to_points(construct_tang(n, d, seed).design, "uniform", seed)
     if kind == "noa3":
-        if plan is None:
-            plan = plan_noa(n, d)
         return to_points(construct_noa(plan, seed).design, "uniform", seed)
     raise ValueError(f"unknown design kind {kind!r}")
 
@@ -100,8 +121,22 @@ def kind_points(kind: str, n: int, d: int, seed: int, plan: NoaPlan | None = Non
 # --- benchmark driver --------------------------------------------------------
 
 
-def check_inputs(ns, d: int, kinds, reps: int) -> None:
-    """Refuse bad run counts, sizes or kind names before any replication is built."""
+@contextmanager
+def _labelled(kind: str, n: int, d: int):
+    """Re-raise a kind's design or value error as a ConstructionError that names it."""
+    try:
+        yield
+    except ConstructionError:
+        raise
+    except (DesignError, ValueError) as exc:
+        raise ConstructionError(f"kind {kind!r} failed for n={n}, d={d}: {exc}") from exc
+
+
+def check_inputs(ns, d: int, kinds, reps: int) -> dict:
+    """Refuse bad run counts, sizes, kind names or plans before any replication is built.
+
+    Returns kind_plan(kind, n, d) keyed by (kind, n), for every kind and n.
+    """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     for n in ns:
@@ -111,6 +146,12 @@ def check_inputs(ns, d: int, kinds, reps: int) -> None:
     for kind in kinds:
         if kind not in _KIND_ID:
             raise ValueError(f"unknown design kind {kind!r}")
+    plans = {}
+    for kind in kinds:
+        for n in ns:
+            with _labelled(kind, n, d):
+                plans[kind, n] = kind_plan(kind, n, d)
+    return plans
 
 
 @dataclass(frozen=True)
@@ -166,22 +207,15 @@ def run_bench(
 ) -> BenchReport:
     """Estimate the integrand with `reps` fresh designs of each kind, inputs checked first."""
     kinds = list(kinds)
-    check_inputs((n,), d, kinds, reps)
+    plans = check_inputs((n,), d, kinds, reps)
     f = make_integrand(integrand, d) if isinstance(integrand, str) else integrand
     results: dict[str, KindStats] = {}
     for kind in kinds:
-        plan = None
-        try:
-            if kind == "noa3":
-                plan = plan_noa(n, d)
-            ests = np.empty(reps)
+        ests = np.empty(reps)
+        with _labelled(kind, n, d):
             for r in range(reps):
                 rep_seed = derive_seed(seed, STAGE_BENCH, _KIND_ID[kind], r)
-                ests[r] = estimate(kind_points(kind, n, d, rep_seed, plan), f)
-        except ConstructionError:
-            raise
-        except (DesignError, ValueError) as exc:
-            raise ConstructionError(f"kind {kind!r} failed for n={n}, d={d}: {exc}") from exc
+                ests[r] = estimate(kind_points(kind, n, d, rep_seed, plans[kind, n]), f)
         mean = float(ests.mean())
         var = float(ests.var(ddof=1)) if reps > 1 else 0.0
         bias = mean - f.true_integral

@@ -97,8 +97,11 @@ def _cmd_bench(args) -> int:
         print("bench --kinds names no design kind", file=sys.stderr)
         return EXIT_PLAN
     if args.rate:
+        if args.estimates_out:
+            print("bench --estimates-out cannot be used with --rate", file=sys.stderr)
+            return EXIT_PLAN
         ns = [int(v) for v in args.rate.split(",")]
-        bench_mod.check_inputs(ns, args.d, kinds, args.reps)  # every kind, before the first fit
+        bench_mod.check_inputs(ns, args.d, kinds, args.reps)  # all kinds and plans, before any fit
         out = {}
         for kind in kinds:
             fit = bench_mod.fit_rate(ns, args.d, kind, args.integrand, args.reps, args.seed)

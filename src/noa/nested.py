@@ -115,7 +115,7 @@ def _oa(field, t: int, d: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndarray:
-    """Map each level's n/s occurrences to distinct fine levels, per column.
+    """Map each level's n/s occurrences to distinct fine levels, per column, in place.
 
     Occurrences of level i in column j become a random arrangement of
     [i*n/s, (i+1)*n/s), so every column ends up a permutation of 0..n-1 and
@@ -128,7 +128,6 @@ def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
     # row lev of ranks is [lev*m, (lev+1)*m): the fine levels of level lev
     ranks = np.arange(n, dtype=np.int64).reshape(s, m)
     key_type = np.min_scalar_type(s - 1)  # uint8/uint16 keys sort by radix
-    out = np.empty((n, d), dtype=np.int64, order="F")
     for j in range(d):  # one column at a time: an all-column sort costs peak memory
         col = mat[:, j]
         counts = np.bincount(col, minlength=s)
@@ -139,19 +138,13 @@ def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
             )
         # the rows holding level lev are order[lev*m : (lev+1)*m]
         order = np.argsort(col.astype(key_type), kind="stable")
-        out[:, j][order] = rng.permuted(ranks, axis=1).ravel()
-    return out
+        col[order] = rng.permuted(ranks, axis=1).ravel()
+    return mat
 
 
 def _expanded(levels: np.ndarray, s: int, ladder, rng: np.random.Generator, plan) -> NestedDesign:
-    """Expand an n x d matrix at s levels to n levels and verify the ladder.
-
-    A caller that passes the matrix without keeping a reference to it (as
-    construct_noa does) has it freed before the ladder check.
-    """
-    n = levels.shape[0]
-    design = Design(_expand_levels(levels, s, rng), s=n)
-    del levels
+    """Expand an n x d matrix at s levels to n levels, in place, and verify the ladder."""
+    design = Design(_expand_levels(levels, s, rng), s=levels.shape[0])
     verify_ladder(design, ladder)
     return NestedDesign(design=design, ladder=ladder, plan=plan)
 
@@ -210,7 +203,7 @@ def expand_to_lhs(design: Design, seed: int) -> Design:
     a strength-2 input this is the orthogonal-array-based Latin hypercube.
     """
     rng = stream(seed, STAGE_DESIGN)
-    return Design(_expand_levels(design.matrix, design.s, rng), s=design.n)
+    return Design(_expand_levels(design.matrix.copy(order="F"), design.s, rng), s=design.n)
 
 
 def construct_tang(n: int, d: int, seed: int) -> NestedDesign:

@@ -42,31 +42,31 @@ class PointSet:
 
 def to_points(design: Design, mode: str = "uniform", seed: int = 0) -> PointSet:
     """Place one point per design row; floor(x * s) recovers the design."""
+    x = np.empty(design.matrix.shape)  # the C-order output, filled with the offsets
     if mode == "midpoint":
-        offset = 0.5
+        x.fill(0.5)
     elif mode == "uniform":
-        offset = stream(seed, STAGE_JITTER).random(design.matrix.shape)
+        stream(seed, STAGE_JITTER).random(out=x)
     else:
         raise ValueError(f"mode must be 'uniform' or 'midpoint', got {mode!r}")
-    return PointSet(_place(design.matrix, offset, design.s))
+    return PointSet(_place(design.matrix, x, design.s))
 
 
-def _place(levels: np.ndarray, offset, s: int) -> np.ndarray:
-    """Points (levels + offset) / s with floor(x * s) == levels.
+def _place(levels: np.ndarray, x: np.ndarray, s: int) -> np.ndarray:
+    """Turn offsets x into points (levels + x) / s in place, with floor(x * s) == levels.
 
     For offset near 1 (or 0), (m + u) / s can round onto the stratum's upper
     (or lower) edge, e.g. to (m + 1) / s, which is 1.0 for m = s - 1.  Such
     points are stepped one ulp at a time back inside their stratum.  As
     m + 1 is a double, the floor implies x < (m + 1) / s exactly, so x < 1.
     """
-    x = (levels + offset) / s
-    while True:
-        cell = x * s
-        np.floor(cell, out=cell)
-        off = cell != levels
-        if not off.any():
-            return x
-        x[off] = np.nextafter(x[off], np.where(cell[off] > levels[off], 0.0, 1.0))
+    x += levels
+    x /= s
+    for col, lev in zip(x.T, levels.T):  # a column at a time: temporaries are one column
+        while (off := np.floor(col * s) != lev).any():
+            cell = np.floor(col[off] * s)
+            col[off] = np.nextafter(col[off], np.where(cell > lev[off], 0.0, 1.0))
+    return x
 
 
 # --- points CSV format -------------------------------------------------------

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from noa import bench
 from noa.bench import (
+    INTEGRANDS,
     estimate,
     fit_rate,
     format_estimates_csv,
@@ -47,6 +50,30 @@ def test_estimate_strength2_midpoint_bilin_exact():
 def test_estimate_single_centroid():
     pts = PointSet(np.array([[0.5]]))
     assert estimate(pts, make_integrand("ADD-EXP", 1)) == pytest.approx(math.e**0.5)
+
+
+@pytest.mark.parametrize("name", INTEGRANDS)
+def test_estimate_in_row_blocks_equals_whole_array_mean(name):
+    # every integrand maps each row on its own, so block evaluation changes no bit
+    n = 2 * bench._BLOCK_ROWS + 3
+    for d in (3, 8):
+        points = PointSet(np.random.default_rng(d).random((n, d)))
+        f = make_integrand(name, d)
+        assert estimate(points, f) == float(np.mean(f.fn(points.points)))
+
+
+def test_estimate_memory_is_row_blocks():
+    # one length-n vector of values beside the points, and one block's temporaries
+    points = to_points(construct_lhs(2**18, 8, 0), "uniform", 1)
+    for name in INTEGRANDS:
+        f = make_integrand(name, 8)
+        tracemalloc.start()
+        try:
+            estimate(points, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * points.points.nbytes, name
 
 
 def test_estimate_dimension_mismatch():

@@ -253,15 +253,40 @@ def test_bench_rejects_bad_sizes(capsys, sizes, kinds, message):
     assert err == message
 
 
+NO_NOA3_PLAN_24 = (
+    "kind 'noa3' failed for n=24, d=3: no plan for n=24, d=3: no prime powers s3, q <= 4096 "
+    "with s3 >= d, s3^3 | n, q + 1 >= d and q^2 | n/s3^2 "
+    "(consider the strength-2 construction instead)"
+)
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (("--kinds", "iid,lhs,noa3,bogus"), "unknown design kind 'bogus'"),
-        (("--kinds", "lhs", "--rate", "64,256,0"), "need n >= 1 and d >= 1, got n=0, d=3"),
-        (("--kinds", "lhs,bogus", "--rate", "16,32,64"), "unknown design kind 'bogus'"),
+        (("--n", "64", "--kinds", "iid,lhs,noa3,bogus"), "unknown design kind 'bogus'"),
         (
-            ("--kinds", "iid", "--rate", "16,32,50000000"),
+            ("--n", "64", "--kinds", "lhs", "--rate", "64,256,0"),
+            "need n >= 1 and d >= 1, got n=0, d=3",
+        ),
+        (
+            ("--n", "64", "--kinds", "lhs,bogus", "--rate", "16,32,64"),
+            "unknown design kind 'bogus'",
+        ),
+        (
+            ("--n", "64", "--kinds", "iid", "--rate", "16,32,50000000"),
             "design of 50000000 rows x 3 columns exceeds 134217728 entries",
+        ),
+        # every kind is planned before the first replication of any kind
+        pytest.param(("--n", "24", "--kinds", "iid,lhs,noa3"), NO_NOA3_PLAN_24, id="noa3-plan"),
+        pytest.param(
+            ("--n", "32", "--kinds", "iid,lhs,oa2"),
+            "oa2 needs n a square of a prime power, got n=32",
+            id="oa2-square",
+        ),
+        pytest.param(
+            ("--n", "64", "--kinds", "iid,lhs,noa3", "--rate", "64,24,512"),
+            NO_NOA3_PLAN_24,
+            id="noa3-plan-rate",
         ),
     ],
 )
@@ -275,13 +300,26 @@ def test_bench_refuses_bad_input_before_any_replication(capsys, monkeypatch, arg
     kind_points = bench.kind_points
     monkeypatch.setattr(bench, "kind_points", counting_kind_points)
     code, stdout, err = run(
-        capsys, "bench", "--n", "64", "--d", "3", *argv,
-        "--integrand", "ADD-EXP", "--reps", "3000",
+        capsys, "bench", "--d", "3", *argv, "--integrand", "ADD-EXP", "--reps", "3000",
     )
     assert code == 2
     assert stdout == ""
     assert err == f"error: {message}\n"
     assert built == []
+
+
+def test_bench_rate_refuses_estimates_out(tmp_path, capsys, monkeypatch):
+    # --estimates-out writes per-replication estimates, which a rate fit does not keep
+    monkeypatch.setattr(bench, "fit_rate", None)  # refused before any fit
+    path = tmp_path / "estimates.csv"
+    code, stdout, err = run(
+        capsys, "bench", "--n", "8", "--d", "3", "--kinds", "iid", "--integrand", "ADD-EXP",
+        "--reps", "30", "--rate", "8,16,32", "--estimates-out", str(path),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == "bench --estimates-out cannot be used with --rate\n"
+    assert not path.exists()
 
 
 def test_bench_rate(capsys):

@@ -2,6 +2,7 @@ import itertools
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,23 @@ def test_expand_to_lhs_refines_and_permutes(n, s):
         assert (np.sort(out.matrix[:, j]) == np.arange(n)).all()
     assert (expand_to_lhs(base, 3).matrix == out.matrix).all()
     assert (expand_to_lhs(base, 4).matrix != out.matrix).any()
+
+
+def test_expand_levels_overwrites_its_input():
+    # the expansion writes the fine levels over the coarse matrix: no second n x d buffer
+    fine = construct_lhs(2**18, 8, 0).matrix
+    coarse = fine // 512
+    tracemalloc.start()
+    try:
+        out = nested._expand_levels(coarse, 512, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out is coarse
+    assert peak <= 0.5 * out.nbytes
+    assert (out // 512 == fine // 512).all()
+    for j in range(out.shape[1]):
+        assert (np.sort(out[:, j]) == np.arange(2**18)).all()
 
 
 def test_expand_to_lhs_unbalanced():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -119,8 +120,22 @@ def test_placement_stays_inside_stratum(s, u):
     # (m + u) / s rounds to (m + 1) / s for u one ulp below 1, and
     # floor(m / s * s) can fall to m - 1 (1/49 * 49 < 1)
     levels = np.array([[0, 1, 2, 5, s - 2, s - 1]]) % s
-    x = _place(levels, u, s)
+    offsets = np.full(levels.shape, u)
+    x = _place(levels, offsets, s)
+    assert x is offsets  # the points overwrite the offsets
     assert (np.floor(x * s) == levels).all()
     assert (x < 1.0).all()
     for xv, m in zip(x.ravel(), levels.ravel()):
         assert Fraction(float(xv)) < Fraction(int(m) + 1, s)
+
+
+def test_to_points_memory_is_the_output_plus_columns():
+    # the output is the one n x d array built; the stratum check runs a column at a time
+    design = construct_lhs(2**18, 8, 0)
+    tracemalloc.start()
+    try:
+        points = to_points(design, "uniform", 1).points
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * points.nbytes
