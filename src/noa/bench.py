@@ -27,6 +27,7 @@ from .nested import (
     construct_oa,
     construct_tang,
     plan_noa,
+    plan_tang,
 )
 from .rng import STAGE_BENCH, STAGE_IID, derive_seed, stream
 from .sampling import PointSet, to_points
@@ -85,13 +86,22 @@ _KIND_ID = {k: i for i, k in enumerate(KINDS)}
 
 
 def kind_plan(kind: str, n: int, d: int) -> NoaPlan | int | None:
-    """What a kind needs before its first replication: noa3's plan, oa2's field order."""
+    """What a kind needs before its first replication, checked: noa3's plan, tang's s2, oa2's s.
+
+    Raises when the kind cannot be built for (n, d), as its constructor would.
+    """
     if kind == "noa3":
         return plan_noa(n, d)
+    if kind == "tang":
+        return plan_tang(n, d)
     if kind == "oa2":
         s = math.isqrt(n)
         if s * s != n or prime_power(s) is None:
             raise ConstructionError(f"oa2 needs n a square of a prime power, got n={n}")
+        if d > s + 1:
+            raise ValueError(
+                f"oa2 at s={s} levels takes at most s + 1 = {s + 1} columns, got d={d}"
+            )
         return s
     return None
 

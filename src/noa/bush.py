@@ -12,15 +12,16 @@ relies on.
 
 Only the columns a caller asks for are built, and nothing is cached: a
 strength-3 array over GF(64) has 65 columns of 262144 rows, of which the
-nested constructions use a few.  The array is column-major, and one of more
-than MAX_ENTRIES entries is refused before it is allocated.
+nested constructions use a few.  The array is column-major in
+level_dtype(s), and one of more than MAX_ENTRIES entries is refused before
+it is allocated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .designs import MAX_ENTRIES, Design
+from .designs import MAX_ENTRIES, Design, level_dtype
 from .errors import FieldOverflowError, StrengthError
 from .gf import FieldSpec
 
@@ -39,7 +40,7 @@ def bush_construct(field: FieldSpec, t: int, d: int | None = None) -> Design:
             f"Bush array of {s}^{t} rows x {d} columns exceeds {MAX_ENTRIES} entries"
         )
     lead = np.arange(s)
-    mat = np.empty((s**t, d), dtype=np.int64, order="F")
+    mat = np.empty((s**t, d), dtype=level_dtype(s), order="F")
     mat[:, 0] = np.repeat(lead, s ** (t - 1))
     add, mul = field.add_table, field.mul_table
     for x in range(d - 1):

@@ -1,12 +1,14 @@
 """Design matrices, exact strength verification, and the CSV file format.
 
 A design is an n-by-d integer matrix with a single level count s shared by
-all columns, stored column-major and read-only: every kernel reads it one
-column at a time.  Strength is verified by exhaustive counting: for every
-t-subset of columns, every level t-tuple must occur exactly n/s^t times.
-When that index is 1 (n = s^t), a t-subset is checked by testing that its
-cell indices form a permutation of 0..n-1, which by pigeonhole is the same
-condition; only a failing subset is counted cell by cell.
+all columns, stored column-major and read-only in level_dtype(s), the
+smallest unsigned dtype that holds s - 1 (1-4 bytes per entry): every
+kernel reads it one column at a time.  Strength is verified by exhaustive
+counting: for every t-subset of columns, every level t-tuple must occur
+exactly n/s^t times.  When that index is 1 (n = s^t), a t-subset is checked
+by testing that its cell indices form a permutation of 0..n-1, which by
+pigeonhole is the same condition; only a failing subset is counted cell by
+cell.
 """
 
 from __future__ import annotations
@@ -20,9 +22,23 @@ from .errors import (
     FieldOverflowError, FormatError, InternalInvariantError, NotDivisorError, StrengthError
 )
 
-# the most entries of any design or array built: 8 bytes per int64 entry, so
-# 1 GiB (GF(512) at strength 3 would need 513 GiB)
+# the most entries of any design or array built, counted in entries: a
+# design entry takes 1-4 bytes (level_dtype), a GF table or check_strength
+# buffer entry 8, so at most 1 GiB (GF(512) at strength 3 would need 513 GiB)
 MAX_ENTRIES = 1 << 27
+
+
+_LEVEL_DTYPES = tuple(map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64)))
+
+
+def level_dtype(s: int) -> np.dtype:
+    """The smallest unsigned dtype that holds the levels 0..s-1.
+
+    uint8 up to 256 levels, uint16 up to 65536, uint32 beyond; every design
+    built has s <= n <= MAX_ENTRIES.  Only a caller's or a file's s past
+    2^32 needs uint64.
+    """
+    return _LEVEL_DTYPES[(s > 1 << 8) + (s > 1 << 16) + (s > 1 << 32)]
 
 
 def check_size(n: int, d: int) -> None:
@@ -35,21 +51,25 @@ def check_size(n: int, d: int) -> None:
 class Design:
     """An n x d matrix whose entries are levels in [0, s).
 
-    The matrix is stored as a read-only column-major (Fortran-order) int64
-    array, so each column is contiguous.
+    The matrix is stored as a read-only column-major (Fortran-order) array
+    of level_dtype(s), so each column is contiguous.  The range is checked
+    on the caller's values before the cast, so -1 cannot wrap to s - 1.
     """
 
     matrix: np.ndarray
     s: int
 
     def __post_init__(self):
-        mat = np.asfortranarray(self.matrix, dtype=np.int64)
+        mat = np.asarray(self.matrix)
         if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
             raise ValueError("matrix must be 2-d and nonempty")
         if self.s < 1:
             raise ValueError("level count s must be >= 1")
-        if mat.min() < 0 or mat.max() >= self.s:
+        # unsigned entries need only the upper bound, one scan; written so
+        # that NaN fails too
+        if not ((mat.dtype.kind == "u" or mat.min() >= 0) and mat.max() < self.s):
             raise ValueError(f"entries must lie in [0, {self.s})")
+        mat = np.asfortranarray(mat, dtype=level_dtype(self.s))
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -119,14 +139,14 @@ def check_strength(design: Design, t: int) -> StrengthReport:
         while start < t - 1 and prev[start] == cols[start]:
             start += 1
         for k in range(start, t - 1):
-            if k == 0:
-                np.multiply(columns[cols[0]], s, out=prefix[0])
+            if k == 0:  # s need not fit the column's dtype
+                np.multiply(columns[cols[0]], s, out=prefix[0], dtype=np.int64)
             else:
                 np.add(prefix[k - 1], columns[cols[k]], out=prefix[k])
                 prefix[k] *= s
         prev = cols
-        if t == 1:
-            idx = columns[cols[0]]
+        if t == 1:  # a narrow index would scatter more slowly than this copy
+            idx[:] = columns[cols[0]]
         else:
             np.add(prefix[t - 2], columns[cols[-1]], out=idx)
         if seen is not None:
@@ -161,7 +181,10 @@ def collapse(design: Design, s_coarse: int) -> Design:
     step = design.s // s_coarse
     if step == 1:  # designs are immutable, so the design is its own collapse
         return design
-    return Design(design.matrix // step, s=s_coarse)
+    out = np.empty(design.matrix.shape, dtype=level_dtype(s_coarse), order="F")
+    # a typed step: step = s, at s_coarse = 1, need not fit the matrix's dtype
+    np.floor_divide(design.matrix, np.min_scalar_type(step).type(step), out=out, casting="unsafe")
+    return Design(out, s=s_coarse)
 
 
 def verify_ladder(design: Design, ladder) -> None:

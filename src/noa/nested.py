@@ -1,9 +1,9 @@
 """Nested orthogonal array construction.
 
 The main entry points are ``plan_noa``/``construct_noa`` for the strength-3
-ladder, ``construct_tang`` for the strength-2 ladder, ``construct_oa`` for a
-single randomized orthogonal array, and ``construct_lhs`` for a plain Latin
-hypercube.  All constructions are pure functions of their parameters and a
+ladder, ``plan_tang``/``construct_tang`` for the strength-2 ladder,
+``construct_oa`` for a single randomized orthogonal array, and
+``construct_lhs`` for a plain Latin hypercube.  All constructions are pure functions of their parameters and a
 single user seed, and every ladder they return has been verified.
 
 The strength-3 design is built by combining stacked copies of a strength-3
@@ -28,7 +28,7 @@ from itertools import takewhile
 import numpy as np
 
 from .bush import bush_construct
-from .designs import Design, check_size, verify_ladder
+from .designs import Design, check_size, level_dtype, verify_ladder
 from .errors import NoNontrivialPlanError, UnbalancedColumnError
 from .gf import MAX_ORDER, field_new, field_of_order, prime_power
 from .rng import STAGE_DESIGN, stream
@@ -96,22 +96,27 @@ def plan_noa(n: int, d: int) -> NoaPlan:
     return NoaPlan(n=n, d=d, s3=s3, k3=n // s3**3, p=p, c=c, b=n // (q * s3) ** 2, s2=q * s3)
 
 
-def _oa(field, t: int, d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+def _oa(field, t: int, d: int, k: int, rng: np.random.Generator, dtype) -> np.ndarray:
     """k stacked copies of d Bush columns, each copy's levels relabelled per column.
 
     The columns are the last d of the Bush array's first d + 1, so column 0
     is used only when d = s + 1 forces it, which the coarse strength-3 array
     never allows.  One draw of d * k independent permutations of the s
     levels relabels copy r's column j by the (j, r) permutation, which keeps
-    strength t.
+    strength t.  The matrix is written in dtype, which must hold s - 1: a
+    caller that goes on to larger levels in place passes their dtype.
     """
     base = bush_construct(field, t, min(d + 1, field.s + 1)).matrix[:, -d:]
     n0 = base.shape[0]
-    perms = rng.permuted(np.broadcast_to(np.arange(field.s), (d, k, field.s)), axis=2)
+    levels = np.broadcast_to(np.arange(field.s, dtype=dtype), (d, k, field.s))
+    perms = rng.permuted(levels, axis=2)  # in dtype, so the gather below writes dtype
     # (d, k, n0): entry (j, r, i) is copy r's relabel of base[i, j]; its
     # transpose is the column-major (k * n0, d) stack of the copies
     index = np.broadcast_to(base.T[:, None, :], (d, k, n0))
     return np.asfortranarray(np.take_along_axis(perms, index, axis=2).reshape(d, k * n0).T)
+
+
+_RANK_BLOCK = 1 << 16  # fine levels shuffled per call in _expand_levels: 512 KiB of intp
 
 
 def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndarray:
@@ -119,15 +124,19 @@ def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
 
     Occurrences of level i in column j become a random arrangement of
     [i*n/s, (i+1)*n/s), so every column ends up a permutation of 0..n-1 and
-    integer-dividing by n/s recovers the input.
+    integer-dividing by n/s recovers the input.  The matrix's dtype must
+    hold n - 1, i.e. be level_dtype(n) or wider.
     """
     n, d = mat.shape
     if n % s != 0:
         raise UnbalancedColumnError(f"n={n} not divisible by s={s}")
     m = n // s
-    # row lev of ranks is [lev*m, (lev+1)*m): the fine levels of level lev
-    ranks = np.arange(n, dtype=np.int64).reshape(s, m)
-    key_type = np.min_scalar_type(s - 1)  # uint8/uint16 keys sort by radix
+    # the fine levels of level lev are [lev*m, (lev+1)*m); they are shuffled
+    # a block of levels at a time, as rows of intp ranks (the dtype numpy
+    # shuffles fastest) offset by the block's first fine level
+    per_block = min(max(1, _RANK_BLOCK // m), s)
+    ranks = np.arange(per_block * m).reshape(per_block, m)
+    key_type = level_dtype(s)  # uint8/uint16 keys sort by radix
     for j in range(d):  # one column at a time: an all-column sort costs peak memory
         col = mat[:, j]
         counts = np.bincount(col, minlength=s)
@@ -138,7 +147,11 @@ def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
             )
         # the rows holding level lev are order[lev*m : (lev+1)*m]
         order = np.argsort(col.astype(key_type), kind="stable")
-        col[order] = rng.permuted(ranks, axis=1).ravel()
+        for lo in range(0, n, ranks.size):
+            block = rng.permuted(ranks[: (n - lo) // m], axis=1).ravel()
+            if lo:  # the first block's ranks are its fine levels
+                block += lo
+            col[order[lo:lo + block.size]] = block
     return mat
 
 
@@ -153,8 +166,10 @@ def _noa_levels(plan: NoaPlan, rng: np.random.Generator) -> np.ndarray:
     """The n x d matrix at s2 levels: coarse strength-3 rows plus fine rows."""
     s3, d = plan.s3, plan.d
     pc = plan.p**plan.c
-    coarse = _oa(field_of_order(s3), 3, d, plan.k3, rng)  # d <= s3
-    fine = _oa(field_new(plan.p, plan.c), 2, d, plan.b, rng)
+    # coarse is written at n levels' dtype, so the s2 levels and then the
+    # expansion to n levels stay in place
+    coarse = _oa(field_of_order(s3), 3, d, plan.k3, rng, level_dtype(plan.n))  # d <= s3
+    fine = _oa(field_new(plan.p, plan.c), 2, d, plan.b, rng, level_dtype(pc))
     fine = fine[rng.permutation(fine.shape[0])]
     # one fine row per contiguous block of s3^2 coarse rows, added in place
     # through the column-major matrix's (d, blocks, s3^2) view
@@ -180,7 +195,8 @@ def construct_oa(s: int, t: int, d: int, seed: int) -> NestedDesign:
     """
     if not 1 <= d <= s + 1:
         raise ValueError(f"need 1 <= d <= s + 1, got s={s}, d={d}")
-    design = Design(_oa(field_of_order(s), t, d, 1, stream(seed, STAGE_DESIGN)), s=s)
+    rng = stream(seed, STAGE_DESIGN)
+    design = Design(_oa(field_of_order(s), t, d, 1, rng, level_dtype(s)), s=s)
     ladder = ((s, min(t, d)),)
     verify_ladder(design, ladder)
     return NestedDesign(design=design, ladder=ladder, plan=None)
@@ -191,8 +207,10 @@ def construct_lhs(n: int, d: int, seed: int) -> Design:
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     check_size(n, d)
-    mat = np.empty((n, d), dtype=np.int64, order="F")
-    stream(seed, STAGE_DESIGN).permuted(np.broadcast_to(np.arange(n), (d, n)), axis=1, out=mat.T)
+    mat = np.empty((n, d), dtype=level_dtype(n), order="F")
+    rng = stream(seed, STAGE_DESIGN)
+    for col in mat.T:  # drawn in intp, which numpy shuffles fastest, a column at a time
+        col[:] = rng.permutation(n)
     return Design(mat, s=n)
 
 
@@ -203,20 +221,32 @@ def expand_to_lhs(design: Design, seed: int) -> Design:
     a strength-2 input this is the orthogonal-array-based Latin hypercube.
     """
     rng = stream(seed, STAGE_DESIGN)
-    return Design(_expand_levels(design.matrix.copy(order="F"), design.s, rng), s=design.n)
+    levels = design.matrix.astype(level_dtype(design.n), order="F")  # widened for n levels
+    return Design(_expand_levels(levels, design.s, rng), s=design.n)
 
 
-def construct_tang(n: int, d: int, seed: int) -> NestedDesign:
-    """Strength-2 nested design: Bush array at s2 levels expanded to n levels."""
+def plan_tang(n: int, d: int) -> int:
+    """The strength-2 nested design's s2 for (n, d).
+
+    That is the largest prime power s2 (a field order up to gf.MAX_ORDER)
+    with s2^2 | n, which must also meet the Bush bound s2 + 1 >= d.
+    """
     if n < 4 or d < 2:
         raise ValueError("need n >= 4 and d >= 2")
-    check_size(n, d)
     # the largest s2 (0 if none) is the only candidate: s2 + 1 >= d is monotone in s2
     s2 = max(_prime_power_roots(n, 2), default=0)
     if s2 + 1 < d:
         raise NoNontrivialPlanError(
             f"no prime power s2 with s2^2 | n={n} and s2 + 1 >= d={d}"
         )
+    return s2
+
+
+def construct_tang(n: int, d: int, seed: int) -> NestedDesign:
+    """Strength-2 nested design: Bush array at plan_tang's s2 levels expanded to n levels."""
+    s2 = plan_tang(n, d)
+    check_size(n, d)
     k = n // (s2 * s2)
     rng = stream(seed, STAGE_DESIGN)
-    return _expanded(_oa(field_of_order(s2), 2, d, k, rng), s2, ((n, 1), (s2, 2)), rng, None)
+    levels = _oa(field_of_order(s2), 2, d, k, rng, level_dtype(n))  # expanded in place
+    return _expanded(levels, s2, ((n, 1), (s2, 2)), rng, None)

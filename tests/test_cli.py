@@ -98,7 +98,7 @@ def test_gen_bush_too_large(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind,n", [("lhs", "1000000000000"), ("tang", "1099511627776")])
 def test_gen_design_too_large(tmp_path, capsys, kind, n):
-    # refused before any column is allocated: n x 3 int64 would be terabytes
+    # refused before any column is allocated: n x 3 entries would be terabytes
     out = tmp_path / "g.csv"
     code, stdout, err = run(capsys, "gen", "--kind", kind, "--n", n, "--d", "3", "--out", str(out))
     assert code == 2
@@ -157,6 +157,18 @@ def test_verify_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--in", str(path), "--t", "1")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("entry", ["-1", "256"])
+@pytest.mark.parametrize("argv", [("verify", "--t", "1"), ("sample",)])
+def test_out_of_range_entry_is_refused_not_wrapped(tmp_path, capsys, argv, entry):
+    # at s = 256 the levels are stored as uint8, where -1 and 256 would wrap to 255 and 0
+    path = tmp_path / "wrap.csv"
+    path.write_text(f"# noa-design v1 n=2 d=1 s=256\n0\n{entry}\n")
+    code, stdout, err = run(capsys, argv[0], "--in", str(path), *argv[1:])
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: entries must lie in [0, 256)\n"
 
 
 @pytest.mark.parametrize("argv", [("verify", "--t", "1"), ("sample",)])
@@ -287,6 +299,17 @@ NO_NOA3_PLAN_24 = (
             ("--n", "64", "--kinds", "iid,lhs,noa3", "--rate", "64,24,512"),
             NO_NOA3_PLAN_24,
             id="noa3-plan-rate",
+        ),
+        pytest.param(
+            ("--n", "24", "--d", "5", "--kinds", "iid,lhs,tang"),
+            "kind 'tang' failed for n=24, d=5: no prime power s2 with s2^2 | n=24 and s2 + 1 >= d=5",
+            id="tang-plan",
+        ),
+        pytest.param(
+            ("--n", "16", "--d", "6", "--kinds", "iid,lhs,oa2"),
+            "kind 'oa2' failed for n=16, d=6: oa2 at s=4 levels takes at most s + 1 = 5 columns, "
+            "got d=6",
+            id="oa2-columns",
         ),
     ],
 )

@@ -12,6 +12,7 @@ from noa.designs import (
     check_strength,
     collapse,
     format_design,
+    level_dtype,
     nested64_fixture,
     parse_design,
 )
@@ -27,8 +28,9 @@ def rows_design(rows, s):
 def naive_report(design, t):
     """Independent oracle: dictionary counting over explicit tuples."""
     expected = design.n / design.s**t
+    rows = design.matrix.tolist()
     for cols in itertools.combinations(range(design.d), t):
-        counts = Counter(tuple(row[list(cols)]) for row in design.matrix)
+        counts = Counter(tuple(row[c] for c in cols) for row in rows)
         for levels in itertools.product(range(design.s), repeat=t):
             if counts.get(levels, 0) != expected:
                 violation = Violation(cols, levels, counts.get(levels, 0), expected)
@@ -141,17 +143,19 @@ def test_matrix_is_column_major_whatever_the_input_layout():
 
 
 def test_check_strength_reads_columns_in_place():
-    # 262144 x 8 = 16 MiB of int64; counting needs a few n-sized buffers,
-    # not a second copy of the matrix
+    # counting at strength t needs t - 1 int64 prefixes, one int64 cell
+    # index and one flag byte per row, (8t + 1) n bytes (6.25 MiB here), and
+    # no copy of the matrix, whatever its dtype
     design = bush_construct(field_of_order(64), 3, 8)
+    n, t = design.n, 3
     tracemalloc.start()
     try:
-        rep = check_strength(design, 3)
+        rep = check_strength(design, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rep.ok and rep.lam == 1
-    assert peak < design.matrix.nbytes
+    assert peak <= (8 * t + 1) * n + 2**17
 
 
 def test_check_strength_more_cells_than_rows():
@@ -217,6 +221,82 @@ def test_design_validation():
         Design(np.array([[0, 2]]), s=2)
     with pytest.raises(ValueError):
         Design(np.array([[-1]]), s=2)
+
+
+@pytest.mark.parametrize(
+    "s,dtype",
+    [
+        (1, np.uint8),
+        (256, np.uint8),
+        (257, np.uint16),
+        (65536, np.uint16),
+        (65537, np.uint32),
+        (2**32, np.uint32),
+        (2**32 + 1, np.uint64),
+    ],
+)
+def test_level_dtype_is_the_smallest_unsigned_holding_s_minus_1(s, dtype):
+    assert level_dtype(s) == dtype
+
+
+@pytest.mark.parametrize("s", [8, 256, 300, 70000])
+def test_design_stores_its_level_dtype(s):
+    values = np.random.default_rng(s).integers(0, s, size=(50, 3))
+    for given in (values, values.astype(np.uint64), values.astype(np.int32), values.tolist()):
+        design = Design(given, s=s)
+        assert design.matrix.dtype == level_dtype(s)
+        assert (design.matrix == values).all()
+
+
+@pytest.mark.parametrize("s", [2, 256, 65536])
+def test_design_checks_range_before_the_cast(s):
+    # in uint8/uint16 storage -1 would wrap to 255 or 65535, and s to 0
+    for bad in (-1, s):
+        with pytest.raises(ValueError, match=f"entries must lie in \\[0, {s}\\)"):
+            Design(np.array([[0, 1], [bad, 1]], dtype=np.int64), s=s)
+    with pytest.raises(ValueError):
+        Design(np.array([[s]], dtype=np.uint64), s=s)
+    for bad in (np.nan, -0.5):  # nothing is cast before the check
+        with pytest.raises(ValueError):
+            Design(np.array([[0.0], [bad]]), s=s)
+
+
+def test_collapse_and_parse_store_the_level_dtype():
+    fine = bush_construct(field_of_order(256), 2, 3)  # 65536 rows at 256 levels
+    assert fine.matrix.dtype == np.uint8
+    for levels in (16, 2):
+        coarse = collapse(fine, levels)
+        assert coarse.matrix.dtype == np.uint8
+        assert (coarse.matrix == fine.matrix // (256 // levels)).all()
+    # one level: the step 256 does not fit the uint8 matrix, and every entry is 0
+    one = collapse(fine, 1)
+    assert one.matrix.dtype == np.uint8 and not one.matrix.any()
+    wide = Design(np.arange(600).reshape(300, 2) % 300, s=300)
+    assert collapse(wide, 100).matrix.dtype == np.uint8
+    loaded, _ = parse_design(format_design(wide))
+    assert loaded.matrix.dtype == np.uint16
+    assert (loaded.matrix == wide.matrix).all()
+
+
+def latin_square_oa(s):
+    """OA(s^2, 3, s, 2) for any s: columns a, b and (a + b) mod s."""
+    a, b = np.divmod(np.arange(s * s), s)
+    return np.column_stack([a, b, (a + b) % s])
+
+
+@pytest.mark.parametrize("s", [256, 300])
+def test_check_strength_at_wide_levels_matches_naive_oracle(s):
+    # s = 256 is stored as uint8 and s = 300 as uint16; the cell index s*a + b
+    # must be formed in int64, not in the column's dtype
+    design = Design(latin_square_oa(s), s=s)
+    assert design.matrix.dtype == level_dtype(s)
+    assert check_strength(design, 2) == StrengthReport(t=2, ok=True, lam=1, violation=None)
+    broken = design.matrix.copy()
+    broken[[0, -1], 2] = broken[[-1, 0], 2]  # levels 0 and s - 2 swapped in column 2
+    broken = Design(broken, s=s)
+    for t in (1, 2):
+        assert check_strength(broken, t) == naive_report(broken, t)
+    assert not check_strength(broken, 2).ok
 
 
 def test_csv_round_trip():

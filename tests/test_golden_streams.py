@@ -1,0 +1,73 @@
+"""Pinned output streams: SHA-256 digests of designs, points and bench reports.
+
+Each digest covers the exact text a user sees (design and points CSV, bench
+JSON) for a fixed seed.  A change to storage or speed must leave every digest
+as it is; a deliberate change to a random stream updates the digests here and
+says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from noa.bench import KINDS, run_bench
+from noa.designs import collapse, format_design
+from noa.nested import (
+    construct_lhs,
+    construct_noa,
+    construct_oa,
+    construct_tang,
+    expand_to_lhs,
+    plan_noa,
+)
+from noa.sampling import format_points, to_points
+
+OUTPUTS = {
+    "noa3-64-3": lambda: format_design(construct_noa(plan_noa(64, 3), 7).design),
+    "noa3-256-4": lambda: format_design(construct_noa(plan_noa(256, 4), 8).design),
+    "noa3-512-3": lambda: format_design(construct_noa(plan_noa(512, 3), 9).design),
+    "tang-64-3": lambda: format_design(construct_tang(64, 3, 7).design),
+    "tang-1024-5": lambda: format_design(construct_tang(1024, 5, 8).design),
+    "lhs-16-3": lambda: format_design(construct_lhs(16, 3, 7)),
+    "lhs-300-2": lambda: format_design(construct_lhs(300, 2, 8)),
+    "oa-8-2-9": lambda: format_design(construct_oa(8, 2, 9, 7).design),
+    "oa-5-3-4": lambda: format_design(construct_oa(5, 3, 4, 8).design),
+    "expand-oa-4-2-3": lambda: format_design(expand_to_lhs(construct_oa(4, 2, 3, 7).design, 9)),
+    # 1000 fine levels per level: the ranks are shuffled in more than one block
+    "expand-100000-100": lambda: format_design(
+        expand_to_lhs(collapse(construct_lhs(100000, 1, 3), 100), 4)
+    ),
+    "points-noa3-64-3": lambda: format_points(
+        to_points(construct_noa(plan_noa(64, 3), 7).design, "uniform", 11)
+    ),
+    "points-lhs-300-2": lambda: format_points(to_points(construct_lhs(300, 2, 8), "uniform", 12)),
+    "points-tang-64-3-mid": lambda: format_points(
+        to_points(construct_tang(64, 3, 7).design, "midpoint")
+    ),
+    "bench-64-3-s5": lambda: run_bench(64, 3, KINDS, "ADD-EXP", 50, 5).to_json(),
+    "bench-64-3-s6": lambda: run_bench(64, 3, KINDS, "ADD-EXP", 50, 6).to_json(),
+}
+
+DIGESTS = {
+    "bench-64-3-s5": "a94b3cc5d07aa7313f8041d97850eef8b4e479b39d02c8bb3f85c56ac6f14776",
+    "bench-64-3-s6": "b31a09616c1cc2c476e78247e76bf33486fb877a21c7ab76912f7806830867b3",
+    "expand-100000-100": "913d0e05921e61115fa10dc30d34c4317e82add74e29ecdac885a476d4d651a8",
+    "expand-oa-4-2-3": "389fd3bcbfcfdf5e3ad22806f72c15c30222fab612a1ec5da7587c913e32ae9f",
+    "lhs-16-3": "0cc6ce235c2ac47cc6a3b2326d52651f252c8a1f45d101d18a9d1182190b5ee3",
+    "lhs-300-2": "3387ce5618dd27b876722ff2a25887aefda5e93bc597cef15feed5524afb3ae1",
+    "noa3-256-4": "9ec23a1758c6f6b23fca14f7b569261b56195078e2c52c2f298af53e77fc1b69",
+    "noa3-512-3": "db5ee04d7ab96750948f990b753c686b8d649db69a6e7308a564df3e75ac560a",
+    "noa3-64-3": "dd6147135083662efeb6a6349fe5d58201035a014f4dcff21bd3588ace82b127",
+    "oa-5-3-4": "d89dac470f25d2140eaf48aad491616af342a255774c8aafff1d78a2218e5169",
+    "oa-8-2-9": "93c2bb9c95212b09715b25e406282de7f5c075bf5a0356b01d2cfc907f33662d",
+    "points-lhs-300-2": "5da8ff2170953e2cf6fa0cba47415719eb3fec6c97ce0ca2067607af97aef252",
+    "points-noa3-64-3": "9bd3ece67fef0fffaa77e4f098330dd9f2fb23773a5c04b39a3247dbc1ef7f2f",
+    "points-tang-64-3-mid": "5e87371721bf4fd8bccb1514c453eba450d2b349a083d020fe6a8f73819c0f9b",
+    "tang-1024-5": "a8eb217410f4bd608fd1c82648c56d01758721cf92533a72b705d69b827040c8",
+    "tang-64-3": "d33b4ef785eda07a7c32dc8b77c8691519ce967f958673cc72de3459802cfe03",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_output_stream_is_pinned(name):
+    assert hashlib.sha256(OUTPUTS[name]().encode()).hexdigest() == DIGESTS[name]

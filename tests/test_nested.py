@@ -9,7 +9,7 @@ import pytest
 
 from noa import designs, nested
 from noa.bush import bush_construct
-from noa.designs import Design, check_strength, collapse
+from noa.designs import Design, check_strength, collapse, level_dtype
 from noa.errors import (
     FieldOverflowError,
     NoNontrivialPlanError,
@@ -231,8 +231,11 @@ def test_expand_to_lhs_refines_and_permutes(n, s):
 
 
 def test_expand_levels_overwrites_its_input():
-    # the expansion writes the fine levels over the coarse matrix: no second n x d buffer
-    fine = construct_lhs(2**18, 8, 0).matrix
+    # the expansion writes the fine levels over the coarse matrix: no second
+    # n x d buffer and no n-sized int64 ranks, only intp sort orders, sort
+    # keys and 2^16-entry rank blocks, under three intp buffers of n
+    n = 2**18
+    fine = construct_lhs(n, 8, 0).matrix
     coarse = fine // 512
     tracemalloc.start()
     try:
@@ -241,10 +244,40 @@ def test_expand_levels_overwrites_its_input():
     finally:
         tracemalloc.stop()
     assert out is coarse
-    assert peak <= 0.5 * out.nbytes
+    assert peak <= 3 * np.dtype(np.intp).itemsize * n
     assert (out // 512 == fine // 512).all()
     for j in range(out.shape[1]):
         assert (np.sort(out[:, j]) == np.arange(2**18)).all()
+
+
+def test_constructors_store_the_level_dtype():
+    designs_built = [
+        (bush_construct(field_of_order(4), 2), np.uint8),
+        (construct_noa(plan_noa(64, 3), 0).design, np.uint8),
+        (construct_noa(plan_noa(512, 3), 0).design, np.uint16),
+        (construct_tang(1024, 3, 0).design, np.uint16),
+        (construct_oa(8, 2, 5, 0).design, np.uint8),
+        (construct_lhs(300, 2, 0), np.uint16),
+        (construct_lhs(65537, 1, 0), np.uint32),
+        # widened from the uint8 input's 17 levels to 289
+        (expand_to_lhs(construct_oa(17, 2, 3, 0).design, 0), np.uint16),
+    ]
+    for design, dtype in designs_built:
+        assert design.matrix.dtype == dtype == level_dtype(design.s)
+        assert design.matrix.flags.f_contiguous and not design.matrix.flags.writeable
+
+
+def test_construct_noa_memory_budget():
+    # 262144 x 8 at 262144 levels is 8 MiB of uint32; the peak is the design
+    # plus one collapse and the strength-2 counters while the ladder is checked
+    plan = plan_noa(262144, 8)
+    tracemalloc.start()
+    try:
+        construct_noa(plan, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
 
 
 def test_expand_to_lhs_unbalanced():
@@ -285,13 +318,14 @@ def test_tang_deterministic():
 def test_oa_relabelling_matches_loop():
     # reference loop over copies r and columns j, fed the same (d, k, s) draw
     field, d, k = field_of_order(4), 3, 2
-    got = nested._oa(field, 2, d, k, np.random.default_rng(5))
+    got = nested._oa(field, 2, d, k, np.random.default_rng(5), np.dtype(np.uint16))
     perms = np.random.default_rng(5).permuted(np.broadcast_to(np.arange(4), (d, k, 4)), axis=2)
     base = bush_construct(field, 2, d + 1).matrix[:, 1:]
     want = np.vstack(
         [np.column_stack([perms[j, r][base[:, j]] for j in range(d)]) for r in range(k)]
     )
     assert got.flags.f_contiguous
+    assert got.dtype == np.uint16  # written in the dtype asked for, not the field's
     assert (got == want).all()
 
 
