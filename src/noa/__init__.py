@@ -3,76 +3,39 @@
 Construction, exact strength verification, randomized sampling into the
 unit cube, and Monte Carlo variance benchmarks for nested orthogonal
 arrays, Latin hypercubes, and Bush orthogonal arrays.
+
+Each public name is imported from its module on first access (PEP 562), so
+``import noa`` alone loads none of them and a process pays only for the
+modules it uses.
 """
 
-from .bench import (
-    BenchReport,
-    Integrand,
-    KINDS,
-    RateFit,
-    estimate,
-    fit_rate,
-    make_integrand,
-    run_bench,
-)
-from .bush import bush_construct
-from .designs import (
-    Design,
-    StrengthReport,
-    Violation,
-    check_strength,
-    collapse,
-    load_design,
-    parse_design,
-    save_design,
-)
-from .gf import FieldSpec, field_new, field_of_order, is_prime, prime_power
-from .nested import (
-    NestedDesign,
-    NoaPlan,
-    construct_lhs,
-    construct_noa,
-    construct_oa,
-    construct_tang,
-    expand_to_lhs,
-    plan_noa,
-)
-from .sampling import PointSet, load_points, parse_points, save_points, to_points
+import importlib
 
-__all__ = [
-    "BenchReport",
-    "Design",
-    "FieldSpec",
-    "Integrand",
-    "KINDS",
-    "NestedDesign",
-    "NoaPlan",
-    "PointSet",
-    "RateFit",
-    "StrengthReport",
-    "Violation",
-    "bush_construct",
-    "check_strength",
-    "collapse",
-    "construct_lhs",
-    "construct_noa",
-    "construct_oa",
-    "construct_tang",
-    "estimate",
-    "expand_to_lhs",
-    "field_new",
-    "field_of_order",
-    "fit_rate",
-    "is_prime",
-    "load_design",
-    "load_points",
-    "make_integrand",
-    "parse_design",
-    "parse_points",
-    "plan_noa",
-    "prime_power",
-    "run_bench",
-    "save_design",
-    "save_points",
-    "to_points",
-]
+_MODULE_NAMES = {
+    "bench": (
+        "BenchReport", "Integrand", "KINDS", "RateFit", "estimate", "fit_rate",
+        "make_integrand", "run_bench",
+    ),
+    "bush": ("bush_construct",),
+    "designs": (
+        "Design", "StrengthReport", "Violation", "check_strength", "collapse", "load_design",
+        "parse_design", "save_design",
+    ),
+    "gf": ("FieldSpec", "field_new", "field_of_order", "is_prime", "prime_power"),
+    "nested": (
+        "NestedDesign", "NoaPlan", "construct_lhs", "construct_noa", "construct_oa",
+        "construct_tang", "expand_to_lhs", "plan_noa",
+    ),
+    "sampling": ("PointSet", "load_points", "parse_points", "save_points", "to_points"),
+}
+_HOME = {name: module for module, names in _MODULE_NAMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

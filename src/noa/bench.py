@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bush import bush_ladder
 from .designs import check_size
 from .errors import ConstructionError, DesignError, DimensionMismatchError
 from .gf import prime_power
@@ -63,7 +64,7 @@ def make_integrand(name: str, d: int) -> Integrand:
         )
     if name == "PROD-EXP":
         return Integrand(name, d, lambda x: np.exp(x).prod(axis=1), (E - 1.0) ** d)
-    raise ValueError(f"unknown integrand {name!r}")
+    raise ValueError(f"unknown integrand {name!r}, expected one of {', '.join(INTEGRANDS)}")
 
 
 INTEGRANDS = ("ADD-LIN", "ADD-EXP", "BILIN", "TRILIN", "PROD-EXP")
@@ -98,10 +99,7 @@ def kind_plan(kind: str, n: int, d: int) -> NoaPlan | int | None:
         s = math.isqrt(n)
         if s * s != n or prime_power(s) is None:
             raise ConstructionError(f"oa2 needs n a square of a prime power, got n={n}")
-        if d > s + 1:
-            raise ValueError(
-                f"oa2 at s={s} levels takes at most s + 1 = {s + 1} columns, got d={d}"
-            )
+        bush_ladder(s, 2, d)  # checks d
         return s
     return None
 

@@ -26,6 +26,17 @@ from .errors import FieldOverflowError, StrengthError
 from .gf import FieldSpec
 
 
+def bush_ladder(s: int, t: int, d: int) -> tuple[tuple[int, int], ...]:
+    """The one rung of d strength-t Bush columns over s levels, d checked.
+
+    The rung is (s, t), or (s, d) when d < t columns form a full factorial.
+    Raises ValueError unless 1 <= d <= s + 1, the array's column count.
+    """
+    if not 1 <= d <= s + 1:
+        raise ValueError(f"need 1 <= d <= s + 1 = {s + 1} columns at s={s} levels, got d={d}")
+    return ((s, min(t, d)),)
+
+
 def bush_construct(field: FieldSpec, t: int, d: int | None = None) -> Design:
     """The first d columns (all s + 1 by default) of the Bush array."""
     s = field.s
@@ -33,8 +44,7 @@ def bush_construct(field: FieldSpec, t: int, d: int | None = None) -> Design:
         d = s + 1
     if not 1 <= t <= 3:
         raise StrengthError(f"strength t={t} outside supported range [1, 3]")
-    if not 1 <= d <= s + 1:
-        raise ValueError(f"need 1 <= d <= s + 1 = {s + 1}, got d={d}")
+    bush_ladder(s, t, d)  # checks d
     if s**t * d > MAX_ENTRIES:
         raise FieldOverflowError(
             f"Bush array of {s}^{t} rows x {d} columns exceeds {MAX_ENTRIES} entries"

@@ -223,10 +223,11 @@ def format_table(magic: str, header, matrix: np.ndarray, spec: str) -> str:
 def parse_table(text: str, magic: str, keys, dtype) -> tuple[np.ndarray, dict[str, str]]:
     """The n x d body as one array of dtype, and the header, whose keys (n, d first) are integers.
 
-    The body is split and converted in one pass.  Raises FormatError on a
-    missing magic line, a token without '=', a missing or non-integer key,
-    a row count other than n, a row of other than d entries, and an entry
-    that does not convert.
+    The body is converted by one np.loadtxt call: an entry is an ASCII
+    number with optional sign and surrounding blanks, as numpy's text
+    reader takes it.  Raises FormatError on a missing magic line, a token
+    without '=', a missing or non-integer key, a row count other than n, a
+    row of other than d entries, and an entry that does not convert.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(magic):
@@ -241,21 +242,28 @@ def parse_table(text: str, magic: str, keys, dtype) -> tuple[np.ndarray, dict[st
         n, d, *_ = [int(meta[k]) for k in keys]
     except (KeyError, ValueError) as exc:
         raise FormatError(f"header must carry integer {', '.join(keys)}: {exc}") from exc
+    if d < 1:
+        raise FormatError(f"header d={d} must be >= 1")
     body = lines[1:]
     if len(body) != n:
         raise FormatError(f"expected {n} rows, found {len(body)}")
-    for ln in body:
+    if not body:
+        return np.empty((0, d), dtype=dtype), meta
+    try:
+        values = np.loadtxt(body, delimiter=",", dtype=dtype, comments=None, ndmin=2)
+    except ValueError as exc:  # numpy's message quotes the token
+        _check_row_lengths(body, d)
+        raise FormatError(f"bad entry: {exc}") from exc
+    if values.shape[1] != d:  # every row has the same, wrong, length
+        _check_row_lengths(body, d)
+    return values, meta
+
+
+def _check_row_lengths(rows, d: int) -> None:
+    """Raise FormatError naming the first row of other than d entries."""
+    for ln in rows:
         if ln.count(",") != d - 1:
             raise FormatError(f"row {ln!r} has {ln.count(',') + 1} entries, expected {d}")
-    tokens = ",".join(body).split(",") if body else []
-    try:
-        values = np.array(tokens, dtype=dtype)
-    except ValueError as exc:  # numpy's message quotes the token
-        raise FormatError(f"bad entry: {exc}") from exc
-    except OverflowError as exc:  # an integer past int64, read by int() as numpy reads it
-        big = next(t for t in tokens if not -(2**63) <= int(t) < 2**63)
-        raise FormatError(f"entry {big.strip()} outside the int64 range") from exc
-    return values.reshape(n, d), meta
 
 
 # --- design CSV format -------------------------------------------------------

@@ -27,7 +27,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .bush import bush_construct
+from .bush import bush_construct, bush_ladder
 from .designs import Design, check_size, level_dtype, verify_ladder
 from .errors import NoNontrivialPlanError, UnbalancedColumnError
 from .gf import MAX_ORDER, field_new, field_of_order, prime_power
@@ -190,14 +190,12 @@ def construct_noa(plan: NoaPlan, seed: int) -> NestedDesign:
 def construct_oa(s: int, t: int, d: int, seed: int) -> NestedDesign:
     """Randomized OA(s^t, d, s, t): Bush columns, each relabelled at random.
 
-    This is Owen's (1992) randomized orthogonal array.  Its ladder is the
-    single rung (s, t), or (s, d) when d < t columns form a full factorial.
+    This is Owen's (1992) randomized orthogonal array; its ladder is
+    bush_ladder(s, t, d).
     """
-    if not 1 <= d <= s + 1:
-        raise ValueError(f"need 1 <= d <= s + 1, got s={s}, d={d}")
+    ladder = bush_ladder(s, t, d)
     rng = stream(seed, STAGE_DESIGN)
     design = Design(_oa(field_of_order(s), t, d, 1, rng, level_dtype(s)), s=s)
-    ladder = ((s, min(t, d)),)
     verify_ladder(design, ladder)
     return NestedDesign(design=design, ladder=ladder, plan=None)
 

@@ -27,7 +27,8 @@ class PointSet:
             raise ValueError("points must be 2-d")
         # written so that NaN (which min() propagates) fails the test too
         if pts.size and not (pts.min() >= 0.0 and pts.max() < 1.0):
-            raise ValueError("coordinates must be finite and lie in [0, 1)")
+            bad = pts[~((pts >= 0.0) & (pts < 1.0))][0]
+            raise ValueError(f"coordinates must be finite and lie in [0, 1), got {float(bad)!r}")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noa
 from noa import bench
 from noa.cli import main
 from noa.designs import format_design, load_design, nested64_fixture, save_design, Design
@@ -83,7 +88,7 @@ def test_gen_bush_rejects_column_count(tmp_path, capsys, d):
     )
     assert code == 2
     assert stdout == ""
-    assert err == "gen --kind bush needs 1 <= --d <= s + 1 = 5\n"
+    assert err == f"error: need 1 <= d <= s + 1 = 5 columns at s=4 levels, got d={d}\n"
     assert not out.exists()
 
 
@@ -307,7 +312,7 @@ NO_NOA3_PLAN_24 = (
         ),
         pytest.param(
             ("--n", "16", "--d", "6", "--kinds", "iid,lhs,oa2"),
-            "kind 'oa2' failed for n=16, d=6: oa2 at s=4 levels takes at most s + 1 = 5 columns, "
+            "kind 'oa2' failed for n=16, d=6: need 1 <= d <= s + 1 = 5 columns at s=4 levels, "
             "got d=6",
             id="oa2-columns",
         ),
@@ -329,6 +334,24 @@ def test_bench_refuses_bad_input_before_any_replication(capsys, monkeypatch, arg
     assert stdout == ""
     assert err == f"error: {message}\n"
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "integrand,message",
+    [
+        (
+            "NOPE",
+            "unknown integrand 'NOPE', expected one of ADD-LIN, ADD-EXP, BILIN, TRILIN, PROD-EXP",
+        ),
+        ("TRILIN", "TRILIN needs d >= 3"),
+    ],
+)
+def test_bench_refuses_integrand_before_any_replication(capsys, monkeypatch, integrand, message):
+    monkeypatch.setattr(bench, "kind_points", None)  # refused before any replication
+    code, stdout, err = run(
+        capsys, "bench", "--n", "16", "--d", "2", "--kinds", "iid", "--integrand", integrand,
+    )
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
 
 
 def test_bench_rate_refuses_estimates_out(tmp_path, capsys, monkeypatch):
@@ -354,3 +377,39 @@ def test_bench_rate(capsys):
     assert code == 0
     out = json.loads(stdout)
     assert "slope" in out["iid"]
+
+
+@pytest.mark.parametrize(
+    "argv,unloaded",
+    [
+        (["verify", "--collapse", "4", "--t", "3"], ["noa.bench", "noa.nested", "numpy.random"]),
+        (["sample", "--out", "points.csv"], ["noa.bench", "noa.nested"]),
+    ],
+)
+def test_each_command_loads_only_its_modules(tmp_path, argv, unloaded):
+    # a fresh interpreter, as each CLI process is: a command pays only for its own imports
+    save_design(nested64_fixture(), tmp_path / "fx.csv")
+    script = (
+        "import sys\n"
+        "from noa.cli import main\n"
+        f"code = main({[argv[0], '--in', 'fx.csv', *argv[1:]]!r})\n"
+        "print(code, *sorted(sys.modules))\n"
+    )
+    src = str(Path(noa.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert "noa.designs" in modules
+    assert [name for name in unloaded if name in modules] == []
+
+
+def test_package_names_load_on_first_access():
+    namespace = {}
+    exec("from noa import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(noa.__all__)
+    assert namespace["construct_noa"] is noa.construct_noa
+    with pytest.raises(AttributeError, match="has no attribute 'construct_nothing'"):
+        noa.construct_nothing

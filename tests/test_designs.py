@@ -18,7 +18,9 @@ from noa.designs import (
 )
 from noa.errors import FormatError, NotDivisorError, StrengthError
 from noa.bush import bush_construct
+from noa.cli import main
 from noa.gf import field_of_order
+from noa.sampling import parse_points
 
 
 def rows_design(rows, s):
@@ -323,6 +325,12 @@ def test_csv_rejects_bad_header():
         parse_design("0,1\n1,0\n")
     with pytest.raises(FormatError):
         parse_design("# noa-design v1 n=x d=2 s=2\n0,1\n")
+    # with no rows, d alone shapes the table
+    for d in (0, -1):
+        with pytest.raises(FormatError, match=f"d={d} must be >= 1"):
+            parse_design(f"# noa-design v1 n=0 d={d} s=2\n")
+        with pytest.raises(FormatError, match=f"d={d} must be >= 1"):
+            parse_points(f"# noa-points v1 n=0 d={d}\n")
 
 
 def test_csv_rejects_row_count_mismatch():
@@ -333,9 +341,69 @@ def test_csv_rejects_row_count_mismatch():
         parse_design("# noa-design v1 n=2 d=2 s=2\n0,1,1\n1\n")
 
 
+@pytest.mark.parametrize("body,row", [("0\n1\n", "'0' has 1"), ("0,1,1\n1,0,1\n", "'0,1,1' has 3")])
+def test_csv_rejects_rows_all_of_the_wrong_length(body, row):
+    # every row alike converts without error, to an n x 1 or n x 3 table
+    with pytest.raises(FormatError, match=f"row {row} entries, expected 2"):
+        parse_design("# noa-design v1 n=2 d=2 s=2\n" + body)
+    with pytest.raises(FormatError, match=f"row {row} entries, expected 2"):
+        parse_points("# noa-points v1 n=2 d=2\n" + body)
+
+
 def test_csv_rejects_empty_design():
     with pytest.raises(FormatError, match="nonempty"):
         parse_design("# noa-design v1 n=0 d=2 s=2\n")
+
+
+# (kind, two rows of as many columns as the first, the rows read or the text the error names)
+CSV_GRAMMAR = [
+    ("design", " 1 ,0\n0, 1 \n", [[1, 0], [0, 1]]),
+    ("points", " 0.5 ,0\n0, 0.25 \n", [[0.5, 0.0], [0.0, 0.25]]),
+    ("design", "+3,0\n0,+1\n", [[3, 0], [0, 1]]),
+    ("points", "+0.5,0\n0,+0.25\n", [[0.5, 0.0], [0.0, 0.25]]),
+    ("design", "1,0\r\n0,1\r\n", [[1, 0], [0, 1]]),
+    ("points", "0.5,0\r\n0,0.25\r\n", [[0.5, 0.0], [0.0, 0.25]]),
+    ("design", "1,0\n\n \n0,1\n", [[1, 0], [0, 1]]),
+    ("points", "0.5,0\n\n\t\n0,0.25\n", [[0.5, 0.0], [0.0, 0.25]]),
+    ("design", "1_0,0\n0,1\n", "'1_0'"),  # int() reads 10
+    ("points", "0.2_5,0\n0,0.5\n", "'0.2_5'"),  # float() reads 0.25
+    ("design", "١,0\n0,1\n", "'١'"),  # ARABIC-INDIC DIGIT ONE
+    ("points", "٠.٥,0\n0,0.5\n", "'٠.٥'"),
+    ("design", "１,0\n0,1\n", "'１'"),  # FULLWIDTH DIGIT ONE
+    ("design", "0x1,0\n0,1\n", "'0x1'"),
+    ("points", "0x1p-1,0\n0,0.5\n", "'0x1p-1'"),
+    ("design", "1.0,0\n0,1\n", "'1.0'"),
+    ("design", "0,,1\n1,0,1\n", "''"),
+    ("points", "0,,0.5\n0.5,0,0.5\n", "''"),
+    ("points", "nan,0\n0,0.5\n", "nan"),
+    ("points", "0.5,inf\n0,0.5\n", "inf"),
+    ("points", "0.5,0\n-inf,0.5\n", "-inf"),
+]
+
+
+@pytest.mark.parametrize("kind,body,expected", CSV_GRAMMAR)
+def test_csv_token_grammar(tmp_path, capsys, kind, body, expected):
+    d = body.split("\n")[0].count(",") + 1
+    if kind == "design":
+        text = f"# noa-design v1 n=2 d={d} s=16\n" + body
+        parse = lambda text: parse_design(text)[0].matrix  # noqa: E731
+    else:
+        text = f"# noa-points v1 n=2 d={d}\n" + body
+        parse = lambda text: parse_points(text).points  # noqa: E731
+    if isinstance(expected, list):
+        assert parse(text).tolist() == expected
+        return
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert expected in str(exc.value)
+    if kind == "design":  # the CLI reads design files: exit 1 and one line
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        for argv in (["verify", "--t", "1"], ["sample"]):
+            code = main([argv[0], "--in", str(path), *argv[1:]])
+            out = capsys.readouterr()
+            assert (code, out.out) == (1, "")
+            assert out.err == f"error: {exc.value}\n"
 
 
 # --- 64-run fixture ----------------------------------------------------------

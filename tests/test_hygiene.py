@@ -16,10 +16,15 @@
   stream per copy or column (and its seeding cost) stays out of the loops;
 - no name in ``noa.__all__`` that only its definition and the tests use:
   every public name is read somewhere in the package beyond its definition
-  and ``__init__.py``, or by the benchmark in ``benchmarks/*.py``.
+  and ``__init__.py``, or by the benchmark in ``benchmarks/*.py``;
+- no module-level import in ``cli.py`` beyond ``.designs``, ``.errors`` and
+  the standard library, and none of a submodule in ``__init__.py``: each
+  command and each public name imports its modules when first used, so a
+  CLI process loads only what its command runs.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +36,7 @@ SOURCES = sorted((ROOT / "src" / "noa").glob("*.py"))
 BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
 
 
+CLI_MODULES = {"designs", "errors"}
 CACHES = {"lru_cache", "cache"}
 BROAD = {"Exception", "BaseException"}
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -60,6 +66,7 @@ def problems(path):
     yield from unused_imports(path, tree)
     yield from caches(path, tree)
     yield from streams_in_loops(path, tree)
+    yield from eager_imports(path, tree)
 
 
 def unused_imports(path, tree):
@@ -115,6 +122,36 @@ def streams_in_loops(path, tree):
     }
     for node in sorted(calls, key=lambda node: (node.lineno, node.col_offset)):
         yield f"{path.name}:{node.lineno}: stream call in a loop"
+
+
+def module_level_imports(node):
+    """The import statements run when the module is imported: those outside every function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from module_level_imports(child)
+
+
+def eager_imports(path, tree):
+    """cli.py's module-level imports past .designs, .errors and the stdlib; __init__.py's of noa."""
+    if path.name not in ("cli.py", "__init__.py"):
+        return
+    for node in module_level_imports(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif node.level:
+            names = ["." + (node.module or alias.name) for alias in node.names]
+        else:
+            names = [node.module]
+        for name in dict.fromkeys(names):
+            top = name.split(".")[0]
+            if path.name == "cli.py":
+                allowed = name[1:] in CLI_MODULES if top == "" else top in sys.stdlib_module_names
+            else:
+                allowed = top not in ("", "noa")
+            if not allowed:
+                yield f"{path.name}:{node.lineno}: module-level import of {name}"
 
 
 def unused_exports(exports, paths):
@@ -198,6 +235,44 @@ def test_rules_catch_violations(tmp_path):
         "unused import _poly_divmod",
         "stream call in a loop",
         "stream call in a loop",
+    ]
+    # only what every command needs is imported with the CLI module
+    cli = tmp_path / "cli.py"
+    cli.write_text(
+        "import argparse, json\n"
+        "import numpy as np\n"
+        "from . import bench\n"
+        "from .designs import Design\n"
+        "from .nested import plan_noa\n"
+        "from noa.gf import field_of_order\n"
+        "if np:\n"
+        "    from .sampling import to_points\n"
+        "def gen():\n"
+        "    from .nested import construct_noa\n"
+        "    return argparse, json, bench, Design, plan_noa, field_of_order, to_points, construct_noa\n"
+    )
+    assert [p.split(": ", 1)[1] for p in problems(cli)] == [
+        "module-level import of numpy",
+        "module-level import of .bench",
+        "module-level import of .nested",
+        "module-level import of noa.gf",
+        "module-level import of .sampling",
+    ]
+    # the package imports a submodule only when one of its names is first used
+    init = tmp_path / "__init__.py"
+    init.write_text(
+        "import importlib\n"
+        "from .bench import run_bench\n"
+        "from . import nested\n"
+        "import noa.gf\n"
+        "def __getattr__(name):\n"
+        "    from .designs import Design\n"
+        "    return importlib.import_module('.gf', __name__), Design\n"
+    )
+    assert [p.split(": ", 1)[1] for p in problems(init)] == [
+        "module-level import of .bench",
+        "module-level import of .nested",
+        "module-level import of noa.gf",
     ]
 
 
