@@ -17,19 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bush import bush_ladder
+from . import nested
 from .designs import check_size
 from .errors import ConstructionError, DesignError, DimensionMismatchError
-from .gf import prime_power
-from .nested import (
-    NoaPlan,
-    construct_lhs,
-    construct_noa,
-    construct_oa,
-    construct_tang,
-    plan_noa,
-    plan_tang,
-)
 from .rng import STAGE_BENCH, STAGE_IID, derive_seed, stream
 from .sampling import PointSet, to_points
 
@@ -86,44 +76,17 @@ KINDS = ("iid", "lhs", "oa2", "tang", "noa3")
 _KIND_ID = {k: i for i, k in enumerate(KINDS)}
 
 
-def kind_plan(kind: str, n: int, d: int) -> NoaPlan | int | None:
-    """What a kind needs before its first replication, checked: noa3's plan, tang's s2, oa2's s.
-
-    Raises when the kind cannot be built for (n, d), as its constructor would.
-    """
-    if kind == "noa3":
-        return plan_noa(n, d)
-    if kind == "tang":
-        return plan_tang(n, d)
-    if kind == "oa2":
-        s = math.isqrt(n)
-        if s * s != n or prime_power(s) is None:
-            raise ConstructionError(f"oa2 needs n a square of a prime power, got n={n}")
-        bush_ladder(s, 2, d)  # checks d
-        return s
-    return None
-
-
-def kind_points(
-    kind: str, n: int, d: int, seed: int, plan: NoaPlan | int | None = None
-) -> PointSet:
+def kind_points(kind: str, n: int, d: int, seed: int, plan: nested.Plan | None = None) -> PointSet:
     """One randomized point set of the given kind, a pure function of seed.
 
-    plan is kind_plan(kind, n, d), made here when it is not given.
+    plan is nested.plan(kind, n, d), made here when it is not given; iid
+    has none.
     """
-    if plan is None:
-        plan = kind_plan(kind, n, d)
     if kind == "iid":
         return PointSet(stream(seed, STAGE_IID).random((n, d)))
-    if kind == "lhs":
-        return to_points(construct_lhs(n, d, seed), "uniform", seed)
-    if kind == "oa2":
-        return to_points(construct_oa(plan, 2, d, seed).design, "uniform", seed)
-    if kind == "tang":
-        return to_points(construct_tang(n, d, seed).design, "uniform", seed)
-    if kind == "noa3":
-        return to_points(construct_noa(plan, seed).design, "uniform", seed)
-    raise ValueError(f"unknown design kind {kind!r}")
+    if plan is None:
+        plan = nested.plan(kind, n, d)
+    return to_points(nested.construct(plan, seed).design, "uniform", seed)
 
 
 # --- benchmark driver --------------------------------------------------------
@@ -143,7 +106,8 @@ def _labelled(kind: str, n: int, d: int):
 def check_inputs(ns, d: int, kinds, reps: int) -> dict:
     """Refuse bad run counts, sizes, kind names or plans before any replication is built.
 
-    Returns kind_plan(kind, n, d) keyed by (kind, n), for every kind and n.
+    Returns nested.plan(kind, n, d) (None for iid) keyed by (kind, n), for
+    every kind and n.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -158,7 +122,7 @@ def check_inputs(ns, d: int, kinds, reps: int) -> dict:
     for kind in kinds:
         for n in ns:
             with _labelled(kind, n, d):
-                plans[kind, n] = kind_plan(kind, n, d)
+                plans[kind, n] = None if kind == "iid" else nested.plan(kind, n, d)
     return plans
 
 
@@ -213,8 +177,11 @@ def run_bench(
     reps: int,
     seed: int,
 ) -> BenchReport:
-    """Estimate the integrand with `reps` fresh designs of each kind, inputs checked first."""
-    kinds = list(kinds)
+    """Estimate the integrand with `reps` fresh designs of each kind, inputs checked first.
+
+    A kind named more than once is run once.
+    """
+    kinds = list(dict.fromkeys(kinds))
     plans = check_inputs((n,), d, kinds, reps)
     f = make_integrand(integrand, d) if isinstance(integrand, str) else integrand
     results: dict[str, KindStats] = {}

@@ -27,13 +27,22 @@ from .gf import FieldSpec
 
 
 def bush_ladder(s: int, t: int, d: int) -> tuple[tuple[int, int], ...]:
-    """The one rung of d strength-t Bush columns over s levels, d checked.
+    """The one rung of d strength-t Bush columns over s levels, its inputs checked.
 
     The rung is (s, t), or (s, d) when d < t columns form a full factorial.
-    Raises ValueError unless 1 <= d <= s + 1, the array's column count.
+    Raises ValueError unless 1 <= d <= s + 1, the array's column count,
+    StrengthError unless 1 <= t <= 3, and FieldOverflowError when the array
+    would exceed MAX_ENTRIES entries; none of it needs the field, so every
+    caller checks before the field's tables are built.
     """
     if not 1 <= d <= s + 1:
         raise ValueError(f"need 1 <= d <= s + 1 = {s + 1} columns at s={s} levels, got d={d}")
+    if not 1 <= t <= 3:
+        raise StrengthError(f"strength t={t} outside supported range [1, 3]")
+    if s**t * d > MAX_ENTRIES:
+        raise FieldOverflowError(
+            f"Bush array of {s}^{t} rows x {d} columns exceeds {MAX_ENTRIES} entries"
+        )
     return ((s, min(t, d)),)
 
 
@@ -42,13 +51,7 @@ def bush_construct(field: FieldSpec, t: int, d: int | None = None) -> Design:
     s = field.s
     if d is None:
         d = s + 1
-    if not 1 <= t <= 3:
-        raise StrengthError(f"strength t={t} outside supported range [1, 3]")
-    bush_ladder(s, t, d)  # checks d
-    if s**t * d > MAX_ENTRIES:
-        raise FieldOverflowError(
-            f"Bush array of {s}^{t} rows x {d} columns exceeds {MAX_ENTRIES} entries"
-        )
+    bush_ladder(s, t, d)  # checks d, t and the size
     lead = np.arange(s)
     mat = np.empty((s**t, d), dtype=level_dtype(s), order="F")
     mat[:, 0] = np.repeat(lead, s ** (t - 1))

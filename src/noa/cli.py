@@ -31,7 +31,7 @@ _EXIT_CODES = {
 def _cmd_gen(args) -> int:
     from .bush import bush_construct, bush_ladder
     from .gf import field_of_order
-    from .nested import construct_lhs, construct_noa, construct_tang, plan_noa
+    from .nested import construct, plan
 
     seed = args.seed
     if args.kind == "bush":
@@ -39,21 +39,14 @@ def _cmd_gen(args) -> int:
             print("gen --kind bush requires --s and --t", file=sys.stderr)
             return EXIT_PLAN
         d = args.s + 1 if args.d is None else args.d
-        ladder = bush_ladder(args.s, args.t, d)
+        ladder = bush_ladder(args.s, args.t, d)  # checked before the field is built
         design = bush_construct(field_of_order(args.s), args.t, d)
         verify_ladder(design, ladder)
     elif args.n is None or args.d is None:
         print(f"gen --kind {args.kind} requires --n and --d", file=sys.stderr)
         return EXIT_PLAN
-    elif args.kind == "lhs":
-        design = construct_lhs(args.n, args.d, seed)
-        ladder = ((args.n, 1),)
-        verify_ladder(design, ladder)
-    else:  # tang and noa3 verify their own ladders
-        if args.kind == "tang":
-            nd = construct_tang(args.n, args.d, seed)
-        else:
-            nd = construct_noa(plan_noa(args.n, args.d), seed)
+    else:  # every construction verifies its own ladder
+        nd = construct(plan(args.kind, args.n, args.d), seed)
         design, ladder = nd.design, nd.ladder
     if args.out:
         extra = {"seed": str(seed), "ladder": ";".join(f"({lv},{t})" for lv, t in ladder)}
@@ -95,7 +88,8 @@ def _cmd_bench(args) -> int:
 
     from . import bench as bench_mod
 
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+    # each kind once, so --rate also fits each kind once
+    kinds = list(dict.fromkeys(k.strip() for k in args.kinds.split(",") if k.strip()))
     if not kinds:
         print("bench --kinds names no design kind", file=sys.stderr)
         return EXIT_PLAN

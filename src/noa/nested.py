@@ -1,27 +1,29 @@
 """Nested orthogonal array construction.
 
-The main entry points are ``plan_noa``/``construct_noa`` for the strength-3
-ladder, ``plan_tang``/``construct_tang`` for the strength-2 ladder,
-``construct_oa`` for a single randomized orthogonal array, and
-``construct_lhs`` for a plain Latin hypercube.  All constructions are pure functions of their parameters and a
-single user seed, and every ladder they return has been verified.
+Every design kind (``lhs``, ``oa2``, ``tang``, ``noa3``) is planned by
+``plan(kind, n, d)`` and built by ``construct(plan, seed)``;
+``construct_oa`` builds a single randomized orthogonal array of any
+strength.  All constructions are pure functions of their parameters and a
+single user seed, and every ladder they return, the Latin hypercube's
+included, has been verified.
 
 The strength-3 design is built by combining stacked copies of a strength-3
 Bush array at s3 levels (first column discarded, so rows sharing a leading
 coefficient form contiguous blocks of s3^2 rows that are strength 2 on the
 remaining columns) with stacked, shuffled copies of a strength-2 Bush array
-at p^c levels, one row per block: out = coarse * p^c + fine.  The result
-has s2 = p^c * s3 levels, keeps strength 3 under the coarse strata, gains
+at q = p^c levels, one row per block: out = coarse * q + fine.  The result
+has s2 = q * s3 levels, keeps strength 3 under the coarse strata, gains
 strength 2 at s2, and is then expanded to n distinct levels per column to
 add the Latin hypercube rung.
 
-``plan_noa`` enumerates every pair of field orders (s3, p^c) that this
+The noa3 planner enumerates every pair of field orders (s3, q) that this
 construction can build for (n, d) and takes the one with the largest s3,
 then the largest s2; s2 itself need not be a prime power.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import takewhile
 
@@ -29,34 +31,45 @@ import numpy as np
 
 from .bush import bush_construct, bush_ladder
 from .designs import Design, check_size, level_dtype, verify_ladder
-from .errors import NoNontrivialPlanError, UnbalancedColumnError
-from .gf import MAX_ORDER, field_new, field_of_order, prime_power
+from .errors import ConstructionError, NoNontrivialPlanError, UnbalancedColumnError
+from .gf import MAX_ORDER, field_of_order, prime_power
 from .rng import STAGE_DESIGN, stream
 
 
 @dataclass(frozen=True)
-class NoaPlan:
-    """Parameter ladder for an n-run, d-factor strength-3 nested design.
+class Plan:
+    """A design kind for n runs and d factors, and the ladder its construction guarantees.
 
-    Identities: k3 * s3^3 = n, b * p^(2c) = k3 * s3, s2 = p^c * s3,
-    n / s2^2 = b.
+    The ladder's (levels, strength) rungs each have index n/levels^t: lhs
+    ((n, 1),), a Latin hypercube; oa2 bush_ladder(s, 2, d) with n = s^2,
+    Owen's (1992) randomized orthogonal array; tang ((n, 1), (s2, 2)),
+    Tang's (1993) OA-based Latin hypercube; noa3 ((n, 1), (s2, 2), (s3, 3)).
     """
 
+    kind: str
     n: int
     d: int
-    s3: int
-    k3: int
-    p: int
-    c: int
-    b: int
-    s2: int
+    ladder: tuple[tuple[int, int], ...]
+
+    def _levels(self, t: int) -> int:
+        for levels, strength in self.ladder:
+            if strength == t:
+                return levels
+        raise AttributeError(f"a {self.kind} plan has no strength-{t} rung")
+
+    @property
+    def s2(self) -> int:
+        return self._levels(2)
+
+    @property
+    def s3(self) -> int:
+        return self._levels(3)
 
 
 @dataclass(frozen=True)
 class NestedDesign:
     design: Design
     ladder: tuple[tuple[int, int], ...]  # (levels, strength) pairs
-    plan: NoaPlan | None = None
 
 
 def _prime_power_roots(n: int, k: int) -> list[int]:
@@ -65,15 +78,38 @@ def _prime_power_roots(n: int, k: int) -> list[int]:
     return [q for q in qs if n % q**k == 0 and prime_power(q) is not None]
 
 
-def plan_noa(n: int, d: int) -> NoaPlan:
-    """The buildable plan for (n, d) with the largest s3, then the largest s2.
+def plan(kind: str, n: int, d: int) -> Plan:
+    """The plan of a design kind for (n, d); raises when the kind cannot be built.
 
-    A plan is a pair of prime powers s3 and q = p^c, both field orders up to
-    gf.MAX_ORDER, with s3 >= d, s3^3 | n, q + 1 >= d and q^2 | n / s3^2
-    (the Bush bound at each field and the NoaPlan identities).  Every such
-    pair is enumerated; s2 = q * s3 need not be a prime power, e.g. n=108,
-    d=3 gives s3=3, q=2, s2=6.
+    lhs takes any n, d >= 1; oa2 n = s^2 for a prime power s and d <= s + 1.
+    tang takes the largest prime power s2 with s2^2 | n, which must meet the
+    Bush bound s2 + 1 >= d.  noa3 enumerates every pair of prime powers s3
+    and q with s3 >= d, s3^3 | n, q + 1 >= d and q^2 | n / s3^2, and takes
+    the largest s3, then the largest s2 = q * s3, which need not be a prime
+    power (n=108, d=3 gives s3=3, q=2, s2=6).  Field orders are at most
+    gf.MAX_ORDER.
     """
+    if kind == "lhs":
+        if n < 1 or d < 1:
+            raise ValueError("n and d must be >= 1")
+        return Plan(kind, n, d, ((n, 1),))
+    if kind == "oa2":
+        s = math.isqrt(n)
+        if s * s != n or prime_power(s) is None:
+            raise ConstructionError(f"oa2 needs n a square of a prime power, got n={n}")
+        return Plan(kind, n, d, bush_ladder(s, 2, d))
+    if kind == "tang":
+        if n < 4 or d < 2:
+            raise ValueError("need n >= 4 and d >= 2")
+        # the largest s2 (0 if none) is the only candidate: s2 + 1 >= d is monotone in s2
+        s2 = max(_prime_power_roots(n, 2), default=0)
+        if s2 + 1 < d:
+            raise NoNontrivialPlanError(
+                f"no prime power s2 with s2^2 | n={n} and s2 + 1 >= d={d}"
+            )
+        return Plan(kind, n, d, ((n, 1), (s2, 2)))
+    if kind != "noa3":
+        raise ValueError(f"unknown design kind {kind!r}")
     if n < 8:
         raise ValueError(f"n={n} must be >= 8")
     if d < 3:
@@ -92,8 +128,12 @@ def plan_noa(n: int, d: int) -> NoaPlan:
             "(consider the strength-2 construction instead)"
         )
     s3, q = max(plans)
-    p, c = prime_power(q)
-    return NoaPlan(n=n, d=d, s3=s3, k3=n // s3**3, p=p, c=c, b=n // (q * s3) ** 2, s2=q * s3)
+    return Plan(kind, n, d, ((n, 1), (q * s3, 2), (s3, 3)))
+
+
+def plan_noa(n: int, d: int) -> Plan:
+    """The strength-3 nested design's plan: plan("noa3", n, d)."""
+    return plan("noa3", n, d)
 
 
 def _oa(field, t: int, d: int, k: int, rng: np.random.Generator, dtype) -> np.ndarray:
@@ -155,36 +195,63 @@ def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
     return mat
 
 
-def _expanded(levels: np.ndarray, s: int, ladder, rng: np.random.Generator, plan) -> NestedDesign:
-    """Expand an n x d matrix at s levels to n levels, in place, and verify the ladder."""
-    design = Design(_expand_levels(levels, s, rng), s=levels.shape[0])
-    verify_ladder(design, ladder)
-    return NestedDesign(design=design, ladder=ladder, plan=plan)
-
-
-def _noa_levels(plan: NoaPlan, rng: np.random.Generator) -> np.ndarray:
+def _noa_levels(plan: Plan, rng: np.random.Generator) -> np.ndarray:
     """The n x d matrix at s2 levels: coarse strength-3 rows plus fine rows."""
-    s3, d = plan.s3, plan.d
-    pc = plan.p**plan.c
+    n, d, s2, s3 = plan.n, plan.d, plan.s2, plan.s3
+    q = s2 // s3  # the fine field's order
     # coarse is written at n levels' dtype, so the s2 levels and then the
-    # expansion to n levels stay in place
-    coarse = _oa(field_of_order(s3), 3, d, plan.k3, rng, level_dtype(plan.n))  # d <= s3
-    fine = _oa(field_new(plan.p, plan.c), 2, d, plan.b, rng, level_dtype(pc))
+    # expansion to n levels stay in place; k3 = n / s3^3 copies, d <= s3
+    coarse = _oa(field_of_order(s3), 3, d, n // s3**3, rng, level_dtype(n))
+    fine = _oa(field_of_order(q), 2, d, n // s2**2, rng, level_dtype(q))  # b = n / s2^2 copies
     fine = fine[rng.permutation(fine.shape[0])]
     # one fine row per contiguous block of s3^2 coarse rows, added in place
     # through the column-major matrix's (d, blocks, s3^2) view
     blocks = coarse.T.reshape(d, -1, s3 * s3)
-    blocks *= pc
+    blocks *= q
     blocks += fine.T[:, :, None]
     return coarse
 
 
-def construct_noa(plan: NoaPlan, seed: int) -> NestedDesign:
-    """Build the strength-3 nested design for a plan, deterministically per seed."""
+def _build(plan: Plan, rng: np.random.Generator) -> Design:
+    """The design of an lhs, tang or noa3 plan, drawn from rng and not yet verified."""
+    n, d = plan.n, plan.d
+    if plan.kind == "lhs":
+        mat = np.empty((n, d), dtype=level_dtype(n), order="F")
+        for col in mat.T:  # drawn in intp, which numpy shuffles fastest, a column at a time
+            col[:] = rng.permutation(n)
+        return Design(mat, s=n)
+    if plan.kind == "tang":
+        s2 = plan.s2
+        levels = _oa(field_of_order(s2), 2, d, n // (s2 * s2), rng, level_dtype(n))
+    else:
+        levels = _noa_levels(plan, rng)
+    # both are written at n levels' dtype, so they expand in place
+    return Design(_expand_levels(levels, plan.s2, rng), s=n)
+
+
+def construct(plan: Plan, seed: int) -> NestedDesign:
+    """Build a plan's design, deterministically per seed, and verify its ladder."""
     check_size(plan.n, plan.d)
-    ladder = ((plan.n, 1), (plan.s2, 2), (plan.s3, 3))
-    rng = stream(seed, STAGE_DESIGN)
-    return _expanded(_noa_levels(plan, rng), plan.s2, ladder, rng, plan)
+    if plan.kind == "oa2":
+        return construct_oa(plan.ladder[0][0], 2, plan.d, seed)  # the rung holds s
+    design = _build(plan, stream(seed, STAGE_DESIGN))
+    verify_ladder(design, plan.ladder)
+    return NestedDesign(design, plan.ladder)
+
+
+def construct_noa(plan: Plan, seed: int) -> NestedDesign:
+    """Build the strength-3 nested design for a plan_noa plan."""
+    return construct(plan, seed)
+
+
+def construct_tang(n: int, d: int, seed: int) -> NestedDesign:
+    """Strength-2 nested design: Bush array at s2 levels expanded to n levels."""
+    return construct(plan("tang", n, d), seed)
+
+
+def construct_lhs(n: int, d: int, seed: int) -> Design:
+    """Latin hypercube: each column an independent uniform permutation of 0..n-1."""
+    return construct(plan("lhs", n, d), seed).design
 
 
 def construct_oa(s: int, t: int, d: int, seed: int) -> NestedDesign:
@@ -197,19 +264,7 @@ def construct_oa(s: int, t: int, d: int, seed: int) -> NestedDesign:
     rng = stream(seed, STAGE_DESIGN)
     design = Design(_oa(field_of_order(s), t, d, 1, rng, level_dtype(s)), s=s)
     verify_ladder(design, ladder)
-    return NestedDesign(design=design, ladder=ladder, plan=None)
-
-
-def construct_lhs(n: int, d: int, seed: int) -> Design:
-    """Latin hypercube: each column an independent uniform permutation of 0..n-1."""
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
-    check_size(n, d)
-    mat = np.empty((n, d), dtype=level_dtype(n), order="F")
-    rng = stream(seed, STAGE_DESIGN)
-    for col in mat.T:  # drawn in intp, which numpy shuffles fastest, a column at a time
-        col[:] = rng.permutation(n)
-    return Design(mat, s=n)
+    return NestedDesign(design, ladder)
 
 
 def expand_to_lhs(design: Design, seed: int) -> Design:
@@ -221,30 +276,3 @@ def expand_to_lhs(design: Design, seed: int) -> Design:
     rng = stream(seed, STAGE_DESIGN)
     levels = design.matrix.astype(level_dtype(design.n), order="F")  # widened for n levels
     return Design(_expand_levels(levels, design.s, rng), s=design.n)
-
-
-def plan_tang(n: int, d: int) -> int:
-    """The strength-2 nested design's s2 for (n, d).
-
-    That is the largest prime power s2 (a field order up to gf.MAX_ORDER)
-    with s2^2 | n, which must also meet the Bush bound s2 + 1 >= d.
-    """
-    if n < 4 or d < 2:
-        raise ValueError("need n >= 4 and d >= 2")
-    # the largest s2 (0 if none) is the only candidate: s2 + 1 >= d is monotone in s2
-    s2 = max(_prime_power_roots(n, 2), default=0)
-    if s2 + 1 < d:
-        raise NoNontrivialPlanError(
-            f"no prime power s2 with s2^2 | n={n} and s2 + 1 >= d={d}"
-        )
-    return s2
-
-
-def construct_tang(n: int, d: int, seed: int) -> NestedDesign:
-    """Strength-2 nested design: Bush array at plan_tang's s2 levels expanded to n levels."""
-    s2 = plan_tang(n, d)
-    check_size(n, d)
-    k = n // (s2 * s2)
-    rng = stream(seed, STAGE_DESIGN)
-    levels = _oa(field_of_order(s2), 2, d, k, rng, level_dtype(n))  # expanded in place
-    return _expanded(levels, s2, ((n, 1), (s2, 2)), rng, None)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from noa import bench
+from noa import bench, nested
 from noa.bench import (
     INTEGRANDS,
     estimate,
@@ -151,3 +151,30 @@ def test_unbiased_small():
     for st in rep.results.values():
         se = math.sqrt(st.var / rep.reps)
         assert abs(st.mean - rep.true_integral) < 5 * se
+
+
+def counting(monkeypatch, module, name):
+    """Patch module.name with a wrapper that records each call; returns the record."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_run_bench_runs_each_kind_once(monkeypatch):
+    once = run_bench(16, 3, ["lhs"], "ADD-EXP", 10, 3).to_json()
+    calls = counting(monkeypatch, bench, "kind_points")
+    assert run_bench(16, 3, ["lhs", "lhs"], "ADD-EXP", 10, 3).to_json() == once
+    assert len(calls) == 10
+
+
+def test_run_bench_plans_each_kind_once(monkeypatch):
+    # the plan made before the first replication is the one every replication builds
+    calls = counting(monkeypatch, nested, "_prime_power_roots")
+    run_bench(64, 3, ["tang"], "ADD-EXP", 20, 0)
+    assert calls == [(64, 2)]

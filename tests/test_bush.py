@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from noa import bush
+from noa import bush, gf
 from noa.bush import bush_construct
 from noa.designs import Design, check_strength
 from noa.errors import FieldOverflowError, StrengthError
 from noa.gf import field_of_order
+from noa.nested import construct_oa
 
 PRIME_POWERS_9 = [2, 3, 4, 5, 7, 8, 9]
 
@@ -93,6 +94,18 @@ def test_size_refused_before_allocation(monkeypatch):
     assert bush_construct(field_of_order(4), 2, 2).matrix.size == 32
     with pytest.raises(FieldOverflowError):
         bush_construct(field_of_order(4), 2, 3)
+
+
+def test_inputs_refused_before_the_field_is_built(monkeypatch):
+    # GF(4096)'s tables take 256 MiB: a Bush array refused anyway is refused
+    # before any field is built, so no field is needed to refuse it
+    monkeypatch.setattr(gf, "field_new", None)
+    with pytest.raises(FieldOverflowError, match="4096\\^3 rows x 3 columns exceeds"):
+        construct_oa(4096, 3, 3, 0)
+    with pytest.raises(StrengthError):
+        construct_oa(4096, 4, 3, 0)
+    with pytest.raises(ValueError):
+        construct_oa(4096, 2, 4098, 0)
 
 
 def horner_rows(field, t, d):

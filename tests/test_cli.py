@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import noa
-from noa import bench
+from noa import bench, gf
 from noa.cli import main
 from noa.designs import format_design, load_design, nested64_fixture, save_design, Design
 from noa.sampling import load_points
@@ -99,6 +99,14 @@ def test_gen_bush_too_large(tmp_path, capsys):
     assert stdout == ""
     assert err == "error: Bush array of 512^3 rows x 513 columns exceeds 134217728 entries\n"
     assert not out.exists()
+
+
+def test_gen_bush_refused_before_the_field(capsys, monkeypatch):
+    # GF(4096) would take 256 MiB of tables; the size is refused without them
+    monkeypatch.setattr(gf, "field_new", None)
+    code, stdout, err = run(capsys, "gen", "--kind", "bush", "--s", "4096", "--t", "2")
+    assert (code, stdout) == (2, "")
+    assert err == "error: Bush array of 4096^2 rows x 4097 columns exceeds 134217728 entries\n"
 
 
 @pytest.mark.parametrize("kind,n", [("lhs", "1000000000000"), ("tang", "1099511627776")])
@@ -233,6 +241,18 @@ def test_bench_json(capsys):
     report = json.loads(stdout)
     assert set(report["kinds"]) == {"iid", "lhs"}
     assert report["kinds"]["iid"]["r"] == 20
+
+
+def test_bench_takes_each_kind_once(capsys, monkeypatch):
+    argv = ("bench", "--n", "16", "--d", "3", "--integrand", "ADD-EXP", "--reps", "5")
+    _, once, _ = run(capsys, *argv, "--kinds", "iid,lhs")
+    code, twice, _ = run(capsys, *argv, "--kinds", "iid,lhs,iid,lhs")
+    assert code == 0 and twice == once
+    fits = []
+    fit_rate = bench.fit_rate
+    monkeypatch.setattr(bench, "fit_rate", lambda *args: fits.append(args[2]) or fit_rate(*args))
+    code, stdout, _ = run(capsys, *argv, "--kinds", "lhs,lhs", "--rate", "8,16,32")
+    assert code == 0 and list(json.loads(stdout)) == fits == ["lhs"]
 
 
 def test_bench_degenerate_reps(capsys):

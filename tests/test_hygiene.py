@@ -20,7 +20,11 @@
 - no module-level import in ``cli.py`` beyond ``.designs``, ``.errors`` and
   the standard library, and none of a submodule in ``__init__.py``: each
   command and each public name imports its modules when first used, so a
-  CLI process loads only what its command runs.
+  CLI process loads only what its command runs;
+- no comparison with a design-kind name (``"lhs"``, ``"oa2"``, ``"tang"``,
+  ``"noa3"``) outside ``nested.py``: ``nested.plan`` and
+  ``nested.construct`` are the one dispatch on the kind, so it cannot grow
+  back in ``bench`` or ``cli``.
 """
 
 import ast
@@ -39,6 +43,7 @@ BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
 CLI_MODULES = {"designs", "errors"}
 CACHES = {"lru_cache", "cache"}
 BROAD = {"Exception", "BaseException"}
+KIND_NAMES = {"lhs", "oa2", "tang", "noa3"}
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -67,6 +72,7 @@ def problems(path):
     yield from caches(path, tree)
     yield from streams_in_loops(path, tree)
     yield from eager_imports(path, tree)
+    yield from kind_comparisons(path, tree)
 
 
 def unused_imports(path, tree):
@@ -154,6 +160,19 @@ def eager_imports(path, tree):
                 yield f"{path.name}:{node.lineno}: module-level import of {name}"
 
 
+def kind_comparisons(path, tree):
+    """Every design-kind name compared with, in a module other than nested.py."""
+    if path.name == "nested.py":
+        return
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        for operand in (node.left, *node.comparators):
+            for const in ast.walk(operand):
+                if isinstance(const, ast.Constant) and const.value in KIND_NAMES:
+                    yield f"{path.name}:{node.lineno}: compares with kind {const.value!r}"
+
+
 def unused_exports(exports, paths):
     """The exported names that no module in paths reads, imports or looks up."""
     used = set()
@@ -222,6 +241,8 @@ def test_rules_catch_violations(tmp_path):
         "    while rng:\n"
         "        rng = stream(0, j)\n"
         "gens = [rng.stream(j) for j in range(3)]\n"
+        "if kind == 'tang' or kind in ('iid', 'noa3') or kind != 'bush':\n"
+        "    pass\n"
     )
     assert [p.split(": ", 1)[1] for p in problems(bad)] == [
         "imports private nested._oa",
@@ -235,6 +256,8 @@ def test_rules_catch_violations(tmp_path):
         "unused import _poly_divmod",
         "stream call in a loop",
         "stream call in a loop",
+        "compares with kind 'tang'",
+        "compares with kind 'noa3'",
     ]
     # only what every command needs is imported with the CLI module
     cli = tmp_path / "cli.py"

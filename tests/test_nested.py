@@ -6,11 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noa import designs, nested
 from noa.bush import bush_construct
 from noa.designs import Design, check_strength, collapse, level_dtype
 from noa.errors import (
+    DesignError,
     FieldOverflowError,
     NoNontrivialPlanError,
     NotPrimeError,
@@ -18,6 +21,7 @@ from noa.errors import (
 )
 from noa.gf import MAX_ORDER, field_of_order, is_prime, prime_power
 from noa.nested import (
+    Plan,
     _prime_power_roots,
     construct_lhs,
     construct_noa,
@@ -28,8 +32,19 @@ from noa.nested import (
 )
 
 
+def noa_params(plan):
+    """(s3, k3, p, c, b, s2) of a noa3 plan, derived from its ladder.
+
+    k3 = n / s3^3 copies of the coarse array, the fine field's order
+    q = p^c = s2 / s3, and b = n / s2^2 copies of the fine array.
+    """
+    n, s2, s3 = plan.n, plan.s2, plan.s3
+    p, c = prime_power(s2 // s3)
+    return (s3, n // s3**3, p, c, n // s2**2, s2)
+
+
 def brute_force_plan(n, d):
-    """Independent plain-loop enumeration of the NoaPlan identities.
+    """Independent plain-loop enumeration of the noa3 plan identities.
 
     Every (s3, p, c) with k3 * s3^3 = n, b * p^(2c) = k3 * s3, s3 >= d and
     p^c + 1 >= d is a candidate; the largest s3, then the largest p^c, wins.
@@ -69,10 +84,12 @@ def brute_force_plan(n, d):
 )
 def test_plan_examples(n, d, expected):
     plan = plan_noa(n, d)
-    assert (plan.s3, plan.k3, plan.p, plan.c, plan.b, plan.s2) == expected
-    assert plan.k3 * plan.s3**3 == n
-    assert plan.b * plan.p ** (2 * plan.c) == plan.k3 * plan.s3
-    assert n % plan.s2**2 == 0 and n // plan.s2**2 == plan.b
+    s3, k3, p, c, b, s2 = noa_params(plan)
+    assert (s3, k3, p, c, b, s2) == expected
+    assert plan.ladder == ((n, 1), (s2, 2), (s3, 3))
+    assert k3 * s3**3 == n
+    assert b * p ** (2 * c) == k3 * s3
+    assert n % s2**2 == 0 and n // s2**2 == b
 
 
 def test_plan_no_nontrivial():
@@ -89,8 +106,7 @@ def test_plan_matches_brute_force():
             with pytest.raises(NoNontrivialPlanError):
                 plan_noa(n, d)
         else:
-            plan = plan_noa(n, d)
-            assert (plan.s3, plan.k3, plan.p, plan.c, plan.b, plan.s2) == oracle
+            assert noa_params(plan_noa(n, d)) == oracle
 
 
 def test_largest_root_is_buildable():
@@ -105,9 +121,9 @@ def test_largest_root_is_buildable():
 
 def test_plan_fields_are_buildable():
     # unbounded, s3 would be 2^20 and the fine field 2^10
-    plan = plan_noa(2**60, 3)
-    assert (plan.s3, plan.p, plan.c) == (4096, 2, 12)
-    assert plan.b * plan.p ** (2 * plan.c) == plan.k3 * plan.s3
+    s3, k3, p, c, b, _ = noa_params(plan_noa(2**60, 3))
+    assert (s3, p, c) == (4096, 2, 12)
+    assert b * p ** (2 * c) == k3 * s3
 
 
 def test_plan_preconditions():
@@ -127,10 +143,86 @@ def assert_ladder(nd):
 @pytest.mark.parametrize("n,d", [(64, 3), (128, 3), (81, 3), (256, 4), (108, 3)])
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 def test_noa_ladder(n, d, seed):
-    nd = construct_noa(plan_noa(n, d), seed)
-    plan = nd.plan
+    plan = plan_noa(n, d)
+    nd = construct_noa(plan, seed)
     assert nd.ladder == ((n, 1), (plan.s2, 2), (plan.s3, 3))
     assert_ladder(nd)
+
+
+def oracle_ladder(kind, n, d):
+    """The ladder a plain loop finds for a buildable (kind, n, d), or None."""
+    if kind == "lhs":
+        return ((n, 1),) if n >= 1 and d >= 1 else None
+    if kind == "oa2":
+        # n = s^2 rows of at most s + 1 Bush columns over GF(s)
+        for s in range(2, n + 1):
+            if s * s == n and prime_power(s) and 1 <= d <= s + 1:
+                return ((s, min(2, d)),)
+        return None
+    if kind == "tang":
+        # the largest prime power s2 with s2^2 | n and s2 + 1 >= d Bush columns
+        roots = [s2 for s2 in range(2, n + 1) if n % s2**2 == 0 and prime_power(s2) and s2 + 1 >= d]
+        return ((n, 1), (max(roots), 2)) if n >= 4 and d >= 2 and roots else None
+    found = brute_force_plan(n, d) if n >= 8 and d >= 3 else None
+    return None if found is None else ((n, 1), (found[5], 2), (found[0], 3))
+
+
+KIND_NAMES = ["lhs", "oa2", "tang", "noa3"]
+PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
+# arbitrary run counts, and k * s^2 and k * s^3 for small prime powers s
+RUN_COUNTS = st.integers(0, 600) | st.builds(
+    lambda k, s, e: k * s**e,
+    st.integers(1, 4),
+    st.sampled_from(PRIME_POWERS),
+    st.sampled_from([2, 3]),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(kind=st.sampled_from(KIND_NAMES), n=RUN_COUNTS, d=st.integers(0, 8))
+def test_plan_exactly_when_the_oracle_finds_one(kind, n, d):
+    want = oracle_ladder(kind, n, d)
+    if want is None:
+        with pytest.raises((ValueError, DesignError)):
+            nested.plan(kind, n, d)
+    else:
+        assert nested.plan(kind, n, d) == Plan(kind, n, d, want)
+
+
+@st.composite
+def buildable(draw):
+    """A (kind, n, d) built to satisfy its construction's conditions."""
+    kind = draw(st.sampled_from(KIND_NAMES))
+    if kind == "lhs":
+        return kind, draw(st.integers(1, 300)), draw(st.integers(1, 6))
+    if kind == "oa2":
+        s = draw(st.sampled_from(PRIME_POWERS))
+        return kind, s * s, draw(st.integers(1, s + 1))
+    if kind == "tang":
+        s2 = draw(st.sampled_from(PRIME_POWERS))
+        return kind, draw(st.integers(1, 4)) * s2 * s2, draw(st.integers(2, s2 + 1))
+    # s3^3 | n and q^2 | n / s3^2 for prime powers s3 >= d and q + 1 >= d
+    s3, q = draw(st.sampled_from([3, 4, 5])), draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 2)) * s3**3 * q**2
+    return kind, n, draw(st.integers(3, min(s3, q + 1)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(case=buildable(), seed=st.integers(0, 2**32 - 1))
+def test_construct_keeps_the_planned_ladder(case, seed):
+    kind, n, d = case
+    plan = nested.plan(kind, n, d)
+    assert plan.ladder == oracle_ladder(kind, n, d)
+    nd = nested.construct(plan, seed)
+    assert nd.ladder == plan.ladder
+    assert nd.design.matrix.shape == (n, d)
+    assert_ladder(nd)
+
+
+def test_plan_rejects_unknown_kind():
+    for kind in ("iid", "bush", "NOA3"):
+        with pytest.raises(ValueError, match=f"unknown design kind {kind!r}"):
+            nested.plan(kind, 64, 3)
 
 
 def test_noa_columns_are_permutations():
@@ -149,27 +241,30 @@ def test_noa_deterministic():
 
 
 def test_noa_nesting_consistency():
-    nd = construct_noa(plan_noa(64, 3), 3)
-    via_s2 = collapse(collapse(nd.design, nd.plan.s2), nd.plan.s3)
-    direct = collapse(nd.design, nd.plan.s3)
+    plan = plan_noa(64, 3)
+    nd = construct_noa(plan, 3)
+    via_s2 = collapse(collapse(nd.design, plan.s2), plan.s3)
+    direct = collapse(nd.design, plan.s3)
     assert (via_s2.matrix == direct.matrix).all()
 
 
 def test_noa_combination_range():
     # at s2 resolution every column holds each level n/s2 times
-    nd = construct_noa(plan_noa(128, 3), 7)
-    at_s2 = collapse(nd.design, nd.plan.s2)
+    plan = plan_noa(128, 3)
+    nd = construct_noa(plan, 7)
+    at_s2 = collapse(nd.design, plan.s2)
     for j in range(at_s2.d):
-        counts = np.bincount(at_s2.matrix[:, j], minlength=nd.plan.s2)
-        assert (counts == 128 // nd.plan.s2).all()
+        counts = np.bincount(at_s2.matrix[:, j], minlength=plan.s2)
+        assert (counts == 128 // plan.s2).all()
 
 
 @pytest.mark.parametrize("n,d", [(64, 3), (128, 3), (81, 3), (256, 4)])
 def test_noa_pair_coverage_blocks(n, d):
     # within every block of s3^2 rows, every column pair holds every
     # coarse-level pair exactly once
-    nd = construct_noa(plan_noa(n, d), 17)
-    s3 = nd.plan.s3
+    plan = plan_noa(n, d)
+    nd = construct_noa(plan, 17)
+    s3 = plan.s3
     coarse = collapse(nd.design, s3).matrix
     for start in range(0, n, s3 * s3):
         block = coarse[start : start + s3 * s3]
@@ -362,7 +457,7 @@ def test_oa_rejects_bad_parameters():
 def test_size_refused_before_allocation(monkeypatch):
     # n*d is checked before any field table or column is built: 2^40 rows of
     # a small-s3 plan would need 24 TiB
-    huge = nested.NoaPlan(n=2**40, d=3, s3=4, k3=2**34, p=2, c=18, b=1, s2=2**20)
+    huge = Plan("noa3", 2**40, 3, ((2**40, 1), (2**20, 2), (4, 3)))
     for build in (
         lambda: construct_lhs(10**12, 3, 0),
         lambda: construct_tang(2**40, 3, 0),
@@ -392,7 +487,7 @@ def test_ladder_check_runs_under_optimize():
         import sys
         import noa.designs
         from noa.errors import InternalInvariantError
-        from noa.nested import construct_noa, construct_oa, construct_tang, plan_noa
+        from noa.nested import construct_lhs, construct_noa, construct_oa, construct_tang, plan_noa
 
         assert False, "assert statements must be stripped under -O"
         failed = noa.designs.StrengthReport(t=1, ok=False, lam=None, violation=None)
@@ -401,6 +496,7 @@ def test_ladder_check_runs_under_optimize():
             "noa": lambda: construct_noa(plan_noa(64, 3), 0),
             "tang": lambda: construct_tang(16, 3, 0),
             "oa": lambda: construct_oa(4, 2, 3, 0),
+            "lhs": lambda: construct_lhs(16, 3, 0),
         }
         for name, build in builds.items():
             try:
@@ -413,7 +509,7 @@ def test_ladder_check_runs_under_optimize():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["noa raised", "tang raised", "oa raised", ""]
+    assert proc.stdout.split("\n") == ["noa raised", "tang raised", "oa raised", "lhs raised", ""]
 
 
 def test_tang_builds_only_the_columns_it_uses():
