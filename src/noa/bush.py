@@ -10,11 +10,11 @@ The row order is part of the contract: all rows sharing a leading
 coefficient are contiguous (s^(t-1) of them), which the nested combiner
 relies on.
 
-Only the columns a caller asks for are built, and nothing is cached: a
-strength-3 array over GF(64) has 65 columns of 262144 rows, of which the
-nested constructions use a few.  The array is column-major in
-level_dtype(s), and one of more than MAX_ENTRIES entries is refused before
-it is allocated.
+Only the columns a caller keeps are built, by one kernel, bush_columns,
+and nothing is cached: a strength-3 array over GF(64) has 65 columns of
+262144 rows, of which the nested constructions use a few.  The array is
+column-major in level_dtype(s), and one of more than MAX_ENTRIES entries
+is refused before it is allocated.
 """
 
 from __future__ import annotations
@@ -46,22 +46,29 @@ def bush_ladder(s: int, t: int, d: int) -> tuple[tuple[int, int], ...]:
     return ((s, min(t, d)),)
 
 
-def bush_construct(field: FieldSpec, t: int, d: int | None = None) -> Design:
-    """The first d columns (all s + 1 by default) of the Bush array."""
+def bush_columns(field: FieldSpec, t: int, first: int, d: int) -> np.ndarray:
+    """Bush columns first, ..., first + d - 1 as an s^t x d column-major matrix.
+
+    first is 0 or 1, and first + d <= s + 1.  Only these columns are
+    built, and bush_ladder checks d, t and the size of what is built.
+    """
     s = field.s
-    if d is None:
-        d = s + 1
-    bush_ladder(s, t, d)  # checks d, t and the size
+    bush_ladder(s, t, d)
     lead = np.arange(s)
     mat = np.empty((s**t, d), dtype=level_dtype(s), order="F")
-    mat[:, 0] = np.repeat(lead, s ** (t - 1))
     add, mul = field.add_table, field.mul_table
-    for x in range(d - 1):
-        # Horner over all rows at once: row a of add[mul[acc, x]] holds
-        # acc[a] * x + c for every next coefficient c, so raveling keeps the
-        # coefficients read first as the more significant digits
+    for out, j in zip(mat.T, range(first, first + d)):
+        # Horner over all rows at once for column j = 1 + x: row a of
+        # add[mul[acc, x]] holds acc[a] * x + c for every next coefficient c,
+        # so raveling keeps the coefficients read first as the more
+        # significant digits; column 0 repeats the leading coefficient instead
         acc = lead
         for _ in range(t - 1):
-            acc = add[mul[acc, x]].ravel()
-        mat[:, 1 + x] = acc
-    return Design(mat, s=s)
+            acc = np.repeat(acc, s) if j == 0 else add[mul[acc, j - 1]].ravel()
+        out[:] = acc
+    return mat
+
+
+def bush_construct(field: FieldSpec, t: int, d: int | None = None) -> Design:
+    """The first d columns (all s + 1 by default) of the Bush array."""
+    return Design(bush_columns(field, t, 0, field.s + 1 if d is None else d), s=field.s)

@@ -85,6 +85,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_bench(args) -> int:
     import json
+    from contextlib import nullcontext
 
     from . import bench as bench_mod
 
@@ -111,12 +112,12 @@ def _cmd_bench(args) -> int:
             }
         print(json.dumps(out, indent=2))
         return EXIT_OK
-    report = bench_mod.run_bench(
-        args.n, args.d, kinds, args.integrand, args.reps, args.seed
-    )
-    print(report.to_json())
-    if args.estimates_out:
-        with open(args.estimates_out, "w") as fh:
+    # bad inputs, then an unwritable estimates path, are refused before any replication
+    bench_mod.check_inputs([args.n], args.d, kinds, args.reps)
+    with open(args.estimates_out, "w") if args.estimates_out else nullcontext() as fh:
+        report = bench_mod.run_bench(args.n, args.d, kinds, args.integrand, args.reps, args.seed)
+        print(report.to_json())
+        if fh:
             fh.write(bench_mod.format_estimates_csv(report))
     return EXIT_OK
 

@@ -158,18 +158,13 @@ def check_strength(design: Design, t: int) -> StrengthReport:
         # the counts sum to n = lam * cells, so max == lam iff all == lam
         if counts.max() == lam:
             continue
-        first = int(np.flatnonzero(counts != lam)[0])
-        levels = []
-        v = first
-        for _ in range(t):
-            levels.append(v % s)
-            v //= s
-        levels.reverse()
+        first = np.flatnonzero(counts != lam)[0]
+        levels = tuple(map(int, np.unravel_index(first, (s,) * t)))
         return StrengthReport(
             t=t,
             ok=False,
             lam=None,
-            violation=Violation(cols, tuple(levels), int(counts[first]), expected),
+            violation=Violation(cols, levels, int(counts[first]), expected),
         )
     return StrengthReport(t=t, ok=True, lam=lam, violation=None)
 

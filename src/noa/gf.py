@@ -28,17 +28,6 @@ from .errors import FieldOverflowError, NotPrimeError
 MAX_ORDER = 1 << 12
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def prime_power(s: int) -> tuple[int, int] | None:
     """Decompose s as p^m with p prime, or return None."""
     if s < 2:
@@ -54,6 +43,10 @@ def prime_power(s: int) -> tuple[int, int] | None:
             return (p, m) if q == 1 else None
         p += 1
     return (s, 1)
+
+
+def is_prime(p: int) -> bool:
+    return prime_power(p) == (p, 1)
 
 
 def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:

@@ -8,10 +8,11 @@ single user seed, and every ladder they return, the Latin hypercube's
 included, has been verified.
 
 The strength-3 design is built by combining stacked copies of a strength-3
-Bush array at s3 levels (first column discarded, so rows sharing a leading
-coefficient form contiguous blocks of s3^2 rows that are strength 2 on the
-remaining columns) with stacked, shuffled copies of a strength-2 Bush array
-at q = p^c levels, one row per block: out = coarse * q + fine.  The result
+Bush array at s3 levels (its leading-coefficient column not built, so rows
+sharing a leading coefficient form contiguous blocks of s3^2 rows that are
+strength 2 on the evaluation columns) with stacked, shuffled copies of a
+strength-2 Bush array at q = p^c levels, one row per block: out = coarse *
+q + fine.  The result
 has s2 = q * s3 levels, keeps strength 3 under the coarse strata, gains
 strength 2 at s2, and is then expanded to n distinct levels per column to
 add the Latin hypercube rung.
@@ -23,13 +24,12 @@ then the largest s2; s2 itself need not be a prime power.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import takewhile
 
 import numpy as np
 
-from .bush import bush_construct, bush_ladder
+from .bush import bush_columns, bush_ladder
 from .designs import Design, check_size, level_dtype, verify_ladder
 from .errors import ConstructionError, NoNontrivialPlanError, UnbalancedColumnError
 from .gf import MAX_ORDER, field_of_order, prime_power
@@ -87,15 +87,16 @@ def plan(kind: str, n: int, d: int) -> Plan:
     and q with s3 >= d, s3^3 | n, q + 1 >= d and q^2 | n / s3^2, and takes
     the largest s3, then the largest s2 = q * s3, which need not be a prime
     power (n=108, d=3 gives s3=3, q=2, s2=6).  Field orders are at most
-    gf.MAX_ORDER.
+    gf.MAX_ORDER, as _prime_power_roots finds them, so every plan builds
+    when its n x d design fits in MAX_ENTRIES.
     """
     if kind == "lhs":
         if n < 1 or d < 1:
             raise ValueError("n and d must be >= 1")
         return Plan(kind, n, d, ((n, 1),))
     if kind == "oa2":
-        s = math.isqrt(n)
-        if s * s != n or prime_power(s) is None:
+        s = max(_prime_power_roots(n, 2), default=0)
+        if n == 0 or s * s != n:  # 0 has no roots, and 0 * 0 == 0
             raise ConstructionError(f"oa2 needs n a square of a prime power, got n={n}")
         return Plan(kind, n, d, bush_ladder(s, 2, d))
     if kind == "tang":
@@ -139,14 +140,14 @@ def plan_noa(n: int, d: int) -> Plan:
 def _oa(field, t: int, d: int, k: int, rng: np.random.Generator, dtype) -> np.ndarray:
     """k stacked copies of d Bush columns, each copy's levels relabelled per column.
 
-    The columns are the last d of the Bush array's first d + 1, so column 0
-    is used only when d = s + 1 forces it, which the coarse strength-3 array
+    Only the kept columns are built: the evaluation columns 1..d, or all
+    s + 1 when d = s + 1 forces column 0, which the coarse strength-3 array
     never allows.  One draw of d * k independent permutations of the s
     levels relabels copy r's column j by the (j, r) permutation, which keeps
     strength t.  The matrix is written in dtype, which must hold s - 1: a
     caller that goes on to larger levels in place passes their dtype.
     """
-    base = bush_construct(field, t, min(d + 1, field.s + 1)).matrix[:, -d:]
+    base = bush_columns(field, t, int(d <= field.s), d)
     n0 = base.shape[0]
     levels = np.broadcast_to(np.arange(field.s, dtype=dtype), (d, k, field.s))
     perms = rng.permuted(levels, axis=2)  # in dtype, so the gather below writes dtype

@@ -388,6 +388,37 @@ def test_bench_rate_refuses_estimates_out(tmp_path, capsys, monkeypatch):
     assert not path.exists()
 
 
+def test_bench_refuses_unbuildable_oa2_field_before_any_replication(capsys, monkeypatch):
+    # 4099 is prime and above gf.MAX_ORDER, so no GF(4099) can be built; an
+    # iid replication at this n would take 256 MiB
+    monkeypatch.setattr(bench, "kind_points", None)  # refused before any replication
+    code, stdout, err = run(
+        capsys, "bench", "--n", "16801801", "--d", "2", "--kinds", "iid,oa2",
+        "--integrand", "ADD-LIN", "--reps", "1",
+    )
+    assert (code, stdout) == (2, "")
+    assert err == "error: oa2 needs n a square of a prime power, got n=16801801\n"
+
+
+def test_bench_refuses_unwritable_estimates_out_before_any_replication(tmp_path, capsys, monkeypatch):
+    built = []
+    kind_points = bench.kind_points
+    monkeypatch.setattr(bench, "kind_points", lambda *args: built.append(args) or kind_points(*args))
+    argv = ("bench", "--n", "64", "--d", "3", "--integrand", "ADD-LIN", "--reps", "3")
+    path = tmp_path / "missing" / "e.csv"
+    code, stdout, err = run(capsys, *argv, "--kinds", "iid", "--estimates-out", str(path))
+    assert (code, stdout, built) == (1, "", [])
+    assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+    # bad inputs are refused first, so the file is not even created
+    path = tmp_path / "e.csv"
+    code, stdout, err = run(capsys, *argv, "--kinds", "iid,bogus", "--estimates-out", str(path))
+    assert (code, stdout, err) == (2, "", "error: unknown design kind 'bogus'\n")
+    assert built == [] and not path.exists()
+    code, stdout, _ = run(capsys, *argv, "--kinds", "iid", "--estimates-out", str(path))
+    assert code == 0 and len(built) == 3
+    assert path.read_text().splitlines()[0] == "kind,rep,estimate"
+
+
 def test_bench_rate(capsys):
     code, stdout, _ = run(
         capsys, "bench", "--n", "8", "--d", "3", "--kinds", "iid",

@@ -125,6 +125,8 @@ def test_check_strength_matches_naive_oracle():
         assert rep == naive_report(design, t)
         if not rep.ok:
             violated.add(rep.violation.columns)
+            # plain ints, as a report is printed and compared as data
+            assert {type(v) for v in rep.violation.levels} == {int}
         if design.n == design.s**t:
             one_row_per_cell.add(rep.ok)
     assert {(0, 3), (0, 1, 4)} <= violated

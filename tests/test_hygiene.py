@@ -24,7 +24,11 @@
 - no comparison with a design-kind name (``"lhs"``, ``"oa2"``, ``"tang"``,
   ``"noa3"``) outside ``nested.py``: ``nested.plan`` and
   ``nested.construct`` are the one dispatch on the kind, so it cannot grow
-  back in ``bench`` or ``cli``.
+  back in ``bench`` or ``cli``;
+- no ``prime_power(...)`` call outside ``gf.py`` and
+  ``nested._prime_power_roots``: that search, capped at ``gf.MAX_ORDER``,
+  is the one rule for which field orders a plan may use, so it cannot be
+  derived a second time without the cap.
 """
 
 import ast
@@ -73,6 +77,7 @@ def problems(path):
     yield from streams_in_loops(path, tree)
     yield from eager_imports(path, tree)
     yield from kind_comparisons(path, tree)
+    yield from prime_power_calls(path, tree)
 
 
 def unused_imports(path, tree):
@@ -173,6 +178,27 @@ def kind_comparisons(path, tree):
                     yield f"{path.name}:{node.lineno}: compares with kind {const.value!r}"
 
 
+def prime_power_calls(path, tree):
+    """Every prime_power call outside gf.py and nested._prime_power_roots."""
+    if path.name == "gf.py":
+        return
+    allowed = {
+        id(node)
+        for func in ast.walk(tree)
+        if path.name == "nested.py"
+        and isinstance(func, ast.FunctionDef)
+        and func.name == "_prime_power_roots"
+        for node in ast.walk(func)
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "prime_power"
+            and id(node) not in allowed
+        ):
+            yield f"{path.name}:{node.lineno}: prime_power call outside nested._prime_power_roots"
+
+
 def unused_exports(exports, paths):
     """The exported names that no module in paths reads, imports or looks up."""
     used = set()
@@ -243,6 +269,7 @@ def test_rules_catch_violations(tmp_path):
         "gens = [rng.stream(j) for j in range(3)]\n"
         "if kind == 'tang' or kind in ('iid', 'noa3') or kind != 'bush':\n"
         "    pass\n"
+        "s = math.isqrt(n) if gf.prime_power(n) else prime_power(n)\n"
     )
     assert [p.split(": ", 1)[1] for p in problems(bad)] == [
         "imports private nested._oa",
@@ -258,7 +285,23 @@ def test_rules_catch_violations(tmp_path):
         "stream call in a loop",
         "compares with kind 'tang'",
         "compares with kind 'noa3'",
+        "prime_power call outside nested._prime_power_roots",
+        "prime_power call outside nested._prime_power_roots",
     ]
+    # the one field-order search may call it, and so may gf.py, its home
+    nested = tmp_path / "nested.py"
+    nested.write_text(
+        "def _prime_power_roots(n, k):\n"
+        "    return [q for q in range(2, n) if prime_power(q)]\n"
+        "def plan(n):\n"
+        "    return prime_power(n)\n"
+    )
+    assert [p.split(": ", 1)[1] for p in problems(nested)] == [
+        "prime_power call outside nested._prime_power_roots",
+    ]
+    gf = tmp_path / "gf.py"
+    gf.write_text("def is_prime(p):\n    return prime_power(p) == (p, 1)\n")
+    assert list(problems(gf)) == []
     # only what every command needs is imported with the CLI module
     cli = tmp_path / "cli.py"
     cli.write_text(

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noa import designs, nested
+from noa import bush, designs, nested
 from noa.bush import bush_construct
 from noa.designs import Design, check_strength, collapse, level_dtype
 from noa.errors import (
+    ConstructionError,
     DesignError,
     FieldOverflowError,
     NoNontrivialPlanError,
@@ -477,6 +478,50 @@ def test_size_refused_before_allocation(monkeypatch):
     ):
         with pytest.raises(FieldOverflowError, match="1024 rows x 5 columns exceeds 4096"):
             build()
+
+
+def set_max_entries(monkeypatch, bound):
+    # designs' bound and bush's copy of it, imported by value
+    monkeypatch.setattr(designs, "MAX_ENTRIES", bound)
+    monkeypatch.setattr(bush, "MAX_ENTRIES", bound)
+
+
+def test_tang_builds_at_the_size_edge(monkeypatch):
+    # only the kept Bush columns are built, so a design that fits the bound
+    # builds: 32^2 x 4 and 16^2 x 8 Bush entries, not 32^2 x 5 and 16^2 x 9
+    set_max_entries(monkeypatch, 4096)
+    assert construct_tang(1024, 4, 0).design.matrix.size == 4096
+    set_max_entries(monkeypatch, 2048)
+    assert nested.construct(nested.plan("tang", 256, 8), 0).design.matrix.size == 2048
+
+
+SIZE_EDGE_RUNS = [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 108, 125, 128, 243, 256, 512]
+
+
+def test_every_plan_builds_at_its_own_size(monkeypatch):
+    # with MAX_ENTRIES = n * d, no array built on the way to a planned design
+    # may be larger than the design itself: plan accepts exactly what
+    # construct builds under the bound
+    built = set()
+    for kind, n, d in itertools.product(KIND_NAMES, SIZE_EDGE_RUNS, range(1, 10)):
+        try:
+            plan = nested.plan(kind, n, d)
+        except (ValueError, DesignError):
+            continue
+        set_max_entries(monkeypatch, n * d)
+        assert nested.construct(plan, 0).design.matrix.shape == (n, d)
+        built.add(kind)
+    assert built == set(KIND_NAMES)
+
+
+def test_oa2_plan_bounds_the_field():
+    # GF(4099) and GF(8192) cannot be built, so n = 4099^2 and n = 8192^2
+    # have no plan; no field is built to find that out
+    for n in (4099**2, 2**26, 0):
+        with pytest.raises(ConstructionError) as exc:
+            nested.plan("oa2", n, 2)
+        assert str(exc.value) == f"oa2 needs n a square of a prime power, got n={n}"
+    assert nested.plan("oa2", 4096**2, 2).ladder == ((4096, 2),)
 
 
 def test_ladder_check_runs_under_optimize():
