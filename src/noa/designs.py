@@ -9,11 +9,27 @@ exactly n/s^t times.  When that index is 1 (n = s^t), a t-subset is checked
 by testing that its cell indices form a permutation of 0..n-1, which by
 pigeonhole is the same condition; only a failing subset is counted cell by
 cell.
+
+A subset's cell indices are built one row block of 2^16 rows at a time, in
+a reused int64 block buffer (its partial indices in a narrow one), and
+each block is scattered into a flag byte per cell (or, at index above 1,
+added into an int64 count per cell); no buffer of n indices exists.  When
+n is more than one block and the process may run on more than one CPU,
+the t-subsets are split into two contiguous halves: the calling thread
+checks the lower half and one helper thread the upper, each with its own
+block buffers and flags, allocated by the caller.  numpy releases the GIL
+inside each block's arithmetic and scatter, so the halves overlap.  The
+report names the lower half's first failing subset, else the upper's, so
+it is the lexicographically first violation either way.  Working memory
+is, per half, one flag byte per cell (an int64 count above index 1) and at
+most 12 bytes per block row.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +40,12 @@ from .errors import (
 
 # the most entries of any design or array built, counted in entries: a
 # design entry takes 1-4 bytes (level_dtype), a GF table or check_strength
-# buffer entry 8, so at most 1 GiB (GF(512) at strength 3 would need 513 GiB)
+# counter entry 8, so at most 1 GiB (GF(512) at strength 3 would need 513 GiB)
 MAX_ENTRIES = 1 << 27
+
+# rows per block of cell indices in check_strength: a block's int64 indices
+# take 512 KiB, and blocks this long keep numpy's per-call cost small
+_BLOCK = 1 << 16
 
 
 _LEVEL_DTYPES = tuple(map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64)))
@@ -125,48 +145,135 @@ def check_strength(design: Design, t: int) -> StrengthReport:
         )
     lam = n // cells
     columns = design.matrix.T  # C-contiguous: row j is column j
-    # prefix[k] holds s * (cell index of the tuple's first k + 1 columns);
-    # lexicographic tuples share prefixes, so each is rebuilt only past the
-    # first column that changed
-    prefix = np.empty((t - 1, n), dtype=np.int64)
-    idx = np.empty(n, dtype=np.int64)
-    # with one row per cell, n indices hit every cell iff none repeats, so
-    # flagging the cells hit decides the tuple without counting
-    seen = np.empty(n, dtype=bool) if lam == 1 else None
-    prev = (-1,) * t
-    for cols in itertools.combinations(range(design.d), t):
-        start = 0
-        while start < t - 1 and prev[start] == cols[start]:
-            start += 1
-        for k in range(start, t - 1):
-            if k == 0:  # s need not fit the column's dtype
-                np.multiply(columns[cols[0]], s, out=prefix[0], dtype=np.int64)
-            else:
-                np.add(prefix[k - 1], columns[cols[k]], out=prefix[k])
-                prefix[k] *= s
-        prev = cols
-        if t == 1:  # a narrow index would scatter more slowly than this copy
-            idx[:] = columns[cols[0]]
-        else:
-            np.add(prefix[t - 2], columns[cols[-1]], out=idx)
-        if seen is not None:
-            seen.fill(False)
-            seen[idx] = True
-            if seen.all():
-                continue
-        counts = np.bincount(idx, minlength=cells)
-        # the counts sum to n = lam * cells, so max == lam iff all == lam
-        if counts.max() == lam:
+    halves = [itertools.combinations(range(design.d), t)]
+    if n > _BLOCK and t < design.d and _cpus() > 1:  # more than one block and tuple
+        tuples = list(halves[0])
+        halves = [tuples[: len(tuples) // 2], tuples[len(tuples) // 2 :]]
+    # each half's buffers, and its flag byte (or int64 count) per cell, are
+    # allocated here, in the calling thread, so the helper adds no heap of its own
+    state = bool if lam == 1 else np.int64
+    narrow = level_dtype(cells)
+    # typed, so each product is formed in the narrow dtype; t = 1 copies each
+    # column and reads no radix (and s = s^t need not fit that dtype)
+    radix = narrow.type(s) if t > 1 else None
+    work = [(_blocks(columns, narrow), radix, lam, np.empty(cells, state), half) for half in halves]
+    helper = _Helper(work[1]) if len(halves) == 2 else None
+    if helper is not None:
+        helper.start()
+    try:
+        failed = _first_failure(*work[0])
+    finally:
+        if helper is not None:
+            helper.join()
+    if helper is not None:
+        if helper.error is not None:
+            raise helper.error
+        if failed is None:  # the lower half's failure comes first
+            failed = helper.failed
+    if failed is None:
+        return StrengthReport(t=t, ok=True, lam=lam, violation=None)
+    counts = _count(work[0][0], failed, radix, np.zeros(cells, dtype=np.int64))
+    first = np.flatnonzero(counts != lam)[0]
+    levels = tuple(map(int, np.unravel_index(first, (s,) * t)))
+    return StrengthReport(
+        t=t,
+        ok=False,
+        lam=None,
+        violation=Violation(failed, levels, int(counts[first]), expected),
+    )
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blocks(columns: np.ndarray, dtype: np.dtype) -> list[tuple[np.ndarray, ...]]:
+    """(columns, narrow buffer, int64 buffer) views for each row block.
+
+    The two block buffers are new and shared by every block: the narrow one,
+    of dtype, holds the partial cell indices, the int64 one the indices a
+    scatter reads.
+    """
+    n = columns.shape[1]
+    narrow = np.empty(min(n, _BLOCK), dtype=dtype)
+    wide = np.empty(min(n, _BLOCK), dtype=np.int64)
+    if n <= _BLOCK:  # the arrays themselves: a small design's call makes no views
+        return [(columns, narrow, wide)]
+    return [
+        (columns[:, lo : lo + _BLOCK], narrow[: n - lo], wide[: n - lo])
+        for lo in range(0, n, _BLOCK)
+    ]
+
+
+def _index(part: np.ndarray, cols: tuple[int, ...], radix, narrow: np.ndarray, out: np.ndarray):
+    """The cell indices of the column tuple cols over one row block, written into out.
+
+    Every partial index is below s^t, so the Horner steps run in narrow,
+    whose dtype holds s^t - 1, as does radix, the level count s; only the
+    last step writes int64, the index dtype a scatter reads fastest.
+    """
+    if len(cols) == 1:  # a narrow index would scatter more slowly than this copy
+        out[...] = part[cols[0]]
+        return out
+    np.multiply(part[cols[0]], radix, out=narrow)
+    for col in cols[1:-1]:
+        narrow += part[col]
+        narrow *= radix
+    return np.add(narrow, part[cols[-1]], out=out)
+
+
+def _count(blocks, cols: tuple[int, ...], radix, counts: np.ndarray) -> np.ndarray:
+    """counts, set to how many rows hit each cell of the column tuple cols."""
+    counts.fill(0)
+    for part, narrow, out in blocks:
+        np.add.at(counts, _index(part, cols, radix, narrow, out), 1)
+    return counts
+
+
+def _first_failure(blocks, radix, lam: int, state: np.ndarray, tuples) -> tuple[int, ...] | None:
+    """The first column tuple of tuples whose cells are not each hit lam times, or None."""
+    for cols in tuples:
+        if lam > 1:
+            # the counts sum to n = lam * cells, so max == lam iff all == lam
+            if _count(blocks, cols, radix, state).max() != lam:
+                return cols
             continue
-        first = np.flatnonzero(counts != lam)[0]
-        levels = tuple(map(int, np.unravel_index(first, (s,) * t)))
-        return StrengthReport(
-            t=t,
-            ok=False,
-            lam=None,
-            violation=Violation(cols, levels, int(counts[first]), expected),
-        )
-    return StrengthReport(t=t, ok=True, lam=lam, violation=None)
+        # with one row per cell, n indices hit every cell iff none repeats,
+        # so flagging the cells hit decides the tuple without counting
+        state.fill(False)
+        for part, narrow, out in blocks:
+            state[_index(part, cols, radix, narrow, out)] = True
+        if np.count_nonzero(state) < len(state):
+            return cols
+    return None
+
+
+class _Helper(threading.Thread):
+    """Checks the upper half of the tuples while the calling thread checks the lower.
+
+    Whatever the check raises is kept in error, for the calling thread to
+    re-raise with its traceback after join(), so a failed half never reads
+    as a passing one.
+    """
+
+    def __init__(self, work):
+        super().__init__(name="noa-check-strength")
+        self.work = work
+        self.failed = self.error = None
+
+    def run(self):
+        with self:  # __exit__ keeps what the check raises
+            self.failed = _first_failure(*self.work)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, error, trace):
+        self.error = error
+        return True  # the calling thread raises it
 
 
 def collapse(design: Design, s_coarse: int) -> Design:

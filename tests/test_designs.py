@@ -1,10 +1,12 @@
 import itertools
+import threading
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from noa import designs
 from noa.designs import (
     Design,
     StrengthReport,
@@ -147,9 +149,12 @@ def test_matrix_is_column_major_whatever_the_input_layout():
 
 
 def test_check_strength_reads_columns_in_place():
-    # counting at strength t needs t - 1 int64 prefixes, one int64 cell
-    # index and one flag byte per row, (8t + 1) n bytes (6.25 MiB here), and
-    # no copy of the matrix, whatever its dtype
+    # counting at strength t reads the columns in place, one row block of
+    # 2^16 at a time: each of at most two threads holds one flag byte per
+    # cell (n = s^t here), an int64 and a uint32 block (12 bytes a block
+    # row) and numpy's casting buffers (within 2^17 bytes), 2.25 MiB here
+    # against the 6.375 MiB of (8t + 1) n + 2^17 that n-row int64 prefix
+    # and index buffers took
     design = bush_construct(field_of_order(64), 3, 8)
     n, t = design.n, 3
     tracemalloc.start()
@@ -159,7 +164,129 @@ def test_check_strength_reads_columns_in_place():
     finally:
         tracemalloc.stop()
     assert rep.ok and rep.lam == 1
-    assert peak <= (8 * t + 1) * n + 2**17
+    assert peak <= 2 * (n + 12 * 2**16 + 2**17)
+
+
+# --- the two halves of the tuples ----------------------------------------------
+#
+# A design of more than one 2^16-row block, checked with two CPUs, splits its
+# column tuples into two contiguous halves; the helper thread checks the upper.
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs for check_strength, and the helper threads it starts."""
+    started = []
+
+    class Counted(designs._Helper):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(designs, "_cpus", lambda: 2)
+    monkeypatch.setattr(designs, "_Helper", Counted)
+    return started
+
+
+def swapped(design, j, rows):
+    """design with the two given entries of column j swapped."""
+    mat = design.matrix.copy()
+    mat[list(rows), j] = mat[list(rows)[::-1], j]
+    return Design(mat, s=design.s)
+
+
+def upper_half_swap(design):
+    """Rows whose swap in column 4 breaks tuple (1, 4) but no tuple of the lower half.
+
+    Column 0 agrees on the two rows, so (0, 4) keeps its counts.  With five
+    columns at t = 2, the lower half is (0, 1) .. (1, 2) and the upper half
+    starts at (1, 3), which the swap also keeps.
+    """
+    mat = design.matrix
+    for r in range(1, design.n):
+        if mat[r, 0] == mat[0, 0] and mat[r, 1] != mat[0, 1] and mat[r, 4] != mat[0, 4]:
+            return (0, r)
+    raise AssertionError("no such row")
+
+
+def wide_oa():
+    """OA(257^2, 5, 257, 2): 66049 rows, two row blocks."""
+    return bush_construct(field_of_order(257), 2, 5)
+
+
+def test_two_halves_intact_design(two_cpus):
+    design = wide_oa()
+    assert design.n > 2**16
+    for t in (1, 2):
+        rep = check_strength(design, t)
+        assert rep == naive_report(design, t)
+        assert rep.ok and rep.lam == design.n // 257**t
+    assert len(two_cpus) == 2
+
+
+def test_two_halves_violation_only_in_the_upper_half(two_cpus):
+    design = wide_oa()
+    broken = swapped(design, 4, upper_half_swap(design))
+    rep = check_strength(broken, 2)
+    assert rep == naive_report(broken, 2)
+    assert rep.violation.columns == (1, 4)
+    assert len(two_cpus) == 1
+
+
+def test_two_halves_report_the_lower_violation(two_cpus):
+    design = wide_oa()
+    broken = swapped(design, 4, upper_half_swap(design))
+    mat = broken.matrix
+    r = int(np.flatnonzero((mat[:, 0] != mat[0, 0]) & (mat[:, 2] != mat[0, 2]))[0])
+    broken = swapped(broken, 2, (0, r))  # breaks (0, 2), in the lower half
+    rep = check_strength(broken, 2)
+    assert rep == naive_report(broken, 2)
+    assert rep.violation.columns == (0, 2)
+    assert len(two_cpus) == 1
+
+
+def test_two_halves_at_index_above_one(two_cpus):
+    # OA(64^2, 5, 64, 2) stacked 17 times: 69632 rows, index 17 at t = 2
+    base = bush_construct(field_of_order(64), 2, 5).matrix
+    design = Design(np.tile(base, (17, 1)), s=64)
+    assert check_strength(design, 2) == StrengthReport(t=2, ok=True, lam=17, violation=None)
+    broken = swapped(design, 4, upper_half_swap(design))
+    for t in (1, 2):
+        assert check_strength(broken, t) == naive_report(broken, t)
+    assert check_strength(broken, 2).violation.columns == (1, 4)
+    assert len(two_cpus) == 4
+
+
+def test_one_cpu_checks_every_tuple_in_the_calling_thread(two_cpus, monkeypatch):
+    monkeypatch.setattr(designs, "_cpus", lambda: 1)
+    design = wide_oa()
+    broken = swapped(design, 4, upper_half_swap(design))
+    assert check_strength(design, 2).ok
+    assert check_strength(broken, 2) == naive_report(broken, 2)
+    assert two_cpus == []
+    # one block is one half, whatever the CPU count
+    monkeypatch.setattr(designs, "_cpus", lambda: 2)
+    assert check_strength(bush_construct(field_of_order(256), 2, 5), 2).ok  # 2^16 rows
+    assert two_cpus == []
+
+
+def test_helper_errors_are_raised_in_the_caller(two_cpus, monkeypatch):
+    real = designs._first_failure
+
+    def failing(*work):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("upper half")
+        return real(*work)
+
+    design = wide_oa()
+    before = threading.active_count()
+    assert check_strength(design, 2).ok
+    assert threading.active_count() == before
+    monkeypatch.setattr(designs, "_first_failure", failing)
+    with pytest.raises(MemoryError, match="upper half"):
+        check_strength(design, 2)
+    assert threading.active_count() == before
+    assert len(two_cpus) == 2
 
 
 def test_check_strength_more_cells_than_rows():

@@ -28,7 +28,11 @@
 - no ``prime_power(...)`` call outside ``gf.py`` and
   ``nested._prime_power_roots``: that search, capped at ``gf.MAX_ORDER``,
   is the one rule for which field orders a plan may use, so it cannot be
-  derived a second time without the cap.
+  derived a second time without the cap;
+- no ``threading.Thread``, ``ThreadPoolExecutor`` (or
+  ``ProcessPoolExecutor``) and no ``multiprocessing`` outside
+  ``designs.py``: the strength check's two halves are the package's one
+  parallel code, so threads and processes stay in one place.
 """
 
 import ast
@@ -48,6 +52,7 @@ CLI_MODULES = {"designs", "errors"}
 CACHES = {"lru_cache", "cache"}
 BROAD = {"Exception", "BaseException"}
 KIND_NAMES = {"lhs", "oa2", "tang", "noa3"}
+EXECUTORS = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -78,6 +83,7 @@ def problems(path):
     yield from eager_imports(path, tree)
     yield from kind_comparisons(path, tree)
     yield from prime_power_calls(path, tree)
+    yield from parallelism(path, tree)
 
 
 def unused_imports(path, tree):
@@ -199,6 +205,30 @@ def prime_power_calls(path, tree):
             yield f"{path.name}:{node.lineno}: prime_power call outside nested._prime_power_roots"
 
 
+def parallelism(path, tree):
+    """Every thread, executor or multiprocessing use in a module other than designs.py."""
+    if path.name == "designs.py":
+        return
+
+    def parallel(name):
+        parts = name.split(".")
+        return parts[0] == "multiprocessing" or name == "threading.Thread" or parts[-1] in EXECUTORS
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [f"{getattr(node.value, 'id', '')}.{node.attr}"]
+        elif isinstance(node, ast.Name):
+            names = [f".{node.id}"]
+        else:
+            continue
+        for name in filter(parallel, names):
+            yield f"{path.name}:{node.lineno}: {name.lstrip('.')} outside designs.py"
+
+
 def unused_exports(exports, paths):
     """The exported names that no module in paths reads, imports or looks up."""
     used = set()
@@ -270,6 +300,13 @@ def test_rules_catch_violations(tmp_path):
         "if kind == 'tang' or kind in ('iid', 'noa3') or kind != 'bush':\n"
         "    pass\n"
         "s = math.isqrt(n) if gf.prime_power(n) else prime_power(n)\n"
+        "import multiprocessing.pool\n"
+        "from threading import Lock, Thread\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "helpers = [Thread(target=construct_oa), threading.Thread(target=Lock)]\n"
+        "pool = multiprocessing.Pool(2) or ThreadPoolExecutor(2)\n"
+        "with futures.ProcessPoolExecutor() as ex:\n"
+        "    ex.map(construct_oa, [])\n"
     )
     assert [p.split(": ", 1)[1] for p in problems(bad)] == [
         "imports private nested._oa",
@@ -287,6 +324,13 @@ def test_rules_catch_violations(tmp_path):
         "compares with kind 'noa3'",
         "prime_power call outside nested._prime_power_roots",
         "prime_power call outside nested._prime_power_roots",
+        "multiprocessing.pool outside designs.py",
+        "threading.Thread outside designs.py",
+        "concurrent.futures.ThreadPoolExecutor outside designs.py",
+        "threading.Thread outside designs.py",
+        "multiprocessing.Pool outside designs.py",
+        "ThreadPoolExecutor outside designs.py",
+        "futures.ProcessPoolExecutor outside designs.py",
     ]
     # the one field-order search may call it, and so may gf.py, its home
     nested = tmp_path / "nested.py"
