@@ -20,7 +20,8 @@ checks the lower half and one helper thread the upper, each with its own
 block buffers and flags, allocated by the caller.  numpy releases the GIL
 inside each block's arithmetic and scatter, so the halves overlap.  The
 report names the lower half's first failing subset, else the upper's, so
-it is the lexicographically first violation either way.  Working memory
+it is the lexicographically first violation either way; once the lower
+half has failed, the helper takes no further subset.  Working memory
 is, per half, one flag byte per cell (an int64 count above index 1) and at
 most 12 bytes per block row.
 """
@@ -146,9 +147,13 @@ def check_strength(design: Design, t: int) -> StrengthReport:
     lam = n // cells
     columns = design.matrix.T  # C-contiguous: row j is column j
     halves = [itertools.combinations(range(design.d), t)]
+    # non-empty once the lower half has failed or raised: the upper half's
+    # result is then unused, so the helper takes no further tuple
+    stop = []
     if n > _BLOCK and t < design.d and _cpus() > 1:  # more than one block and tuple
         tuples = list(halves[0])
-        halves = [tuples[: len(tuples) // 2], tuples[len(tuples) // 2 :]]
+        mid = len(tuples) // 2
+        halves = [tuples[:mid], itertools.takewhile(lambda cols: not stop, tuples[mid:])]
     # each half's buffers, and its flag byte (or int64 count) per cell, are
     # allocated here, in the calling thread, so the helper adds no heap of its own
     state = bool if lam == 1 else np.int64
@@ -160,10 +165,14 @@ def check_strength(design: Design, t: int) -> StrengthReport:
     helper = _Helper(work[1]) if len(halves) == 2 else None
     if helper is not None:
         helper.start()
+    lower_passed = False
     try:
         failed = _first_failure(*work[0])
+        lower_passed = failed is None
     finally:
         if helper is not None:
+            if not lower_passed:
+                stop.append(True)
             helper.join()
     if helper is not None:
         if helper.error is not None:
@@ -218,7 +227,9 @@ def _index(part: np.ndarray, cols: tuple[int, ...], radix, narrow: np.ndarray, o
     if len(cols) == 1:  # a narrow index would scatter more slowly than this copy
         out[...] = part[cols[0]]
         return out
-    np.multiply(part[cols[0]], radix, out=narrow)
+    # the loop dtype is named: numpy 1 would pick a narrower column's own
+    # dtype from radix's value, and wrap
+    np.multiply(part[cols[0]], radix, out=narrow, dtype=narrow.dtype)
     for col in cols[1:-1]:
         narrow += part[col]
         narrow *= radix
@@ -265,15 +276,10 @@ class _Helper(threading.Thread):
         self.failed = self.error = None
 
     def run(self):
-        with self:  # __exit__ keeps what the check raises
+        try:
             self.failed = _first_failure(*self.work)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, error, trace):
-        self.error = error
-        return True  # the calling thread raises it
+        except BaseException as error:  # the calling thread raises it
+            self.error = error
 
 
 def collapse(design: Design, s_coarse: int) -> Design:

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import threading
 import tracemalloc
 from collections import Counter
@@ -233,12 +234,17 @@ def test_two_halves_violation_only_in_the_upper_half(two_cpus):
     assert len(two_cpus) == 1
 
 
-def test_two_halves_report_the_lower_violation(two_cpus):
+def broken_in_both_halves():
+    """wide_oa() with tuple (0, 2) of the lower half and (1, 4) of the upper broken."""
     design = wide_oa()
     broken = swapped(design, 4, upper_half_swap(design))
     mat = broken.matrix
     r = int(np.flatnonzero((mat[:, 0] != mat[0, 0]) & (mat[:, 2] != mat[0, 2]))[0])
-    broken = swapped(broken, 2, (0, r))  # breaks (0, 2), in the lower half
+    return swapped(broken, 2, (0, r))
+
+
+def test_two_halves_report_the_lower_violation(two_cpus):
+    broken = broken_in_both_halves()
     rep = check_strength(broken, 2)
     assert rep == naive_report(broken, 2)
     assert rep.violation.columns == (0, 2)
@@ -287,6 +293,66 @@ def test_helper_errors_are_raised_in_the_caller(two_cpus, monkeypatch):
         check_strength(design, 2)
     assert threading.active_count() == before
     assert len(two_cpus) == 2
+
+
+def test_helper_stops_once_the_lower_half_fails(two_cpus, monkeypatch):
+    # the helper starts on its half only once the calling thread joins it,
+    # after the lower half is done: it checks no tuple when that half has
+    # failed, and all of its own when that half has passed
+    joining = threading.Event()
+    checked = []
+    real_index = designs._index
+
+    class Late(designs._Helper):
+        def run(self):
+            joining.wait(10)
+            super().run()
+
+        def join(self, timeout=None):
+            joining.set()
+            super().join(timeout)
+
+    def index(part, cols, *rest):
+        if threading.current_thread() is not threading.main_thread():
+            checked.append(cols)
+        return real_index(part, cols, *rest)
+
+    monkeypatch.setattr(designs, "_Helper", Late)
+    monkeypatch.setattr(designs, "_index", index)
+    assert check_strength(broken_in_both_halves(), 2).violation.columns == (0, 2)
+    assert checked == [] and two_cpus[0].failed is None and two_cpus[0].error is None
+    joining.clear()
+    assert check_strength(wide_oa(), 2).ok
+    assert list(dict.fromkeys(checked)) == [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    assert len(two_cpus) == 2
+
+
+def test_two_halves_under_concurrent_callers(two_cpus):
+    # four callers, each with a helper, on two CPUs or fewer, with thread
+    # switches forced often: every report must still be the one-thread one
+    design = wide_oa()
+    cases = [design, broken_in_both_halves(), swapped(design, 4, upper_half_swap(design))]
+    cases = [(case, naive_report(case, 2)) for case in cases]
+    wrong = []
+
+    def caller(k):
+        for round_ in range(3):
+            design, expected = cases[(k + round_) % 3]
+            if check_strength(design, 2) != expected:
+                wrong.append((k, round_))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for c in callers:
+            c.start()
+        for c in callers:
+            c.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in callers)
+    assert wrong == [] and len(two_cpus) == 12
 
 
 def test_check_strength_more_cells_than_rows():
