@@ -18,8 +18,10 @@ from typing import Callable
 import numpy as np
 
 from . import nested
-from .designs import check_size
-from .errors import ConstructionError, DesignError, DimensionMismatchError
+from .designs import MAX_ENTRIES, check_size
+from .errors import (
+    ConstructionError, DesignError, DimensionMismatchError, FieldOverflowError
+)
 from .rng import STAGE_BENCH, STAGE_IID, derive_seed, stream
 from .sampling import PointSet, to_points
 
@@ -56,6 +58,10 @@ def make_integrand(name: str, d: int) -> Integrand:
         return Integrand(name, d, lambda x: np.exp(x).prod(axis=1), (E - 1.0) ** d)
     raise ValueError(f"unknown integrand {name!r}, expected one of {', '.join(INTEGRANDS)}")
 
+
+# the most point coordinates, reps * n * d, one kind's run may draw:
+# about 1.5 hours of noa3 replications at n = 64, d = 3, 5 minutes at n = 2^18, d = 8
+MAX_DRAWN = 1 << 31
 
 INTEGRANDS = ("ADD-LIN", "ADD-EXP", "BILIN", "TRILIN", "PROD-EXP")
 _BLOCK_ROWS = 8192  # rows per integrand call: temporaries of one block, not of n x d
@@ -106,15 +112,25 @@ def _labelled(kind: str, n: int, d: int):
 def check_inputs(ns, d: int, kinds, reps: int) -> dict:
     """Refuse bad run counts, sizes, kind names or plans before any replication is built.
 
+    A run of more than MAX_ENTRIES replications, or of more than MAX_DRAWN
+    point coordinates (reps * n * d) per kind, is refused with
+    FieldOverflowError.
+
     Returns nested.plan(kind, n, d) (None for iid) keyed by (kind, n), for
     every kind and n.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if reps > MAX_ENTRIES:  # one 8-byte estimate is kept per replication
+        raise FieldOverflowError(f"{reps} replications exceed {MAX_ENTRIES} kept estimates")
     for n in ns:
         if n < 1 or d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
         check_size(n, d)
+        if reps * n * d > MAX_DRAWN:
+            raise FieldOverflowError(
+                f"{reps} replications of {n} x {d} points exceed {MAX_DRAWN} drawn coordinates"
+            )
     for kind in kinds:
         if kind not in _KIND_ID:
             raise ValueError(f"unknown design kind {kind!r}")

@@ -13,22 +13,30 @@ cell.
 A subset's cell indices are built one row block of 2^16 rows at a time, in
 a reused int64 block buffer (its partial indices in a narrow one), and
 each block is scattered into a flag byte per cell (or, at index above 1,
-added into an int64 count per cell); no buffer of n indices exists.  When
-n is more than one block and the process may run on more than one CPU,
-the t-subsets are split into two contiguous halves: the calling thread
-checks the lower half and one helper thread the upper, each with its own
-block buffers and flags, allocated by the caller.  numpy releases the GIL
-inside each block's arithmetic and scatter, so the halves overlap.  The
-report names the lower half's first failing subset, else the upper's, so
-it is the lexicographically first violation either way; once the lower
-half has failed, the helper takes no further subset.  Working memory
-is, per half, one flag byte per cell (an int64 count above index 1) and at
-most 12 bytes per block row.
+added into an int64 count per cell); no buffer of n indices exists.
+Working memory is, per half (below), one flag byte per cell (an int64
+count above index 1) and at most 12 bytes per block row.  A check of more
+than MAX_CHECK_WORK row visits is refused before any of it is built.
+
+pipeline is the package's one two-lane runner: a helper thread produces
+items in order while the calling thread consumes them, one item apart.  It
+gives a helper lane only to work of more than one 2^16-row block in a
+process that may run on more than one CPU; otherwise it is a plain loop
+with no thread.  Three stages run on it, each with byte-identical output
+either way: this strength check (the helper checks the upper half of the
+t-subsets, the caller the lower half), the level expansion in
+nested._expand_levels (the helper draws the next column's ranks) and
+sampling.to_points (the helper draws the next row block's offsets).  The
+helper lane allocates no array: every buffer it writes is the caller's.
+The strength report names the lower half's first failing subset, else the
+upper's, so it is the lexicographically first violation either way; once
+the lower half has failed, the helper takes no further subset.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -44,8 +52,17 @@ from .errors import (
 # counter entry 8, so at most 1 GiB (GF(512) at strength 3 would need 513 GiB)
 MAX_ENTRIES = 1 << 27
 
+# the most row visits check_strength takes on: C(d, t) column tuples of n
+# rows each, every tuple charged _TUPLE_ROWS more for its fixed per-call
+# cost (about 8 us); a few ns a visit, so at most about half an hour.  The
+# largest ladder any constructor verifies stays below it: construct_oa(107,
+# 3, 108) takes C(108, 3) tuples of 107^3 rows, about 2^37.9 visits
+MAX_CHECK_WORK = 1 << 38
+_TUPLE_ROWS = 1 << 12
+
 # rows per block of cell indices in check_strength: a block's int64 indices
-# take 512 KiB, and blocks this long keep numpy's per-call cost small
+# take 512 KiB, and blocks this long keep numpy's per-call cost small; work
+# of more than one block gets pipeline's helper lane on a multi-CPU process
 _BLOCK = 1 << 16
 
 
@@ -126,7 +143,9 @@ def check_strength(design: Design, t: int) -> StrengthReport:
     """Exhaustively verify the orthogonal-array property at strength t.
 
     Reports the lexicographically first violating (column tuple, level tuple)
-    when the design fails.
+    when the design fails.  Raises FieldOverflowError, before any tuple or
+    buffer exists, when the C(d, t) column tuples would take more than
+    MAX_CHECK_WORK row visits.
     """
     if not 1 <= t <= design.d:
         raise StrengthError(f"strength t={t} outside [1, {design.d}]")
@@ -144,41 +163,41 @@ def check_strength(design: Design, t: int) -> StrengthReport:
             lam=None,
             violation=Violation(tuple(range(t)), (0,) * t, int(observed), expected),
         )
+    count = math.comb(design.d, t)
+    if count * (n + _TUPLE_ROWS) > MAX_CHECK_WORK:
+        raise FieldOverflowError(
+            f"strength {t} of {n} rows x {design.d} columns has {count} column tuples, "
+            f"over {MAX_CHECK_WORK} row visits"
+        )
     lam = n // cells
     columns = design.matrix.T  # C-contiguous: row j is column j
-    halves = [itertools.combinations(range(design.d), t)]
-    # non-empty once the lower half has failed or raised: the upper half's
-    # result is then unused, so the helper takes no further tuple
-    stop = []
-    if n > _BLOCK and t < design.d and _cpus() > 1:  # more than one block and tuple
-        tuples = list(halves[0])
-        mid = len(tuples) // 2
-        halves = [tuples[:mid], itertools.takewhile(lambda cols: not stop, tuples[mid:])]
+    # two contiguous halves of the tuples when the runner gives the upper one
+    # a lane of its own, taken lazily from two generators
+    mid = count // 2 if count > 1 and _lanes(n) == 2 else count
+    halves = [itertools.islice(itertools.combinations(range(design.d), t), mid)]
+    if mid < count:
+        halves.append(itertools.islice(itertools.combinations(range(design.d), t), mid, None))
     # each half's buffers, and its flag byte (or int64 count) per cell, are
-    # allocated here, in the calling thread, so the helper adds no heap of its own
+    # allocated here, in the calling thread, so the helper lane adds no heap
     state = bool if lam == 1 else np.int64
     narrow = level_dtype(cells)
     # typed, so each product is formed in the narrow dtype; t = 1 copies each
     # column and reads no radix (and s = s^t need not fit that dtype)
     radix = narrow.type(s) if t > 1 else None
     work = [(_blocks(columns, narrow), radix, lam, np.empty(cells, state), half) for half in halves]
-    helper = _Helper(work[1]) if len(halves) == 2 else None
-    if helper is not None:
-        helper.start()
-    lower_passed = False
-    try:
-        failed = _first_failure(*work[0])
-        lower_passed = failed is None
-    finally:
-        if helper is not None:
-            if not lower_passed:
-                stop.append(True)
-            helper.join()
-    if helper is not None:
-        if helper.error is not None:
-            raise helper.error
-        if failed is None:  # the lower half's failure comes first
-            failed = helper.failed
+    found = []
+
+    def produce(i, stop):  # item 0 only lets the calling thread start the lower half
+        return _first_failure(*work[1], stop) if i else None
+
+    def consume(i, failed):
+        if i == 0:
+            failed = _first_failure(*work[0])
+        found.append(failed)
+        return failed is not None  # the lower half's failure comes first: stop the upper
+
+    pipeline(n, len(work), produce, consume)
+    failed = found[-1]
     if failed is None:
         return StrengthReport(t=t, ok=True, lam=lam, violation=None)
     counts = _count(work[0][0], failed, radix, np.zeros(cells, dtype=np.int64))
@@ -244,9 +263,14 @@ def _count(blocks, cols: tuple[int, ...], radix, counts: np.ndarray) -> np.ndarr
     return counts
 
 
-def _first_failure(blocks, radix, lam: int, state: np.ndarray, tuples) -> tuple[int, ...] | None:
-    """The first column tuple of tuples whose cells are not each hit lam times, or None."""
+def _first_failure(blocks, radix, lam: int, state: np.ndarray, tuples, stop=()):
+    """The first column tuple of tuples whose cells are not each hit lam times, or None.
+
+    None also once stop is non-empty: the caller no longer needs the answer.
+    """
     for cols in tuples:
+        if stop:
+            return None
         if lam > 1:
             # the counts sum to n = lam * cells, so max == lam iff all == lam
             if _count(blocks, cols, radix, state).max() != lam:
@@ -262,24 +286,68 @@ def _first_failure(blocks, radix, lam: int, state: np.ndarray, tuples) -> tuple[
     return None
 
 
-class _Helper(threading.Thread):
-    """Checks the upper half of the tuples while the calling thread checks the lower.
+def _lanes(rows: int) -> int:
+    """2 when work over rows gets a helper lane (more than one block, more than one CPU), else 1."""
+    return 2 if rows > _BLOCK and _cpus() > 1 else 1
 
-    Whatever the check raises is kept in error, for the calling thread to
-    re-raise with its traceback after join(), so a failed half never reads
-    as a passing one.
+
+def pipeline(rows: int, count: int, produce, consume) -> None:
+    """consume(i, produce(i, stop)) for i = 0, 1, ..., count - 1, in that order.
+
+    consume always runs in the calling thread.  With two lanes (count > 1
+    and _lanes(rows) == 2) one helper thread calls produce(0), produce(1),
+    ... and hands each item over once the calling thread has taken the one
+    before, so produce(i + 1) runs beside consume(i) and never beside an
+    earlier consume: an item may reuse a buffer of the item two before.
+    numpy releases the GIL inside array kernels, so the lanes overlap.  With
+    one lane this is the plain loop, with no thread.
+
+    A true return from consume ends the run: no further item is produced or
+    consumed.  stop, a list, is non-empty once the run is ending, so a long
+    produce may poll it and return early.  Whatever either lane raises is
+    raised here with its traceback, at the item where the one-lane loop
+    would raise it, and the helper thread has ended when this returns.
     """
+    stop: list = []
+    if count < 2 or _lanes(rows) == 1:
+        for i in range(count):
+            if consume(i, produce(i, stop)):
+                break
+        return
+    box: list = []  # the one item (or error) handed over and not yet taken
+    ready, taken = threading.Semaphore(0), threading.Semaphore(0)
+    helper = threading.Thread(
+        target=_helper_lane, args=(count, produce, stop, box, ready, taken), name="noa-pipeline"
+    )
+    helper.start()
+    try:
+        for i in range(count):
+            ready.acquire()
+            item, error = box.pop()
+            taken.release()
+            if error is not None:
+                raise error
+            if consume(i, item):
+                break
+    finally:
+        stop.append(True)
+        taken.release()  # a helper waiting for its last item to be taken returns
+        helper.join()
 
-    def __init__(self, work):
-        super().__init__(name="noa-check-strength")
-        self.work = work
-        self.failed = self.error = None
 
-    def run(self):
+def _helper_lane(count: int, produce, stop: list, box: list, ready, taken) -> None:
+    """pipeline's helper thread: each item, or the error that ends the lane, put in box in turn."""
+    for i in range(count):
+        if stop:
+            return
         try:
-            self.failed = _first_failure(*self.work)
+            box.append((produce(i, stop), None))
         except BaseException as error:  # the calling thread raises it
-            self.error = error
+            box.append((None, error))
+            ready.release()
+            return
+        ready.release()
+        taken.acquire()
 
 
 def collapse(design: Design, s_coarse: int) -> Design:

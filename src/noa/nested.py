@@ -30,7 +30,7 @@ from itertools import takewhile
 import numpy as np
 
 from .bush import bush_columns, bush_ladder
-from .designs import Design, check_size, level_dtype, verify_ladder
+from .designs import Design, check_size, level_dtype, pipeline, verify_ladder
 from .errors import ConstructionError, NoNontrivialPlanError, UnbalancedColumnError
 from .gf import MAX_ORDER, field_of_order, prime_power
 from .rng import STAGE_DESIGN, stream
@@ -151,10 +151,13 @@ def _oa(field, t: int, d: int, k: int, rng: np.random.Generator, dtype) -> np.nd
     n0 = base.shape[0]
     levels = np.broadcast_to(np.arange(field.s, dtype=dtype), (d, k, field.s))
     perms = rng.permuted(levels, axis=2)  # in dtype, so the gather below writes dtype
-    # (d, k, n0): entry (j, r, i) is copy r's relabel of base[i, j]; its
-    # transpose is the column-major (k * n0, d) stack of the copies
-    index = np.broadcast_to(base.T[:, None, :], (d, k, n0))
-    return np.asfortranarray(np.take_along_axis(perms, index, axis=2).reshape(d, k * n0).T)
+    out = np.empty((k * n0, d), dtype=dtype, order="F")
+    for j in range(d):
+        # column j of the stack, as k rows of n0: row r is copy r's relabel
+        # of base[:, j]; every index is a level, so "clip" changes none and
+        # lets take write out directly instead of through a buffer
+        np.take(perms[j], base[:, j], axis=1, out=out[:, j].reshape(k, n0), mode="clip")
+    return out
 
 
 _RANK_BLOCK = 1 << 16  # fine levels shuffled per call in _expand_levels: 512 KiB of intp
@@ -167,6 +170,13 @@ def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
     [i*n/s, (i+1)*n/s), so every column ends up a permutation of 0..n-1 and
     integer-dividing by n/s recovers the input.  The matrix's dtype must
     hold n - 1, i.e. be level_dtype(n) or wider.
+
+    The columns run on designs.pipeline: the producer draws a column's
+    fine levels, in order, into one of two column buffers allocated here,
+    and the consumer checks the column's balance, sorts it by level and
+    scatters the drawn levels.  Only the producer reads rng, so the
+    draws, and the result, are the same with one lane or two; with two,
+    column j + 1 is drawn while column j is sorted.
     """
     n, d = mat.shape
     if n % s != 0:
@@ -177,8 +187,20 @@ def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
     # shuffles fastest) offset by the block's first fine level
     per_block = min(max(1, _RANK_BLOCK // m), s)
     ranks = np.arange(per_block * m).reshape(per_block, m)
+    shuffled = np.empty_like(ranks)
+    # column j's fine levels in row j % 2, in the matrix's dtype, so two
+    # columns take no more than one of intp and the scatter casts nothing
+    drawn = np.empty((2, n), dtype=mat.dtype)
     key_type = level_dtype(s)  # uint8/uint16 keys sort by radix
-    for j in range(d):  # one column at a time: an all-column sort costs peak memory
+
+    def produce(j, stop):
+        fine = drawn[j % 2]
+        for lo in range(0, n, ranks.size):
+            block = rng.permuted(ranks[: (n - lo) // m], axis=1, out=shuffled[: (n - lo) // m])
+            np.add(block, lo, out=fine[lo : lo + block.size].reshape(block.shape), casting="unsafe")
+        return fine
+
+    def consume(j, fine):  # one column at a time: an all-column sort costs peak memory
         col = mat[:, j]
         counts = np.bincount(col, minlength=s)
         if (counts != m).any():
@@ -186,13 +208,11 @@ def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
             raise UnbalancedColumnError(
                 f"column {j}: level {lev} occurs {int(counts[lev])} times, expected {m}"
             )
-        # the rows holding level lev are order[lev*m : (lev+1)*m]
-        order = np.argsort(col.astype(key_type), kind="stable")
-        for lo in range(0, n, ranks.size):
-            block = rng.permuted(ranks[: (n - lo) // m], axis=1).ravel()
-            if lo:  # the first block's ranks are its fine levels
-                block += lo
-            col[order[lo:lo + block.size]] = block
+        # the stable sort by level lists the rows of level lev at positions
+        # lev*m .. (lev+1)*m - 1, so they take the fine levels drawn for it
+        col[np.argsort(col.astype(key_type), kind="stable")] = fine
+
+    pipeline(n, d, produce, consume)
     return mat
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Design, format_table, parse_table, read_text
+from .designs import Design, format_table, parse_table, pipeline, read_text
 from .errors import FormatError
 from .rng import STAGE_JITTER, stream
 
@@ -41,16 +41,37 @@ class PointSet:
         return self.points.shape[1]
 
 
+_POINT_ROWS = 1 << 14  # rows per block of to_points: 128 KiB of offsets per column
+
+
 def to_points(design: Design, mode: str = "uniform", seed: int = 0) -> PointSet:
-    """Place one point per design row; floor(x * s) recovers the design."""
-    x = np.empty(design.matrix.shape)  # the C-order output, filled with the offsets
-    if mode == "midpoint":
-        x.fill(0.5)
-    elif mode == "uniform":
-        stream(seed, STAGE_JITTER).random(out=x)
-    else:
+    """Place one point per design row; floor(x * s) recovers the design.
+
+    The rows run on designs.pipeline a block of _POINT_ROWS at a time: the
+    producer writes a block's offsets (uniform jitter, or 0.5) straight into
+    the C-order output, and the consumer places that block's points.  The
+    jitter is drawn in row order either way, so it is the stream of one
+    whole-array draw, and the points are the same with one lane or two.
+    """
+    if mode not in ("uniform", "midpoint"):
         raise ValueError(f"mode must be 'uniform' or 'midpoint', got {mode!r}")
-    return PointSet(_place(design.matrix, x, design.s))
+    n, s = design.n, design.s
+    x = np.empty(design.matrix.shape)  # the C-order output, filled with the offsets
+    rng = stream(seed, STAGE_JITTER) if mode == "uniform" else None
+
+    def produce(i, stop):
+        block = x[i * _POINT_ROWS : (i + 1) * _POINT_ROWS]
+        if rng is None:
+            block.fill(0.5)
+        else:
+            rng.random(out=block)
+        return block
+
+    def consume(i, block):
+        _place(design.matrix[i * _POINT_ROWS : (i + 1) * _POINT_ROWS], block, s)
+
+    pipeline(n, -(-n // _POINT_ROWS), produce, consume)
+    return PointSet(x)
 
 
 def _place(levels: np.ndarray, x: np.ndarray, s: int) -> np.ndarray:
@@ -60,13 +81,13 @@ def _place(levels: np.ndarray, x: np.ndarray, s: int) -> np.ndarray:
     (or lower) edge, e.g. to (m + 1) / s, which is 1.0 for m = s - 1.  Such
     points are stepped one ulp at a time back inside their stratum.  As
     m + 1 is a double, the floor implies x < (m + 1) / s exactly, so x < 1.
+    Every step is elementwise, so a row block gives the points of the whole.
     """
     x += levels
     x /= s
-    for col, lev in zip(x.T, levels.T):  # a column at a time: temporaries are one column
-        while (off := np.floor(col * s) != lev).any():
-            cell = np.floor(col[off] * s)
-            col[off] = np.nextafter(col[off], np.where(cell > lev[off], 0.0, 1.0))
+    while (off := np.floor(x * s) != levels).any():
+        cell = np.floor(x[off] * s)
+        x[off] = np.nextafter(x[off], np.where(cell > levels[off], 0.0, 1.0))
     return x
 
 

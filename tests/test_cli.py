@@ -331,6 +331,11 @@ NO_NOA3_PLAN_24 = (
             id="tang-plan",
         ),
         pytest.param(
+            ("--n", "262144", "--kinds", "iid"),
+            "3000 replications of 262144 x 3 points exceed 2147483648 drawn coordinates",
+            id="drawn",
+        ),
+        pytest.param(
             ("--n", "16", "--d", "6", "--kinds", "iid,lhs,oa2"),
             "kind 'oa2' failed for n=16, d=6: need 1 <= d <= s + 1 = 5 columns at s=4 levels, "
             "got d=6",
@@ -428,6 +433,47 @@ def test_bench_rate(capsys):
     assert code == 0
     out = json.loads(stdout)
     assert "slope" in out["iid"]
+
+
+@pytest.mark.parametrize(
+    "rows,argv,message",
+    [
+        pytest.param(
+            64,
+            ["verify", "--in", "wide.csv", "--t", "20"],
+            "strength 20 of 64 rows x 40 columns has 137846528820 column tuples, "
+            "over 274877906944 row visits",
+            id="verify-tuples",
+        ),
+        pytest.param(
+            70000,
+            ["verify", "--in", "wide.csv", "--t", "20"],
+            "strength 20 of 70000 rows x 40 columns has 137846528820 column tuples, "
+            "over 274877906944 row visits",
+            id="verify-tuples-two-blocks",
+        ),
+        pytest.param(
+            0,
+            ["bench", "--n", "64", "--d", "3", "--kinds", "iid", "--integrand", "ADD-LIN",
+             "--reps", "1000000000"],
+            "1000000000 replications exceed 134217728 kept estimates",
+            id="bench-reps",
+        ),
+    ],
+)
+def test_unbounded_work_is_refused_before_it_starts(tmp_path, rows, argv, message):
+    # each of these ran for good, or ended in a MemoryError traceback, before
+    # the work bounds: a fresh process must now exit 2 with one line, in time
+    if rows:
+        save_design(Design(np.zeros((rows, 40), dtype=np.uint8), s=1), tmp_path / "wide.csv")
+    src = str(Path(noa.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "noa.cli", *argv], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import itertools
+import math
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 
@@ -19,11 +21,12 @@ from noa.designs import (
     nested64_fixture,
     parse_design,
 )
-from noa.errors import FormatError, NotDivisorError, StrengthError
+from noa.errors import FieldOverflowError, FormatError, NotDivisorError, StrengthError
 from noa.bush import bush_construct
 from noa.cli import main
 from noa.gf import field_of_order
-from noa.sampling import parse_points
+from noa.nested import expand_to_lhs
+from noa.sampling import parse_points, to_points
 
 
 def rows_design(rows, s):
@@ -171,21 +174,21 @@ def test_check_strength_reads_columns_in_place():
 # --- the two halves of the tuples ----------------------------------------------
 #
 # A design of more than one 2^16-row block, checked with two CPUs, splits its
-# column tuples into two contiguous halves; the helper thread checks the upper.
+# column tuples into two contiguous halves; pipeline's helper lane checks the upper.
 
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two CPUs for check_strength, and the helper threads it starts."""
+    """Two CPUs for the runner, and the helper lanes it starts."""
     started = []
+    real = designs._helper_lane
 
-    class Counted(designs._Helper):
-        def start(self):
-            started.append(self)
-            super().start()
+    def counted(*args):
+        started.append(threading.current_thread())
+        real(*args)
 
     monkeypatch.setattr(designs, "_cpus", lambda: 2)
-    monkeypatch.setattr(designs, "_Helper", Counted)
+    monkeypatch.setattr(designs, "_helper_lane", counted)
     return started
 
 
@@ -296,40 +299,41 @@ def test_helper_errors_are_raised_in_the_caller(two_cpus, monkeypatch):
 
 
 def test_helper_stops_once_the_lower_half_fails(two_cpus, monkeypatch):
-    # the helper starts on its half only once the calling thread joins it,
-    # after the lower half is done: it checks no tuple when that half has
-    # failed, and all of its own when that half has passed
-    joining = threading.Event()
+    # the helper lane starts on its half only once the lower half is done
+    # and, if that half failed, the run is ending: it checks no tuple when
+    # that half has failed, and all of its own when that half has passed
+    lower = []
     checked = []
-    real_index = designs._index
+    real_first, real_index = designs._first_failure, designs._index
 
-    class Late(designs._Helper):
-        def run(self):
-            joining.wait(10)
-            super().run()
-
-        def join(self, timeout=None):
-            joining.set()
-            super().join(timeout)
+    def first_failure(*work):
+        if threading.current_thread() is threading.main_thread():
+            lower.append(real_first(*work))
+            return lower[-1]
+        stop = work[-1]
+        deadline = time.monotonic() + 10
+        while not (stop or lower == [None]) and time.monotonic() < deadline:
+            time.sleep(1e-3)
+        return real_first(*work)
 
     def index(part, cols, *rest):
         if threading.current_thread() is not threading.main_thread():
             checked.append(cols)
         return real_index(part, cols, *rest)
 
-    monkeypatch.setattr(designs, "_Helper", Late)
+    monkeypatch.setattr(designs, "_first_failure", first_failure)
     monkeypatch.setattr(designs, "_index", index)
     assert check_strength(broken_in_both_halves(), 2).violation.columns == (0, 2)
-    assert checked == [] and two_cpus[0].failed is None and two_cpus[0].error is None
-    joining.clear()
+    assert lower == [(0, 2)] and checked == []
+    lower.clear()
     assert check_strength(wide_oa(), 2).ok
     assert list(dict.fromkeys(checked)) == [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     assert len(two_cpus) == 2
 
 
 def test_two_halves_under_concurrent_callers(two_cpus):
-    # four callers, each with a helper, on two CPUs or fewer, with thread
-    # switches forced often: every report must still be the one-thread one
+    # four callers, each with a helper lane, on two CPUs or fewer, with
+    # thread switches forced often: every report must still be the one-thread one
     design = wide_oa()
     cases = [design, broken_in_both_halves(), swapped(design, 4, upper_half_swap(design))]
     cases = [(case, naive_report(case, 2)) for case in cases]
@@ -353,6 +357,186 @@ def test_two_halves_under_concurrent_callers(two_cpus):
         sys.setswitchinterval(interval)
     assert not any(c.is_alive() for c in callers)
     assert wrong == [] and len(two_cpus) == 12
+
+
+def test_check_strength_refuses_too_many_tuples_before_building_any():
+    # C(40, 20) tuples of 64 rows: refused before a tuple list, a flag array
+    # or a block buffer exists, so the call takes no time and no memory
+    design = Design(np.zeros((64, 40), dtype=np.uint8), s=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldOverflowError, match="137846528820 column tuples"):
+            check_strength(design, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert check_strength(design, 2).ok  # 780 tuples
+
+
+def test_every_constructible_ladder_fits_the_check_bound():
+    # the largest ladders the constructors verify: a Bush OA(107^3, 108, 107, 3)
+    # (construct_oa and noa gen --kind bush), and a tang design of 509^2 rows
+    # and 510 columns at strength 2, both just inside MAX_ENTRIES
+    assert 107**3 * 108 <= designs.MAX_ENTRIES < 109**3 * 110
+    assert 509**2 * 510 <= designs.MAX_ENTRIES
+    for n, d, t in ((107**3, 108, 3), (509**2, 510, 2), (509**2, 510, 1)):
+        assert math.comb(d, t) * (n + designs._TUPLE_ROWS) <= designs.MAX_CHECK_WORK
+
+
+# --- the two-lane runner -------------------------------------------------------
+#
+# pipeline(rows, count, produce, consume) gives its producer a helper lane only
+# for more than one 2^16-row block on more than one CPU; the strength check,
+# the level expansion and to_points all run on it.
+
+
+def logged(log, raise_at=(None, None), stop_at=None, poll_at=None, wait=False):
+    """A produce and a consume that log each call in the thread it ran in.
+
+    raise_at is (lane, item): that lane raises at that item.  consume
+    returns True at stop_at.  produce(poll_at) runs until the run is
+    ending.  With wait, consume(i) first waits until produce(i + 1) began.
+    """
+
+    def began(i):
+        return any(e[:2] == ("produce", i) for e in log)
+
+    def produce(i, stop):
+        log.append(("produce", i, threading.current_thread()))
+        if i == poll_at:
+            deadline = time.monotonic() + 10
+            while not stop and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            log.append(("stopped", bool(stop)))
+        if raise_at == ("produce", i):
+            raise MemoryError(f"producer at {i}")
+        return i * i
+
+    def consume(i, item):
+        deadline = time.monotonic() + 10
+        while wait and not began(i + 1) and time.monotonic() < deadline:
+            time.sleep(1e-3)
+        if raise_at == ("consume", i):
+            raise KeyError(f"consumer at {i}")
+        if item != i * i:
+            raise AssertionError(f"item {i} is {item}")
+        log.append(("consumed", i, threading.current_thread()))
+        return i == stop_at
+
+    return produce, consume
+
+
+def test_pipeline_one_lane_is_the_plain_loop(two_cpus, monkeypatch):
+    # at most one block, or one item, or one CPU: no thread, and each item
+    # is produced, then consumed, in the calling thread
+    me = threading.current_thread()
+    before = threading.active_count()
+    for rows, count, cpus in ((2**16, 3, 2), (2**16 + 1, 1, 2), (2**16 + 1, 3, 1)):
+        monkeypatch.setattr(designs, "_cpus", lambda: cpus)
+        log = []
+        designs.pipeline(rows, count, *logged(log))
+        assert log == [(kind, i, me) for i in range(count) for kind in ("produce", "consumed")]
+    assert two_cpus == [] and threading.active_count() == before
+
+
+def test_pipeline_two_lanes_keep_order_one_item_apart(two_cpus):
+    # the helper lane produces every item; item i + 1 is produced only once
+    # item i - 1 has been consumed, so a producer may reuse its buffers
+    # every second item
+    log = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        designs.pipeline(2**16 + 1, 40, *logged(log))
+    finally:
+        sys.setswitchinterval(interval)
+    me = threading.current_thread()
+    assert [e[1] for e in log if e[0] == "consumed"] == list(range(40))
+    assert all(e[2] is me for e in log if e[0] == "consumed")
+    assert all(e[2] is two_cpus[0] for e in log if e[0] == "produce")
+    at = {e[:2]: k for k, e in enumerate(log)}
+    assert all(at["produce", i] > at["consumed", i - 2] for i in range(2, 40))
+    assert len(two_cpus) == 1 and not two_cpus[0].is_alive()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_pipeline_raises_the_producer_error_in_order(monkeypatch, cpus):
+    monkeypatch.setattr(designs, "_cpus", lambda: cpus)
+    log = []
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="producer at 3") as excinfo:
+        designs.pipeline(2**16 + 1, 10, *logged(log, raise_at=("produce", 3)))
+    assert threading.active_count() == before
+    assert [e[1] for e in log if e[0] == "consumed"] == [0, 1, 2]
+    assert excinfo.traceback[-1].name == "produce"  # raised with the helper's traceback
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_pipeline_raises_the_consumer_error_and_stops_the_producer(monkeypatch, cpus):
+    monkeypatch.setattr(designs, "_cpus", lambda: cpus)
+    log = []
+    before = threading.active_count()
+    with pytest.raises(KeyError, match="consumer at 2"):
+        designs.pipeline(2**16 + 1, 10, *logged(log, ("consume", 2), poll_at=3, wait=cpus == 2))
+    assert threading.active_count() == before
+    assert [e[1] for e in log if e[0] == "consumed"] == [0, 1]
+    # the one item produced beside the failed one ended early, and no other began
+    assert [e[1] for e in log if e[0] == "produce"] == list(range(3 + (cpus == 2)))
+    assert log.count(("stopped", True)) == (cpus == 2)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_pipeline_ends_when_consume_returns_true(monkeypatch, cpus):
+    monkeypatch.setattr(designs, "_cpus", lambda: cpus)
+    log = []
+    before = threading.active_count()
+    designs.pipeline(2**16 + 1, 10, *logged(log, stop_at=1, poll_at=2, wait=cpus == 2))
+    assert threading.active_count() == before
+    assert [e[1] for e in log if e[0] == "consumed"] == [0, 1]
+    assert [e[1] for e in log if e[0] == "produce"] == list(range(2 + (cpus == 2)))
+    assert log.count(("stopped", True)) == (cpus == 2)
+
+
+def test_at_most_one_block_starts_no_thread(two_cpus):
+    # 2^16 rows: the check, the expansion and the points run in the caller
+    design = bush_construct(field_of_order(256), 2, 5)
+    before = threading.active_count()
+    assert check_strength(design, 2).ok
+    assert expand_to_lhs(design, 3).s == 2**16
+    assert to_points(design, "uniform", 4).n == 2**16
+    assert two_cpus == [] and threading.active_count() == before
+
+
+def test_pipeline_stages_under_concurrent_callers(two_cpus, monkeypatch):
+    # four callers expanding and placing a two-block design at once, with
+    # thread switches forced often, get the one-lane bytes
+    design = wide_oa()
+    monkeypatch.setattr(designs, "_cpus", lambda: 1)
+    expected = [(expand_to_lhs(design, k).matrix, to_points(design, "uniform", k).points)
+                for k in range(4)]
+    monkeypatch.setattr(designs, "_cpus", lambda: 2)
+    wrong = []
+
+    def caller(k):
+        for round_ in range(2):
+            seed = (k + round_) % 4
+            got = expand_to_lhs(design, seed).matrix, to_points(design, "uniform", seed).points
+            if not all(map(np.array_equal, got, expected[seed])):
+                wrong.append((k, round_))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for c in callers:
+            c.start()
+        for c in callers:
+            c.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in callers)
+    assert wrong == [] and len(two_cpus) == 16
 
 
 def test_check_strength_more_cells_than_rows():

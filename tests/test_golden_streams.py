@@ -11,7 +11,9 @@ import hashlib
 import pytest
 
 from noa.bench import KINDS, run_bench
-from noa.designs import collapse, format_design
+from noa import designs
+from noa.designs import Design, collapse, format_design
+from noa.errors import UnbalancedColumnError
 from noa.nested import (
     construct_lhs,
     construct_noa,
@@ -44,6 +46,14 @@ OUTPUTS = {
     "points-tang-64-3-mid": lambda: format_points(
         to_points(construct_tang(64, 3, 7).design, "midpoint")
     ),
+    # more than one 2^16-row block: the two-lane path of every pipeline stage
+    "noa3-131072-5": lambda: format_design(construct_noa(plan_noa(131072, 5), 5).design),
+    "points-noa3-131072-5": lambda: format_points(
+        to_points(construct_noa(plan_noa(131072, 5), 5).design, "uniform", 13)
+    ),
+    "points-noa3-131072-5-mid": lambda: format_points(
+        to_points(construct_noa(plan_noa(131072, 5), 5).design, "midpoint")
+    ),
     "bench-64-3-s5": lambda: run_bench(64, 3, KINDS, "ADD-EXP", 50, 5).to_json(),
     "bench-64-3-s6": lambda: run_bench(64, 3, KINDS, "ADD-EXP", 50, 6).to_json(),
 }
@@ -58,10 +68,13 @@ DIGESTS = {
     "noa3-256-4": "9ec23a1758c6f6b23fca14f7b569261b56195078e2c52c2f298af53e77fc1b69",
     "noa3-512-3": "db5ee04d7ab96750948f990b753c686b8d649db69a6e7308a564df3e75ac560a",
     "noa3-64-3": "dd6147135083662efeb6a6349fe5d58201035a014f4dcff21bd3588ace82b127",
+    "noa3-131072-5": "ced656565ca6d23b89d6a174afcfcc4fb82b583793034ddf20369d5829d5d470",
     "oa-5-3-4": "d89dac470f25d2140eaf48aad491616af342a255774c8aafff1d78a2218e5169",
     "oa-8-2-9": "93c2bb9c95212b09715b25e406282de7f5c075bf5a0356b01d2cfc907f33662d",
     "points-lhs-300-2": "5da8ff2170953e2cf6fa0cba47415719eb3fec6c97ce0ca2067607af97aef252",
     "points-noa3-64-3": "9bd3ece67fef0fffaa77e4f098330dd9f2fb23773a5c04b39a3247dbc1ef7f2f",
+    "points-noa3-131072-5": "8620ab7be82f1254c4f53775451400316bf3944f2f16990e63b46c46206428bf",
+    "points-noa3-131072-5-mid": "df50b36bb7a6b4263a799c35dea8fe684ca052f3c05f12a159c96b48e171094e",
     "points-tang-64-3-mid": "5e87371721bf4fd8bccb1514c453eba450d2b349a083d020fe6a8f73819c0f9b",
     "tang-1024-5": "a8eb217410f4bd608fd1c82648c56d01758721cf92533a72b705d69b827040c8",
     "tang-64-3": "d33b4ef785eda07a7c32dc8b77c8691519ce967f958673cc72de3459802cfe03",
@@ -71,3 +84,30 @@ DIGESTS = {
 @pytest.mark.parametrize("name", sorted(OUTPUTS))
 def test_output_stream_is_pinned(name):
     assert hashlib.sha256(OUTPUTS[name]().encode()).hexdigest() == DIGESTS[name]
+
+
+# the outputs past one block, where the process's CPU count picks one lane or two
+TWO_LANE_OUTPUTS = [
+    "expand-100000-100", "noa3-131072-5", "points-noa3-131072-5", "points-noa3-131072-5-mid"
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("name", TWO_LANE_OUTPUTS)
+def test_one_and_two_lanes_give_the_pinned_bytes(monkeypatch, name, cpus):
+    monkeypatch.setattr(designs, "_cpus", lambda: cpus)
+    assert hashlib.sha256(OUTPUTS[name]().encode()).hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_unbalanced_later_column_names_the_same_level(monkeypatch, cpus):
+    # 131072 rows at 64 levels, column 2 of 4 with level 52 once under and
+    # level 54 once over: the expansion has drawn a later column's levels
+    # (two lanes) or not (one) when it refuses column 2, with the same message
+    monkeypatch.setattr(designs, "_cpus", lambda: cpus)
+    mat = collapse(construct_lhs(131072, 4, 3), 64).matrix.copy()
+    assert list(mat[:2, 2]) == [52, 54]
+    mat[0, 2] = 54
+    with pytest.raises(UnbalancedColumnError) as excinfo:
+        expand_to_lhs(Design(mat, s=64), 1)
+    assert str(excinfo.value) == "column 2: level 52 occurs 2047 times, expected 2048"

@@ -1,0 +1,110 @@
+"""Record benchmark runs in BENCH_<short-rev>.json files.
+
+Runs each checkout's ``benchmarks/run.py`` as a child process, once per
+seed, taking the checkouts in turn for every seed and reversing their
+order from one seed to the next (so a parent and a change are measured in
+pairs that alternate which side runs first), and writes one
+``BENCH_<short-rev>.json`` per checkout into ``--out-dir``.  Each run keeps the child's ``# meta`` line
+and its final JSON line as printed; the file also holds, per workload and
+metric, every run's value and their median.  Runs are added to a file that
+already exists.  Nothing under ``benchmarks/`` is edited.
+
+    python3 tools/record_bench.py --workload design-n262144 --seeds 1,2,3 \\
+        --seconds 40 --out-dir . PARENT_CHECKOUT CHANGE_CHECKOUT
+
+A checkout with uncommitted changes is recorded as ``<short-rev>-dirty``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+META = "# meta "
+
+
+def short_rev(checkout: Path) -> str:
+    """The checkout's short HEAD revision, with -dirty when its tree has uncommitted changes."""
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=checkout, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    rev = git("rev-parse", "--short", "HEAD")
+    return rev + "-dirty" if git("status", "--porcelain", "--untracked-files=no") else rev
+
+
+def parse_run(stdout: str) -> tuple[dict, dict]:
+    """The child's ``# meta`` object and its final JSON line."""
+    lines = stdout.splitlines()
+    metas = [json.loads(ln[len(META):]) for ln in lines if ln.startswith(META)]
+    if len(metas) != 1 or not lines:
+        raise ValueError(f"expected one '# meta' line, found {len(metas)}")
+    return metas[0], json.loads(lines[-1])
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    argv = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    meta, result = parse_run(proc.stdout)
+    return {"workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
+            "meta": meta, "result": result}
+
+
+def summary(runs: list[dict]) -> dict:
+    """Per workload and trace mode, each metric's values in run order and their median."""
+    out: dict = {}
+    for run in runs:
+        key = f"{run['workload']} trace={run['trace']}"
+        for name, metric in run["result"]["metrics"].items():
+            entry = out.setdefault(key, {}).setdefault(
+                name, {"unit": metric["unit"], "values": []}
+            )
+            entry["values"].append(metric["value"])
+    for metrics in out.values():
+        for entry in metrics.values():
+            entry["median"] = statistics.median(entry["values"])
+    return out
+
+
+def record(path: Path, rev: str, runs: list[dict]) -> None:
+    old = json.loads(path.read_text())["runs"] if path.exists() else []
+    runs = old + runs
+    path.write_text(json.dumps(
+        {"revision": rev, "runs": runs, "summary": summary(runs)}, indent=1
+    ) + "\n")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("checkouts", nargs="+", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="comma-separated run seeds")
+    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out-dir", type=Path, default=Path("."))
+    args = parser.parse_args(argv)
+    revs = [short_rev(c) for c in args.checkouts]
+    runs: dict[str, list[dict]] = {rev: [] for rev in revs}
+    pairs = list(zip(args.checkouts, revs))
+    for k, seed in enumerate(int(v) for v in args.seeds.split(",")):
+        for checkout, rev in pairs if k % 2 == 0 else pairs[::-1]:  # each side first in turn
+            run = run_once(checkout, args.workload, seed, args.seconds, args.trace)
+            runs[rev].append(run)
+            p50 = run["result"]["metrics"].get("op_p50_ms", {}).get("value")
+            print(f"{rev} seed {seed}: op_p50_ms {p50}", flush=True)
+    for rev, rev_runs in runs.items():
+        record(args.out_dir / f"BENCH_{rev}.json", rev, rev_runs)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
