@@ -55,6 +55,8 @@ def make_integrand(name: str, d: int) -> Integrand:
             name, d, lambda x: (x[:, 0] - 0.5) * (x[:, 1] - 0.5) * (x[:, 2] - 0.5), 0.0
         )
     if name == "PROD-EXP":
+        if d > 709:  # past it, e^d, which bounds the integrand and its integral, overflows a float
+            raise ValueError("PROD-EXP needs d <= 709")
         return Integrand(name, d, lambda x: np.exp(x).prod(axis=1), (E - 1.0) ** d)
     raise ValueError(f"unknown integrand {name!r}, expected one of {', '.join(INTEGRANDS)}")
 
@@ -82,16 +84,13 @@ KINDS = ("iid", "lhs", "oa2", "tang", "noa3")
 _KIND_ID = {k: i for i, k in enumerate(KINDS)}
 
 
-def kind_points(kind: str, n: int, d: int, seed: int, plan: nested.Plan | None = None) -> PointSet:
+def kind_points(kind: str, n: int, d: int, seed: int, plan: nested.Plan | None) -> PointSet:
     """One randomized point set of the given kind, a pure function of seed.
 
-    plan is nested.plan(kind, n, d), made here when it is not given; iid
-    has none.
+    plan is nested.plan(kind, n, d), or None for iid, which has none.
     """
     if kind == "iid":
         return PointSet(stream(seed, STAGE_IID).random((n, d)))
-    if plan is None:
-        plan = nested.plan(kind, n, d)
     return to_points(nested.construct(plan, seed).design, "uniform", seed)
 
 
@@ -110,7 +109,7 @@ def _labelled(kind: str, n: int, d: int):
 
 
 def check_inputs(ns, d: int, kinds, reps: int) -> dict:
-    """Refuse bad run counts, sizes, kind names or plans before any replication is built.
+    """Refuse bad run counts, sizes, kind lists or plans before any replication is built.
 
     A run of more than MAX_ENTRIES replications, or of more than MAX_DRAWN
     point coordinates (reps * n * d) per kind, is refused with
@@ -131,6 +130,8 @@ def check_inputs(ns, d: int, kinds, reps: int) -> dict:
             raise FieldOverflowError(
                 f"{reps} replications of {n} x {d} points exceed {MAX_DRAWN} drawn coordinates"
             )
+    if not kinds:
+        raise ValueError("kinds must name at least one design kind")
     for kind in kinds:
         if kind not in _KIND_ID:
             raise ValueError(f"unknown design kind {kind!r}")
@@ -189,7 +190,7 @@ def run_bench(
     n: int,
     d: int,
     kinds,
-    integrand: str | Integrand,
+    integrand: str,
     reps: int,
     seed: int,
 ) -> BenchReport:
@@ -199,7 +200,7 @@ def run_bench(
     """
     kinds = list(dict.fromkeys(kinds))
     plans = check_inputs((n,), d, kinds, reps)
-    f = make_integrand(integrand, d) if isinstance(integrand, str) else integrand
+    f = make_integrand(integrand, d)
     results: dict[str, KindStats] = {}
     for kind in kinds:
         ests = np.empty(reps)

@@ -36,15 +36,13 @@ def _cmd_gen(args) -> int:
     seed = args.seed
     if args.kind == "bush":
         if args.s is None or args.t is None:
-            print("gen --kind bush requires --s and --t", file=sys.stderr)
-            return EXIT_PLAN
+            raise ValueError("gen --kind bush requires --s and --t")
         d = args.s + 1 if args.d is None else args.d
         ladder = bush_ladder(args.s, args.t, d)  # checked before the field is built
         design = bush_construct(field_of_order(args.s), args.t, d)
         verify_ladder(design, ladder)
     elif args.n is None or args.d is None:
-        print(f"gen --kind {args.kind} requires --n and --d", file=sys.stderr)
-        return EXIT_PLAN
+        raise ValueError(f"gen --kind {args.kind} requires --n and --d")
     else:  # every construction verifies its own ladder
         nd = construct(plan(args.kind, args.n, args.d), seed)
         design, ladder = nd.design, nd.ladder
@@ -91,14 +89,10 @@ def _cmd_bench(args) -> int:
 
     # each kind once, so --rate also fits each kind once
     kinds = list(dict.fromkeys(k.strip() for k in args.kinds.split(",") if k.strip()))
-    if not kinds:
-        print("bench --kinds names no design kind", file=sys.stderr)
-        return EXIT_PLAN
     bench_mod.make_integrand(args.integrand, args.d)  # an unknown name lists the known ones
     if args.rate:
         if args.estimates_out:
-            print("bench --estimates-out cannot be used with --rate", file=sys.stderr)
-            return EXIT_PLAN
+            raise ValueError("bench --estimates-out cannot be used with --rate")
         ns = [int(v) for v in args.rate.split(",")]
         bench_mod.check_inputs(ns, args.d, kinds, args.reps)  # all kinds and plans, before any fit
         out = {}
@@ -122,8 +116,15 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments raise ValueError, so main reports them as it reports every refusal."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="noa", description=__doc__)
+    parser = _Parser(prog="noa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="construct a design and print its verified ladder")
@@ -163,11 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, even for a message that quotes an argument holding a line break
+        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 

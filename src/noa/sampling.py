@@ -56,6 +56,8 @@ def to_points(design: Design, mode: str = "uniform", seed: int = 0) -> PointSet:
     if mode not in ("uniform", "midpoint"):
         raise ValueError(f"mode must be 'uniform' or 'midpoint', got {mode!r}")
     n, s = design.n, design.s
+    if s > 1 << 53:  # _place computes in float64, which holds every level exactly only up to 2^53
+        raise ValueError(f"s={s} levels exceed 2^53, past which float64 points merge strata")
     x = np.empty(design.matrix.shape)  # the C-order output, filled with the offsets
     rng = stream(seed, STAGE_JITTER) if mode == "uniform" else None
 

@@ -84,8 +84,9 @@ def test_estimate_dimension_mismatch():
 
 @pytest.mark.parametrize("kind", ["iid", "lhs", "oa2", "tang", "noa3"])
 def test_kind_points_shape_and_determinism(kind):
-    a = kind_points(kind, 64, 3, 11)
-    b = kind_points(kind, 64, 3, 11)
+    plan = None if kind == "iid" else nested.plan(kind, 64, 3)
+    a = kind_points(kind, 64, 3, 11, plan)
+    b = kind_points(kind, 64, 3, 11, plan)
     assert a.points.shape == (64, 3)
     assert (a.points == b.points).all()
 
@@ -117,9 +118,21 @@ def test_run_bench_labels_failing_kind():
         assert f"kind {kind!r} failed" in str(exc.value)
 
 
+def test_prod_exp_refuses_d_past_709():
+    # e^d bounds the integrand and its integral; past d = 709 it overflows a float
+    assert math.isfinite(make_integrand("PROD-EXP", 709).true_integral)
+    with pytest.raises(ValueError, match="PROD-EXP needs d <= 709"):
+        make_integrand("PROD-EXP", 710)
+
+
+def test_run_bench_refuses_an_empty_kind_list():
+    with pytest.raises(ValueError, match="kinds must name at least one design kind"):
+        run_bench(16, 3, [], "ADD-LIN", 2, 0)
+
+
 def test_oa2_requires_square():
     with pytest.raises(ConstructionError):
-        kind_points("oa2", 24, 3, 0)
+        nested.plan("oa2", 24, 3)
 
 
 def test_fit_rate_degenerate_constant():

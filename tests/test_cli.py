@@ -1,11 +1,17 @@
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noa
 from noa import bench, gf
@@ -58,7 +64,33 @@ def test_gen_requires_n_and_d(capsys, kind, given):
     code, stdout, err = run(capsys, "gen", "--kind", kind, *given)
     assert code == 2
     assert stdout == ""
-    assert err == f"gen --kind {kind} requires --n and --d\n"
+    assert err == f"error: gen --kind {kind} requires --n and --d\n"
+
+
+def test_gen_bush_requires_s_and_t(capsys):
+    code, stdout, err = run(capsys, "gen", "--kind", "bush", "--s", "4")
+    assert (code, stdout, err) == (2, "", "error: gen --kind bush requires --s and --t\n")
+
+
+@pytest.mark.parametrize(
+    "argv,start",
+    [
+        ((), "error: noa: the following arguments are required: command"),
+        (("bogus",), "error: noa: argument command: invalid choice: 'bogus'"),
+        (("gen", "--kind", "foo", "--n", "64", "--d", "3"),
+         "error: noa gen: argument --kind: invalid choice: 'foo'"),
+        (("gen", "--kind", "lhs", "--n", "x"), "error: noa gen: argument --n: invalid int value: 'x'"),
+        (("verify", "--in", "f.csv"), "error: noa verify: the following arguments are required: --t"),
+        (("sample", "--in"), "error: noa sample: argument --in: expected one argument"),
+        (("gen", "--kind", "lhs", "--n", "4", "--d", "2", "--x\ny"),
+         "error: noa: unrecognized arguments: --x y"),
+    ],
+)
+def test_argparse_refusals_are_one_error_line(capsys, argv, start):
+    # no usage block and no SystemExit: the same exit code 2 and one line as any refusal
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(start) and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_gen_tang(tmp_path, capsys):
@@ -222,6 +254,15 @@ def test_sample_uniform_rebins(tmp_path, capsys):
     assert (np.floor(pts.points * design.s).astype(int) == design.matrix).all()
 
 
+def test_sample_refuses_more_than_2_pow_53_levels(tmp_path, capsys):
+    path = tmp_path / "fine.csv"
+    s = (1 << 53) + 2
+    path.write_text(f"# noa-design v1 n=2 d=1 s={s}\n0\n{s - 1}\n")
+    code, stdout, err = run(capsys, "sample", "--in", str(path))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: s={s} levels exceed 2^53, past which float64 points merge strata\n"
+
+
 def test_sample_deterministic(tmp_path, capsys):
     dpath = tmp_path / "d.csv"
     run(capsys, "gen", "--kind", "lhs", "--n", "8", "--d", "2", "--seed", "1",
@@ -277,7 +318,10 @@ def test_bench_unconstructible(capsys):
     "sizes,kinds,message",
     [
         (("--n", "0", "--d", "3"), "iid", "error: need n >= 1 and d >= 1, got n=0, d=3\n"),
-        (("--n", "16", "--d", "3"), ",", "bench --kinds names no design kind\n"),
+        pytest.param(
+            ("--n", "16", "--d", "3"), ",", "error: kinds must name at least one design kind\n",
+            id="no-kind",
+        ),
     ],
 )
 def test_bench_rejects_bad_sizes(capsys, sizes, kinds, message):
@@ -389,7 +433,7 @@ def test_bench_rate_refuses_estimates_out(tmp_path, capsys, monkeypatch):
     )
     assert code == 2
     assert stdout == ""
-    assert err == "bench --estimates-out cannot be used with --rate\n"
+    assert err == "error: bench --estimates-out cannot be used with --rate\n"
     assert not path.exists()
 
 
@@ -510,3 +554,111 @@ def test_package_names_load_on_first_access():
     assert namespace["construct_noa"] is noa.construct_noa
     with pytest.raises(AttributeError, match="has no attribute 'construct_nothing'"):
         noa.construct_nothing
+
+
+# --- the CLI promise, on generated input ---------------------------------------
+#
+# Every argv but -h/--help ends in an exit code of 0-3 and raises nothing; a
+# refusal (1 or 2) is one "error: " line on stderr and nothing on stdout, and
+# a run that ends 0 or 3 writes nothing to stderr.
+
+# sizes are small, or so far beyond a cap that they are refused before any allocation
+SIZES = st.one_of(
+    st.integers(1, 9), st.integers(1, 9), st.integers(-2, 0),
+    st.sampled_from([16, 25, 27, 64, 2**40, 10**18, 2**64, -(10**12)]),
+).map(str)
+INTS = st.one_of(SIZES, SIZES, SIZES, st.sampled_from(["", "x", "1.5", "0x10", "1e3", " 7", "٣"]))
+# hypothesis draws the ends of a list more often than its middle, so the ends are good values
+GEN_KINDS = ["lhs", "oa2", "", "bush", "noa3", "tang"]
+BENCH_KINDS = ["iid", "bush", "", "oa2", "tang", "noa3", "lhs"]
+# file names, made paths in the test's directory: the design file, a missing file,
+# a file in a missing directory and the directory itself
+PATHS = ("design.csv", "missing.csv", "out.csv", "no/out.csv", ".")
+VALUES = {
+    "--kind": st.sampled_from(GEN_KINDS),
+    "--mode": st.sampled_from(["uniform", "bogus", "midpoint"]),
+    "--kinds": st.lists(st.sampled_from(BENCH_KINDS), min_size=1, max_size=3).map(",".join),
+    "--integrand": st.sampled_from(["ADD-LIN", "NOPE", *bench.INTEGRANDS]),
+    "--rate": st.lists(SIZES, max_size=4).map(",".join),
+    "--in": st.sampled_from(["design.csv", "design.csv", "design.csv", "missing.csv", "."]),
+    "--out": st.sampled_from(["out.csv", "out.csv", "out.csv", "no/out.csv", "."]),
+}
+VALUES["--estimates-out"] = VALUES["--out"]
+FLAGS = {  # per command: flags mostly given, flags given half the time
+    "gen": (["--kind", "--n", "--d", "--s", "--t"], ["--seed", "--out"]),
+    "verify": (["--in", "--t"], ["--collapse"]),
+    "sample": (["--in"], ["--mode", "--seed", "--out"]),
+    "bench": (
+        ["--n", "--d", "--kinds", "--integrand", "--reps"], ["--seed", "--rate", "--estimates-out"]
+    ),
+}
+# stray tokens: other commands' flags, unknown flags, positionals, a flag without
+# its value, and a line break, which argparse's message quotes as it is
+STRAY = ["--kind", "--n", "--collapse", "--rate", "--bogus", "-x", "extra", "--t=2", "--\nx"]
+BAD_TOKENS = ["", "x", "1.5", " 2 ", "+1", "-1", "nan", "0x1", "99", "٣", "1,"]
+MOSTLY = st.integers(0, 9).map(lambda k: k != 3)  # True about nine times in ten
+
+
+@st.composite
+def design_texts(draw):
+    """A design file's text: the header's n, d, s, the row lengths and the tokens all vary.
+
+    The body is levels below s from a drawn seed, so most files with a
+    good header are designs; then one token may be replaced and one row
+    resized.
+    """
+    magic = "# noa-design v1" if draw(MOSTLY) else draw(st.sampled_from(["# noa-points v1", "#"]))
+    n, d, s = (draw(st.integers(1, 9)) if draw(MOSTLY) else
+               draw(st.sampled_from([-1, 0, 2**53 + 2, 10**30])) for _ in "nds")
+    header = [f"{k}={v}" for k, v in zip("nds", (n, d, s)) if draw(MOSTLY)]
+    if not draw(MOSTLY):
+        header.append(draw(st.sampled_from(["s=x", "junk", "seed=3"])))
+    rows = n if 0 < n < 10 and draw(MOSTLY) else draw(st.integers(0, 9))
+    width = d if 0 < d < 10 else draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    body = [[str(rng.randrange(min(max(s, 1), 4))) for _ in range(width)] for _ in range(rows)]
+    if body and not draw(MOSTLY):
+        rng.choice(body)[rng.randrange(width)] = draw(st.sampled_from(BAD_TOKENS))
+    if body and not draw(MOSTLY):
+        extra = ["1"] * rng.randrange(3)
+        body[rng.randrange(rows)] = body[0][: draw(st.integers(0, width))] + extra
+    return "\n".join([" ".join([magic, *header]), *map(",".join, body)]) + "\n"
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command, its flags with one now and then missing, their values, and stray tokens."""
+    commands = ["sample", "bench", "verify", "gen"] if draw(MOSTLY) else ["bogus"]
+    command = draw(st.sampled_from(commands))
+    mostly, sometimes = FLAGS.get(command, ([], []))
+    chosen = [f for f in mostly if draw(MOSTLY)] + [f for f in sometimes if draw(st.booleans())]
+    argv = [command]
+    for flag in draw(st.permutations(chosen)):
+        argv += [flag, draw(VALUES.get(flag, INTS))]
+    if not draw(MOSTLY):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAY)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-promise")
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(text=design_texts(), argv=cli_argvs())
+def test_every_argv_ends_in_an_exit_code_and_at_most_one_error_line(cli_root, text, argv):
+    (cli_root / "design.csv").write_text(text)
+    argv = [str(cli_root / a) if a in PATHS else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # a warning would print more lines to stderr, so it fails the example
+    with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code in (1, 2):
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noa import bush, designs, nested
+from noa import bush, cli, designs, nested
 from noa.bush import bush_construct
 from noa.designs import Design, check_strength, collapse, level_dtype
 from noa.errors import (
     ConstructionError,
     DesignError,
     FieldOverflowError,
+    InternalInvariantError,
     NoNontrivialPlanError,
     NotPrimeError,
     UnbalancedColumnError,
@@ -379,6 +380,30 @@ def test_construct_noa_memory_budget():
 def test_expand_to_lhs_unbalanced():
     with pytest.raises(UnbalancedColumnError):
         expand_to_lhs(Design(np.array([[0, 0], [0, 1]]), s=2), 0)
+
+
+def test_expand_to_lhs_refuses_n_not_a_multiple_of_s():
+    with pytest.raises(UnbalancedColumnError, match="n=6 not divisible by s=4"):
+        expand_to_lhs(Design(np.array([[0], [1], [2], [3], [0], [1]]), s=4), 0)
+
+
+def test_a_construction_that_breaks_a_rung_is_refused(monkeypatch, capsys):
+    # verify_ladder is every construction's safety net: a design whose fine
+    # levels repeat must not leave the library or the CLI
+    expand = nested._expand_levels
+
+    def expand_then_repeat_a_level(mat, s, rng):
+        out = expand(mat, s, rng)
+        out[1, 0] = out[0, 0]
+        return out
+
+    monkeypatch.setattr(nested, "_expand_levels", expand_then_repeat_a_level)
+    with pytest.raises(InternalInvariantError, match="fails strength 1 at 64 levels"):
+        nested.construct(nested.plan("noa3", 64, 3), 0)
+    assert cli.main(["gen", "--kind", "noa3", "--n", "64", "--d", "3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("error: constructed design fails strength 1 at 64 levels: ")
 
 
 @pytest.mark.parametrize(

@@ -10,30 +10,57 @@ record_bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(record_bench)
 
 
-def child_stdout(p50, seed):
+# the line benchmarks/run.py prints after a timed run
+CALIBRATION_LINE = (
+    "# calibration kernel: median 12.34 ms over 57 runs, reference 10 ms, so times are "
+    "scaled by 0.8104; unscaled op_p50_ms 370.8"
+)
+CALIBRATION = {"kernel_median_ms": 12.34, "kernel_runs": 57, "reference_ms": 10.0,
+               "factor": 0.8104, "unscaled_op_p50_ms": 370.8}
+
+
+def child_stdout(p50, seed, calibration=True):
     meta = {"git_revision": "abc", "workload": "design-n262144", "seed": seed}
     result = {"correct": True, "attempted": 3, "failed": 0,
               "metrics": {"op_p50_ms": {"value": p50, "unit": "ms"}}}
     return "\n".join([
         f"# meta {json.dumps(meta)}",
         "# plan design-n262144: ...",
+        *([CALIBRATION_LINE] if calibration else []),
         f"op_p50_ms {p50} ms",
         json.dumps(result),
     ]) + "\n"
 
 
 def test_parse_run_reads_the_meta_line_and_the_final_json_line():
-    meta, result = record_bench.parse_run(child_stdout(300.5, 4))
+    meta, result, _ = record_bench.parse_run(child_stdout(300.5, 4))
     assert meta["seed"] == 4 and result["metrics"]["op_p50_ms"]["value"] == 300.5
     with pytest.raises(ValueError, match="one '# meta' line"):
         record_bench.parse_run("op_p50_ms 1 ms\n{}\n")
+
+
+def test_parse_run_reads_the_calibration_line():
+    assert record_bench.parse_run(child_stdout(300.5, 4))[2] == CALIBRATION
+    assert record_bench.parse_run(child_stdout(300.5, 4, calibration=False))[2] is None
+
+
+@pytest.mark.parametrize("calibration", [True, False])
+def test_run_once_keeps_the_calibration_when_the_child_prints_it(tmp_path, calibration):
+    # a checkout whose benchmarks/run.py prints a fixed run's stdout
+    (tmp_path / "benchmarks").mkdir()
+    stdout = child_stdout(300.5, 4, calibration)
+    (tmp_path / "benchmarks" / "run.py").write_text(f"print({stdout!r}, end='')\n")
+    run = record_bench.run_once(tmp_path, "design-n262144", 4, 1.0, 0)
+    assert run["meta"]["seed"] == 4 and run["result"]["metrics"]["op_p50_ms"]["value"] == 300.5
+    assert run.get("calibration") == (CALIBRATION if calibration else None)
+    assert ("calibration" in run) == calibration
 
 
 def test_record_appends_runs_and_summarises_each_metric(tmp_path):
     path = tmp_path / "BENCH_abc.json"
     runs = []
     for seed, p50 in ((1, 310.0), (2, 290.0), (3, 300.0)):
-        meta, result = record_bench.parse_run(child_stdout(p50, seed))
+        meta, result, _ = record_bench.parse_run(child_stdout(p50, seed))
         runs.append({"workload": "design-n262144", "seed": seed, "seconds": 1.0, "trace": 0,
                      "meta": meta, "result": result})
     record_bench.record(path, "abc", runs[:2])

@@ -139,3 +139,20 @@ def test_to_points_memory_is_the_output_plus_columns():
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * points.nbytes
+
+
+def test_to_points_recovers_levels_up_to_2_pow_53():
+    s = 1 << 53
+    levels = np.array([[0, s - 1], [s // 2 + 1, s - 2], [s - 1, 1], [3, s // 3]], dtype=np.uint64)
+    for mode in ("uniform", "midpoint"):
+        points = to_points(Design(levels, s=s), mode, seed=3).points
+        assert (np.floor(points * s).astype(np.uint64) == levels).all()
+
+
+@pytest.mark.parametrize("s", [(1 << 53) + 1, (1 << 53) + 2])
+def test_to_points_refuses_more_than_2_pow_53_levels(s):
+    # float64 cannot hold every level past 2^53: at 2^53 + 2 the points
+    # landed in other strata, at 2^53 + 1 one landed on 1.0
+    with pytest.raises(ValueError, match=f"s={s} levels exceed 2\\^53"):
+        to_points(Design(np.array([[0], [s - 1]], dtype=np.uint64), s=s))
+

@@ -6,8 +6,11 @@ order from one seed to the next (so a parent and a change are measured in
 pairs that alternate which side runs first), and writes one
 ``BENCH_<short-rev>.json`` per checkout into ``--out-dir``.  Each run keeps the child's ``# meta`` line
 and its final JSON line as printed; the file also holds, per workload and
-metric, every run's value and their median.  Runs are added to a file that
-already exists.  Nothing under ``benchmarks/`` is edited.
+metric, every run's value and their median.  A run also keeps, under
+``calibration``, the numbers of the child's ``# calibration kernel`` line:
+the factor that scaled its times, and the kernel and unscaled op times it
+came from.  Runs are added to a file that already exists.  Nothing under
+``benchmarks/`` is edited.
 
     python3 tools/record_bench.py --workload design-n262144 --seeds 1,2,3 \\
         --seconds 40 --out-dir . PARENT_CHECKOUT CHANGE_CHECKOUT
@@ -19,12 +22,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 META = "# meta "
+CALIBRATION = re.compile(
+    r"# calibration kernel: median (?P<kernel_median_ms>\S+) ms over (?P<kernel_runs>\d+) runs, "
+    r"reference (?P<reference_ms>\S+) ms, so times are scaled by (?P<factor>[^\s;]+); "
+    r"unscaled op_p50_ms (?P<unscaled_op_p50_ms>\S+)$"
+)
 
 
 def short_rev(checkout: Path) -> str:
@@ -38,13 +47,20 @@ def short_rev(checkout: Path) -> str:
     return rev + "-dirty" if git("status", "--porcelain", "--untracked-files=no") else rev
 
 
-def parse_run(stdout: str) -> tuple[dict, dict]:
-    """The child's ``# meta`` object and its final JSON line."""
+def parse_run(stdout: str) -> tuple[dict, dict, dict | None]:
+    """The child's ``# meta`` object, its final JSON line, and its calibration numbers.
+
+    The calibration is None when the child prints no ``# calibration kernel`` line.
+    """
     lines = stdout.splitlines()
     metas = [json.loads(ln[len(META):]) for ln in lines if ln.startswith(META)]
     if len(metas) != 1 or not lines:
         raise ValueError(f"expected one '# meta' line, found {len(metas)}")
-    return metas[0], json.loads(lines[-1])
+    match = next(filter(None, map(CALIBRATION.match, lines)), None)
+    calibration = None if match is None else {
+        k: (int if k == "kernel_runs" else float)(v) for k, v in match.groupdict().items()
+    }
+    return metas[0], json.loads(lines[-1]), calibration
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -54,9 +70,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
-    meta, result = parse_run(proc.stdout)
-    return {"workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
-            "meta": meta, "result": result}
+    meta, result, calibration = parse_run(proc.stdout)
+    run = {"workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
+           "meta": meta, "result": result}
+    if calibration is not None:
+        run["calibration"] = calibration
+    return run
 
 
 def summary(runs: list[dict]) -> dict:
