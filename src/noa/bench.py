@@ -30,7 +30,12 @@ E = math.e
 
 @dataclass(frozen=True)
 class Integrand:
-    """An integrand on [0,1)^d; fn maps each row of an (m, d) array on its own, to (m,)."""
+    """An integrand on [0,1)^d; fn maps each row of an (m, d) array on its own, to (m,).
+
+    A row's value may be formed a column at a time (PROD-EXP's is), but
+    depends on that row alone, so any split of the rows into blocks gives
+    the same bits.
+    """
 
     name: str
     d: int
@@ -57,8 +62,24 @@ def make_integrand(name: str, d: int) -> Integrand:
     if name == "PROD-EXP":
         if d > 709:  # past it, e^d, which bounds the integrand and its integral, overflows a float
             raise ValueError("PROD-EXP needs d <= 709")
-        return Integrand(name, d, lambda x: np.exp(x).prod(axis=1), (E - 1.0) ** d)
+        if d < 1:  # its product starts from the first column
+            raise ValueError("PROD-EXP needs d >= 1")
+        return Integrand(name, d, _prod_exp, (E - 1.0) ** d)
     raise ValueError(f"unknown integrand {name!r}, expected one of {', '.join(INTEGRANDS)}")
+
+
+def _prod_exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x).prod(axis=1), bit for bit, a column at a time (x has d >= 1 columns).
+
+    That reduction multiplies each row's factors in column order, as these
+    in-place products of whole columns do, but its loop over a short
+    contiguous axis is about twice as slow on a block of 8192 x 8.
+    """
+    e = np.exp(x)
+    out = e[:, 0].copy()
+    for col in e.T[1:]:
+        out *= col
+    return out
 
 
 # the most point coordinates, reps * n * d, one kind's run may draw:

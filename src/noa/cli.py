@@ -34,6 +34,11 @@ def _cmd_gen(args) -> int:
     from .nested import construct, plan
 
     seed = args.seed
+    # bush takes --s, --t and --d, every other kind --n and --d
+    foreign = ("n",) if args.kind == "bush" else ("s", "t")
+    given = [f"--{f}" for f in foreign if getattr(args, f) is not None]
+    if given:
+        raise ValueError(f"gen --kind {args.kind} does not take {', '.join(given)}")
     if args.kind == "bush":
         if args.s is None or args.t is None:
             raise ValueError("gen --kind bush requires --s and --t")
@@ -90,14 +95,13 @@ def _cmd_bench(args) -> int:
     # each kind once, so --rate also fits each kind once
     kinds = list(dict.fromkeys(k.strip() for k in args.kinds.split(",") if k.strip()))
     bench_mod.make_integrand(args.integrand, args.d)  # an unknown name lists the known ones
-    if args.rate:
+    if args.rate is not None:
         if args.estimates_out:
             raise ValueError("bench --estimates-out cannot be used with --rate")
-        ns = [int(v) for v in args.rate.split(",")]
-        bench_mod.check_inputs(ns, args.d, kinds, args.reps)  # all kinds and plans, before any fit
+        bench_mod.check_inputs(args.rate, args.d, kinds, args.reps)  # all kinds and plans, before any fit
         out = {}
         for kind in kinds:
-            fit = bench_mod.fit_rate(ns, args.d, kind, args.integrand, args.reps, args.seed)
+            fit = bench_mod.fit_rate(args.rate, args.d, kind, args.integrand, args.reps, args.seed)
             out[kind] = {
                 "ns": list(fit.ns),
                 "variances": list(fit.variances),
@@ -116,6 +120,14 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _int_list(text: str) -> list[int]:
+    """A comma-separated list of integers, as --rate takes it."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     """Bad arguments raise ValueError, so main reports them as it reports every refusal."""
 
@@ -129,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="construct a design and print its verified ladder")
     gen.add_argument("--kind", required=True, choices=["bush", "lhs", "tang", "noa3"])
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--d", type=int)
+    gen.add_argument("--n", type=int, help="runs (every kind but bush)")
+    gen.add_argument("--d", type=int, help="factors (optional for bush)")
     gen.add_argument("--s", type=int, help="field order (bush only)")
     gen.add_argument("--t", type=int, help="strength (bush only)")
     gen.add_argument("--seed", type=int, default=0)
@@ -157,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--integrand", required=True, help="integrand name, e.g. ADD-LIN")
     bench.add_argument("--reps", type=int, default=100)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--rate", help="comma-separated n values for a rate fit")
+    bench.add_argument("--rate", type=_int_list, help="comma-separated n values for a rate fit")
     bench.add_argument("--estimates-out", help="per-replication estimates CSV path")
     bench.set_defaults(func=_cmd_bench)
     return parser

@@ -25,8 +25,10 @@ process that may run on more than one CPU; otherwise it is a plain loop
 with no thread.  Three stages run on it, each with byte-identical output
 either way: this strength check (the helper checks the upper half of the
 t-subsets, the caller the lower half), the level expansion in
-nested._expand_levels (the helper draws the next column's ranks) and
-sampling.to_points (the helper draws the next row block's offsets).  The
+nested._expand_levels (the helper draws the next column's fine levels
+while the caller sorts a column's keys and scatters its levels) and
+sampling.to_points (the helper draws the next row block's offsets while
+the caller casts a block's levels and places its points).  The
 helper lane allocates no array: every buffer it writes is the caller's.
 The strength report names the lower half's first failing subset, else the
 upper's, so it is the lexicographically first violation either way; once

@@ -15,7 +15,9 @@ strength-2 Bush array at q = p^c levels, one row per block: out = coarse *
 q + fine.  The result
 has s2 = q * s3 levels, keeps strength 3 under the coarse strata, gains
 strength 2 at s2, and is then expanded to n distinct levels per column to
-add the Latin hypercube rung.
+add the Latin hypercube rung: each column's rows are ordered by level with
+one in-place sort of distinct keys, level << shift | row, and the rows of
+each level take a random arrangement of its n/s2 fine levels.
 
 The noa3 planner enumerates every pair of field orders (s3, q) that this
 construction can build for (n, d) and takes the one with the largest s3,
@@ -161,6 +163,7 @@ def _oa(field, t: int, d: int, k: int, rng: np.random.Generator, dtype) -> np.nd
 
 
 _RANK_BLOCK = 1 << 16  # fine levels shuffled per call in _expand_levels: 512 KiB of intp
+_SCATTER_BLOCK = 1 << 14  # rows scattered per call in _expand_levels: 128 KiB of intp
 
 
 def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndarray:
@@ -173,10 +176,15 @@ def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
 
     The columns run on designs.pipeline: the producer draws a column's
     fine levels, in order, into one of two column buffers allocated here,
-    and the consumer checks the column's balance, sorts it by level and
-    scatters the drawn levels.  Only the producer reads rng, so the
-    draws, and the result, are the same with one lane or two; with two,
-    column j + 1 is drawn while column j is sorted.
+    and the consumer orders the column's rows by level and scatters the
+    drawn levels.  It orders them by sorting, in place, one key per row,
+    level << shift | row: the keys are distinct, so any sort lists the rows
+    of each level in row order, as a stable sort by level would.  The rows
+    of level lev then sit at positions lev*m .. (lev+1)*m - 1, and as the
+    sorted levels never decrease, the column is balanced exactly when the
+    first and last key of every such block hold its level.  Only the
+    producer reads rng, so the draws, and the result, are the same with one
+    lane or two; with two, column j + 1 is drawn while column j is sorted.
     """
     n, d = mat.shape
     if n % s != 0:
@@ -191,26 +199,44 @@ def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
     # column j's fine levels in row j % 2, in the matrix's dtype, so two
     # columns take no more than one of intp and the scatter casts nothing
     drawn = np.empty((2, n), dtype=mat.dtype)
-    key_type = level_dtype(s)  # uint8/uint16 keys sort by radix
+    shift = (n - 1).bit_length()
+    key = level_dtype(s << shift)  # uint32 up to 2^32 keys, which sort fastest, else uint64
+    # typed scalars: every step below is a loop of one dtype, which numpy
+    # runs faster than one with a Python int
+    shift, mask = key.type(shift), key.type((1 << shift) - 1)
+    rows = np.arange(n, dtype=key)
+    keys = np.empty(n, dtype=key)
+    # the first and last key of each level's block of m, a view that reads
+    # every column's sorted keys, and the levels they must hold, as bytes:
+    # one comparison of bytes costs less than numpy's of two small arrays
+    ends = keys.reshape(s, m)[:, :: max(m - 1, 1)]
+    want = rows[:s].repeat(ends.shape[1]).tobytes()
+    # the rows are scattered a block at a time, so no n-sized intp copy of the keys exists
+    index = np.empty(min(n, _SCATTER_BLOCK), dtype=np.intp)
 
     def produce(j, stop):
         fine = drawn[j % 2]
         for lo in range(0, n, ranks.size):
             block = rng.permuted(ranks[: (n - lo) // m], axis=1, out=shuffled[: (n - lo) // m])
-            np.add(block, lo, out=fine[lo : lo + block.size].reshape(block.shape), casting="unsafe")
+            np.add(block, lo, out=block)  # in intp, then cast once: a casting add costs more
+            fine[lo : lo + block.size] = block.ravel()
         return fine
 
     def consume(j, fine):  # one column at a time: an all-column sort costs peak memory
         col = mat[:, j]
-        counts = np.bincount(col, minlength=s)
-        if (counts != m).any():
+        keys[...] = col
+        np.left_shift(keys, shift, out=keys)
+        np.bitwise_or(keys, rows, out=keys)
+        keys.sort()
+        if (ends >> shift).tobytes() != want:  # only now count, for the message
+            counts = np.bincount(col, minlength=s)
             lev = int(np.flatnonzero(counts != m)[0])
             raise UnbalancedColumnError(
                 f"column {j}: level {lev} occurs {int(counts[lev])} times, expected {m}"
             )
-        # the stable sort by level lists the rows of level lev at positions
-        # lev*m .. (lev+1)*m - 1, so they take the fine levels drawn for it
-        col[np.argsort(col.astype(key_type), kind="stable")] = fine
+        for lo in range(0, n, index.size):
+            part = np.bitwise_and(keys[lo : lo + index.size], mask, out=index[: n - lo])
+            col[part] = fine[lo : lo + index.size]
 
     pipeline(n, d, produce, consume)
     return mat

@@ -49,9 +49,11 @@ def to_points(design: Design, mode: str = "uniform", seed: int = 0) -> PointSet:
 
     The rows run on designs.pipeline a block of _POINT_ROWS at a time: the
     producer writes a block's offsets (uniform jitter, or 0.5) straight into
-    the C-order output, and the consumer places that block's points.  The
-    jitter is drawn in row order either way, so it is the stream of one
-    whole-array draw, and the points are the same with one lane or two.
+    the C-order output, and the consumer casts the block's levels, once,
+    into a C-order float64 buffer and places that block's points, so every
+    step of _place runs on contiguous arrays of one dtype.  The jitter is
+    drawn in row order either way, so it is the stream of one whole-array
+    draw, and the points are the same with one lane or two.
     """
     if mode not in ("uniform", "midpoint"):
         raise ValueError(f"mode must be 'uniform' or 'midpoint', got {mode!r}")
@@ -60,6 +62,9 @@ def to_points(design: Design, mode: str = "uniform", seed: int = 0) -> PointSet:
         raise ValueError(f"s={s} levels exceed 2^53, past which float64 points merge strata")
     x = np.empty(design.matrix.shape)  # the C-order output, filled with the offsets
     rng = stream(seed, STAGE_JITTER) if mode == "uniform" else None
+    # the consumer's block buffers: the levels as floats, and _place's scratch
+    levels = np.empty((min(n, _POINT_ROWS), design.d))
+    scratch = np.empty_like(levels)
 
     def produce(i, stop):
         block = x[i * _POINT_ROWS : (i + 1) * _POINT_ROWS]
@@ -70,25 +75,29 @@ def to_points(design: Design, mode: str = "uniform", seed: int = 0) -> PointSet:
         return block
 
     def consume(i, block):
-        _place(design.matrix[i * _POINT_ROWS : (i + 1) * _POINT_ROWS], block, s)
+        rows = len(block)
+        levels[:rows] = design.matrix[i * _POINT_ROWS : (i + 1) * _POINT_ROWS]
+        _place(levels[:rows], block, s, scratch[:rows])
 
     pipeline(n, -(-n // _POINT_ROWS), produce, consume)
     return PointSet(x)
 
 
-def _place(levels: np.ndarray, x: np.ndarray, s: int) -> np.ndarray:
+def _place(levels: np.ndarray, x: np.ndarray, s: int, scratch: np.ndarray) -> np.ndarray:
     """Turn offsets x into points (levels + x) / s in place, with floor(x * s) == levels.
 
     For offset near 1 (or 0), (m + u) / s can round onto the stratum's upper
     (or lower) edge, e.g. to (m + 1) / s, which is 1.0 for m = s - 1.  Such
     points are stepped one ulp at a time back inside their stratum.  As
     m + 1 is a double, the floor implies x < (m + 1) / s exactly, so x < 1.
-    Every step is elementwise, so a row block gives the points of the whole.
+    The stratum test computes floor(x * s) in scratch, an array of x's shape
+    and dtype.  Every step is elementwise, so a row block gives the points
+    of the whole.
     """
     x += levels
     x /= s
-    while (off := np.floor(x * s) != levels).any():
-        cell = np.floor(x[off] * s)
+    while (off := np.floor(np.multiply(x, s, out=scratch), out=scratch) != levels).any():
+        cell = scratch[off]
         x[off] = np.nextafter(x[off], np.where(cell > levels[off], 0.0, 1.0))
     return x
 

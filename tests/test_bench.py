@@ -125,6 +125,21 @@ def test_prod_exp_refuses_d_past_709():
         make_integrand("PROD-EXP", 710)
 
 
+def test_prod_exp_refuses_d_below_1():
+    with pytest.raises(ValueError, match="PROD-EXP needs d >= 1"):
+        make_integrand("PROD-EXP", 0)
+
+
+@pytest.mark.parametrize("d", [*range(1, 33), 709])
+def test_prod_exp_is_the_row_product_bit_for_bit(d):
+    # the column-at-a-time product against numpy's reduction along each row,
+    # on a block of rows and on one row
+    x = np.random.default_rng(d).random((bench._BLOCK_ROWS, d))
+    fn = make_integrand("PROD-EXP", d).fn
+    for rows in (x, x[:1]):
+        assert fn(rows).tobytes() == np.exp(rows).prod(axis=1).tobytes()
+
+
 def test_run_bench_refuses_an_empty_kind_list():
     with pytest.raises(ValueError, match="kinds must name at least one design kind"):
         run_bench(16, 3, [], "ADD-LIN", 2, 0)

@@ -67,6 +67,21 @@ def test_gen_requires_n_and_d(capsys, kind, given):
     assert err == f"error: gen --kind {kind} requires --n and --d\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--kind", "bush", "--s", "4", "--t", "2", "--n", "999"), "gen --kind bush does not take --n"),
+        (("--kind", "noa3", "--n", "64", "--d", "3", "--s", "4", "--t", "2"),
+         "gen --kind noa3 does not take --s, --t"),
+        (("--kind", "lhs", "--n", "4", "--d", "2", "--t", "2"), "gen --kind lhs does not take --t"),
+        (("--kind", "tang", "--n", "64", "--d", "3", "--s", "8"), "gen --kind tang does not take --s"),
+    ],
+)
+def test_gen_refuses_the_other_familys_flags(capsys, argv, message):
+    code, stdout, err = run(capsys, "gen", *argv)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
 def test_gen_bush_requires_s_and_t(capsys):
     code, stdout, err = run(capsys, "gen", "--kind", "bush", "--s", "4")
     assert (code, stdout, err) == (2, "", "error: gen --kind bush requires --s and --t\n")
@@ -84,6 +99,9 @@ def test_gen_bush_requires_s_and_t(capsys):
         (("sample", "--in"), "error: noa sample: argument --in: expected one argument"),
         (("gen", "--kind", "lhs", "--n", "4", "--d", "2", "--x\ny"),
          "error: noa: unrecognized arguments: --x y"),
+        (("bench", "--n", "64", "--d", "3", "--kinds", "lhs", "--integrand", "ADD-EXP",
+          "--rate", "8,x"),
+         "error: noa bench: argument --rate: expected comma-separated integers, got '8,x'"),
     ],
 )
 def test_argparse_refusals_are_one_error_line(capsys, argv, start):

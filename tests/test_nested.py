@@ -329,8 +329,10 @@ def test_expand_to_lhs_refines_and_permutes(n, s):
 
 def test_expand_levels_overwrites_its_input():
     # the expansion writes the fine levels over the coarse matrix: no second
-    # n x d buffer and no n-sized int64 ranks, only intp sort orders, sort
-    # keys and 2^16-entry rank blocks, under three intp buffers of n
+    # n x d buffer and no n-sized intp array, only two columns of drawn levels
+    # (uint32 here), one of sort keys and one of row numbers (uint32 here),
+    # 2^16-entry rank blocks and a 2^14-entry intp scatter block, under 2.75
+    # intp buffers of n
     n = 2**18
     fine = construct_lhs(n, 8, 0).matrix
     coarse = fine // 512
@@ -341,10 +343,103 @@ def test_expand_levels_overwrites_its_input():
     finally:
         tracemalloc.stop()
     assert out is coarse
-    assert peak <= 3 * np.dtype(np.intp).itemsize * n
+    assert peak <= 2.75 * np.dtype(np.intp).itemsize * n
     assert (out // 512 == fine // 512).all()
     for j in range(out.shape[1]):
         assert (np.sort(out[:, j]) == np.arange(2**18)).all()
+
+
+def stable_argsort_expand(mat, s, rng):
+    """The expansion by a stable argsort of each column by level, with _expand_levels' draws.
+
+    Each column's fine levels are drawn as _expand_levels' producer draws
+    them, a block of levels at a time, and the rows of level lev, in row
+    order, take the fine levels drawn for it.
+    """
+    n, d = mat.shape
+    m = n // s
+    per_block = min(max(1, nested._RANK_BLOCK // m), s)
+    ranks = np.arange(per_block * m).reshape(per_block, m)
+    out = mat.copy(order="F")
+    for j in range(d):
+        counts = np.bincount(mat[:, j], minlength=s)
+        if (counts != m).any():
+            lev = int(np.flatnonzero(counts != m)[0])
+            raise UnbalancedColumnError(
+                f"column {j}: level {lev} occurs {int(counts[lev])} times, expected {m}"
+            )
+        draws = [
+            rng.permuted(ranks[: (n - lo) // m], axis=1).ravel() + lo
+            for lo in range(0, n, ranks.size)
+        ]
+        out[np.argsort(mat[:, j], kind="stable"), j] = np.concatenate(draws)
+    return out
+
+
+def balanced_levels(n, s, d, seed):
+    """An n x d matrix in level_dtype(n), column-major, each column n/s copies of 0..s-1 shuffled."""
+    rng = np.random.default_rng(seed)
+    cols = [rng.permutation(np.repeat(np.arange(s), n // s)) for _ in range(d)]
+    return np.asfortranarray(np.stack(cols, axis=1), dtype=level_dtype(n))
+
+
+@pytest.mark.parametrize(
+    "n,s,key",
+    [
+        (108, 6, np.uint16),
+        (46875, 75, np.uint32),  # uint16 levels, uint32 keys
+        (2**18, 512, np.uint32),
+        (2**20, 8192, np.uint64),  # s << 20 is past 2^32
+    ],
+)
+def test_expand_levels_matches_a_stable_argsort(n, s, key):
+    assert level_dtype(s << (n - 1).bit_length()) == key
+    mat = balanced_levels(n, s, 2, n)
+    want = stable_argsort_expand(mat, s, np.random.default_rng(1))
+    got = nested._expand_levels(mat.copy(order="F"), s, np.random.default_rng(1))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    s=st.integers(1, 12),
+    m=st.integers(1, 12),
+    data=st.data(),
+)
+def test_expand_levels_refuses_as_a_count_would(s, m, data):
+    # balanced or not, every column gives the reference's levels or its message
+    n = s * m
+    cols = [
+        data.draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n)) for _ in range(2)
+    ]
+    mat = np.asfortranarray(np.array(cols).T, dtype=level_dtype(n))
+    try:
+        want = stable_argsort_expand(mat, s, np.random.default_rng(2))
+    except UnbalancedColumnError as exc:
+        with pytest.raises(UnbalancedColumnError) as excinfo:
+            nested._expand_levels(mat.copy(order="F"), s, np.random.default_rng(2))
+        assert str(excinfo.value) == str(exc)
+    else:
+        got = nested._expand_levels(mat.copy(order="F"), s, np.random.default_rng(2))
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "old,new,moved,message",
+    [
+        (5, 0, 1, "column 1: level 0 occurs 19 times, expected 18"),  # the first level over
+        (4, 5, 1, "column 1: level 4 occurs 17 times, expected 18"),  # the last level over
+        (3, 4, 18, "column 1: level 3 occurs 0 times, expected 18"),  # a level gone
+    ],
+)
+def test_unbalanced_column_messages(old, new, moved, message):
+    # moved rows of level old in column 1 take level new
+    mat = balanced_levels(108, 6, 2, 0)
+    mat[np.flatnonzero(mat[:, 1] == old)[:moved], 1] = new
+    with pytest.raises(UnbalancedColumnError) as excinfo:
+        nested._expand_levels(mat, 6, np.random.default_rng(0))
+    assert str(excinfo.value) == message
 
 
 def test_constructors_store_the_level_dtype():

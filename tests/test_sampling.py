@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from noa import designs, sampling
 from noa.bush import bush_construct
 from noa.designs import Design, check_strength, load_design
 from noa.errors import FormatError
@@ -121,7 +122,7 @@ def test_placement_stays_inside_stratum(s, u):
     # floor(m / s * s) can fall to m - 1 (1/49 * 49 < 1)
     levels = np.array([[0, 1, 2, 5, s - 2, s - 1]]) % s
     offsets = np.full(levels.shape, u)
-    x = _place(levels, offsets, s)
+    x = _place(levels, offsets, s, np.empty_like(offsets))
     assert x is offsets  # the points overwrite the offsets
     assert (np.floor(x * s) == levels).all()
     assert (x < 1.0).all()
@@ -129,8 +130,51 @@ def test_placement_stays_inside_stratum(s, u):
         assert Fraction(float(xv)) < Fraction(int(m) + 1, s)
 
 
+# offsets on and beside the stratum edges: 0, the least and the largest below 1, a middle one
+EDGE_OFFSETS = np.array(
+    [0.0, np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0), 0.5, np.nextafter(1.0, 0.0) - 2.0**-52]
+)
+
+
+class EdgeJitter:
+    """Stands in for the jitter generator: EDGE_OFFSETS over and over, in draw order."""
+
+    def __init__(self):
+        self.drawn = 0
+
+    def random(self, out):
+        k = np.arange(self.drawn, self.drawn + out.size) % len(EDGE_OFFSETS)
+        out[...] = EDGE_OFFSETS[k].reshape(out.shape)
+        self.drawn += out.size
+        return out
+
+
+def whole_array_points(levels, offsets, s):
+    """(levels + offsets) / s over the whole array at once, stepped inside each stratum: the reference."""
+    x = (levels + offsets) / s
+    while (off := np.floor(x * s) != levels).any():
+        cell = np.floor(x[off] * s)
+        x[off] = np.nextafter(x[off], np.where(cell > levels[off], 0.0, 1.0))
+    return x
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("s", [49, 2**16 + 2**14 + 7])
+def test_to_points_places_edge_offsets_as_one_whole_array(monkeypatch, cpus, s):
+    # more than one 2^16-row block and a partial last block: with two CPUs the
+    # offsets are written on the helper lane, with one in the calling thread
+    monkeypatch.setattr(designs, "_cpus", lambda: cpus)
+    monkeypatch.setattr(sampling, "stream", lambda seed, stage: EdgeJitter())
+    n = 2**16 + 2**14 + 7
+    levels = np.random.default_rng(s).integers(0, s, (n, 3))
+    points = to_points(Design(levels, s=s), "uniform", 0).points
+    offsets = EdgeJitter().random(np.empty((n, 3)))
+    assert points.tobytes() == whole_array_points(levels, offsets, s).tobytes()
+    assert (np.floor(points * s) == levels).all()
+
+
 def test_to_points_memory_is_the_output_plus_columns():
-    # the output is the one n x d array built; the stratum check runs a column at a time
+    # the output is the one n x d array built, beside one block's levels and scratch
     design = construct_lhs(2**18, 8, 0)
     tracemalloc.start()
     try:
