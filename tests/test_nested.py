@@ -407,7 +407,7 @@ def test_expand_levels_matches_a_stable_argsort(n, s, key):
     m=st.integers(1, 12),
     data=st.data(),
 )
-def test_expand_levels_refuses_as_a_count_would(s, m, data):
+def test_small_columns_expand_or_refuse_as_the_reference_does(s, m, data):
     # balanced or not, every column gives the reference's levels or its message
     n = s * m
     cols = [

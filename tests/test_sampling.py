@@ -130,7 +130,8 @@ def test_placement_stays_inside_stratum(s, u):
         assert Fraction(float(xv)) < Fraction(int(m) + 1, s)
 
 
-# offsets on and beside the stratum edges: 0, the least and the largest below 1, a middle one
+# offsets on and beside the stratum edges: 0, the largest double below 1 and one two
+# steps below that, the least positive double, and 0.5
 EDGE_OFFSETS = np.array(
     [0.0, np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0), 0.5, np.nextafter(1.0, 0.0) - 2.0**-52]
 )
