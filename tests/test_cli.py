@@ -603,13 +603,16 @@ VALUES = {
 }
 VALUES["--estimates-out"] = VALUES["--out"]
 FLAGS = {  # per command: flags mostly given, flags given half the time
-    "gen": (["--kind", "--n", "--d", "--s", "--t"], ["--seed", "--out"]),
+    "gen": (["--kind", "--d"], ["--seed", "--out"]),
     "verify": (["--in", "--t"], ["--collapse"]),
     "sample": (["--in"], ["--mode", "--seed", "--out"]),
     "bench": (
         ["--n", "--d", "--kinds", "--integrand", "--reps"], ["--seed", "--rate", "--estimates-out"]
     ),
 }
+# gen's size flags, mostly given: bush's or every other kind's, so that a kind
+# drawn apart from them is sometimes built and sometimes refused for the other's
+GEN_FAMILIES = (["--s", "--t"], ["--n"])
 # stray tokens: other commands' flags, unknown flags, positionals, a flag without
 # its value, and a line break, which argparse's message quotes as it is
 STRAY = ["--kind", "--n", "--collapse", "--rate", "--bogus", "-x", "extra", "--t=2", "--\nx"]
@@ -649,6 +652,8 @@ def cli_argvs(draw):
     commands = ["sample", "bench", "verify", "gen"] if draw(MOSTLY) else ["bogus"]
     command = draw(st.sampled_from(commands))
     mostly, sometimes = FLAGS.get(command, ([], []))
+    if command == "gen":
+        mostly = mostly + draw(st.sampled_from(GEN_FAMILIES))
     chosen = [f for f in mostly if draw(MOSTLY)] + [f for f in sometimes if draw(st.booleans())]
     argv = [command]
     for flag in draw(st.permutations(chosen)):
