@@ -224,6 +224,8 @@ def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
 
     def consume(j, fine):  # one column at a time: an all-column sort costs peak memory
         col = mat[:, j]
+        # copied into the keys first, so every step runs on key's dtype alone:
+        # numpy 1 would shift a narrower column in its own dtype, and wrap
         keys[...] = col
         np.left_shift(keys, shift, out=keys)
         np.bitwise_or(keys, rows, out=keys)
