@@ -91,6 +91,8 @@ _BLOCK_ROWS = 8192  # rows per integrand call: temporaries of one block, not of 
 
 
 def estimate(points: PointSet, f: Integrand) -> float:
+    if not points.n:  # the mean of no values is nan
+        raise ValueError("cannot estimate from an empty point set")
     if points.d != f.d:
         raise DimensionMismatchError(f"points have d={points.d}, integrand d={f.d}")
     values = np.empty(points.n)

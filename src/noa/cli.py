@@ -75,14 +75,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from .sampling import format_points, save_points, to_points
+    from .sampling import points_text, save_points, to_points
 
     design, _meta = load_design(args.infile)
     ps = to_points(design, args.mode, args.seed)
     if args.out:
         save_points(ps, args.out)
     else:
-        sys.stdout.write(format_points(ps))
+        sys.stdout.writelines(points_text(ps))
     return EXIT_OK
 
 

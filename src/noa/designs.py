@@ -18,21 +18,21 @@ Working memory is, per half (below), one flag byte per cell (an int64
 count above index 1) and at most 12 bytes per block row.  A check of more
 than MAX_CHECK_WORK row visits is refused before any of it is built.
 
-pipeline is the package's one two-lane runner: a helper thread produces
-items in order while the calling thread consumes them, one item apart.  It
-gives a helper lane only to work of more than one 2^16-row block in a
-process that may run on more than one CPU; otherwise it is a plain loop
-with no thread.  Three stages run on it, each with byte-identical output
-either way: this strength check (the helper checks the upper half of the
-t-subsets, the caller the lower half), the level expansion in
-nested._expand_levels (the helper draws the next column's fine levels
-while the caller sorts a column's keys and scatters its levels) and
-sampling.to_points (the helper draws the next row block's offsets while
-the caller casts a block's levels and places its points).  The
-helper lane allocates no array: every buffer it writes is the caller's.
-The strength report names the lower half's first failing subset, else the
-upper's, so it is the lexicographically first violation either way; once
-the lower half has failed, the helper takes no further subset.
+pipeline is the package's one two-lane runner: a one-worker executor's
+thread produces items in order while the calling thread consumes them, one
+item apart.  Only work of more than one 2^16-row block in a process that
+may run on more than one CPU gets that helper lane and imports
+concurrent.futures; other work is a plain loop with no thread.  Three
+stages run on it, each with byte-identical output either way: this strength
+check (the helper checks the upper half of the t-subsets, the caller the
+lower half), the level expansion in nested._expand_levels (the helper draws
+the next column's fine levels while the caller sorts a column's keys and
+scatters its levels) and sampling.to_points (the helper draws the next row
+block's offsets while the caller casts a block's levels and places its
+points).  The helper lane allocates no array: every buffer it writes is the
+caller's.  The strength report names the lower half's first failing subset,
+else the upper's, so it is the lexicographically first violation either
+way; once the lower half has failed, the helper takes no further subset.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,10 +297,10 @@ def pipeline(rows: int, count: int, produce, consume) -> None:
     """consume(i, produce(i, stop)) for i = 0, 1, ..., count - 1, in that order.
 
     consume always runs in the calling thread.  With two lanes (count > 1
-    and _lanes(rows) == 2) one helper thread calls produce(0), produce(1),
-    ... and hands each item over once the calling thread has taken the one
-    before, so produce(i + 1) runs beside consume(i) and never beside an
-    earlier consume: an item may reuse a buffer of the item two before.
+    and _lanes(rows) == 2) a one-worker executor calls produce(0),
+    produce(1), ..., each submitted once the calling thread has taken the
+    item before, so produce(i + 1) runs beside consume(i) and never beside
+    an earlier consume: an item may reuse a buffer of the item two before.
     numpy releases the GIL inside array kernels, so the lanes overlap.  With
     one lane this is the plain loop, with no thread.
 
@@ -308,7 +308,7 @@ def pipeline(rows: int, count: int, produce, consume) -> None:
     consumed.  stop, a list, is non-empty once the run is ending, so a long
     produce may poll it and return early.  Whatever either lane raises is
     raised here with its traceback, at the item where the one-lane loop
-    would raise it, and the helper thread has ended when this returns.
+    would raise it, and the worker thread has ended when this returns.
     """
     stop: list = []
     if count < 2 or _lanes(rows) == 1:
@@ -316,40 +316,20 @@ def pipeline(rows: int, count: int, produce, consume) -> None:
             if consume(i, produce(i, stop)):
                 break
         return
-    box: list = []  # the one item (or error) handed over and not yet taken
-    ready, taken = threading.Semaphore(0), threading.Semaphore(0)
-    helper = threading.Thread(
-        target=_helper_lane, args=(count, produce, stop, box, ready, taken), name="noa-pipeline"
-    )
-    helper.start()
-    try:
-        for i in range(count):
-            ready.acquire()
-            item, error = box.pop()
-            taken.release()
-            if error is not None:
-                raise error
-            if consume(i, item):
-                break
-    finally:
-        stop.append(True)
-        taken.release()  # a helper waiting for its last item to be taken returns
-        helper.join()
+    # imported here: a one-lane process never loads concurrent.futures (nor logging)
+    from concurrent.futures import ThreadPoolExecutor
 
-
-def _helper_lane(count: int, produce, stop: list, box: list, ready, taken) -> None:
-    """pipeline's helper thread: each item, or the error that ends the lane, put in box in turn."""
-    for i in range(count):
-        if stop:
-            return
+    with ThreadPoolExecutor(1, thread_name_prefix="noa-pipeline") as lane:
         try:
-            box.append((produce(i, stop), None))
-        except BaseException as error:  # the calling thread raises it
-            box.append((None, error))
-            ready.release()
-            return
-        ready.release()
-        taken.acquire()
+            item = lane.submit(produce, 0, stop)
+            for i in range(count):
+                taken = item.result()
+                if i + 1 < count:
+                    item = lane.submit(produce, i + 1, stop)
+                if consume(i, taken):
+                    break
+        finally:
+            stop.append(True)  # before the with block joins the worker
 
 
 def collapse(design: Design, s_coarse: int) -> Design:
@@ -385,17 +365,22 @@ def verify_ladder(design: Design, ladder) -> None:
 # key=value tokens that include integer n and d, then n lines of d
 # comma-separated values.
 
+_TABLE_ENTRIES = 1 << 15  # entries per block of format_table: a writer holds one block's objects
 
-def format_table(magic: str, header, matrix: np.ndarray, spec: str) -> str:
-    """The file text for (key, value) header pairs and a matrix.
 
-    Every entry is rendered by the %-format spec, the whole body by one
-    template.
+def format_table(magic: str, header, matrix: np.ndarray, spec: str) -> Iterator[str]:
+    """The file text for (key, value) header pairs and a matrix, a piece at a time.
+
+    The header line, then blocks of at most _TABLE_ENTRIES entries (at least
+    one row), each rendered by one template of the %-format spec.
     """
-    head = " ".join([magic, *(f"{k}={v}" for k, v in header)])
+    yield " ".join([magic, *(f"{k}={v}" for k, v in header)]) + "\n"
     n, d = matrix.shape
+    step = max(1, _TABLE_ENTRIES // max(d, 1))
     row = ",".join([spec] * d) + "\n"
-    return head + "\n" + (row * n) % tuple(matrix.ravel().tolist())
+    for lo in range(0, n, step):
+        block = matrix[lo : lo + step]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def parse_table(text: str, magic: str, keys, dtype) -> tuple[np.ndarray, dict[str, str]]:
@@ -452,14 +437,18 @@ def _check_row_lengths(rows, d: int) -> None:
 _MAGIC = "# noa-design v1"
 
 
-def format_design(design: Design, extra: dict[str, str] | None = None) -> str:
+def _design_text(design: Design, extra: dict[str, str] | None) -> Iterator[str]:
     header = [("n", design.n), ("d", design.d), ("s", design.s), *(extra or {}).items()]
     return format_table(_MAGIC, header, design.matrix, "%d")
 
 
+def format_design(design: Design, extra: dict[str, str] | None = None) -> str:
+    return "".join(_design_text(design, extra))
+
+
 def save_design(design: Design, path, extra: dict[str, str] | None = None) -> None:
     with open(path, "w") as fh:
-        fh.write(format_design(design, extra))
+        fh.writelines(_design_text(design, extra))
 
 
 def parse_design(text: str) -> tuple[Design, dict[str, str]]:

@@ -8,6 +8,7 @@ low-order centered product integrands, which the tests rely on.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,13 +111,18 @@ def _place(levels: np.ndarray, x: np.ndarray, s: int, scratch: np.ndarray) -> np
 _MAGIC = "# noa-points v1"
 
 
-def format_points(ps: PointSet) -> str:
+def points_text(ps: PointSet) -> Iterator[str]:
+    """The points file's text: its header line, then blocks of rows (designs.format_table)."""
     return format_table(_MAGIC, [("n", ps.n), ("d", ps.d)], ps.points, "%.17g")
+
+
+def format_points(ps: PointSet) -> str:
+    return "".join(points_text(ps))
 
 
 def save_points(ps: PointSet, path) -> None:
     with open(path, "w") as fh:
-        fh.write(format_points(ps))
+        fh.writelines(points_text(ps))
 
 
 def parse_points(text: str) -> PointSet:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from noa.designs import Design
 from noa.errors import ConstructionError, DimensionMismatchError
 from noa.gf import field_of_order
 from noa.nested import construct_lhs
-from noa.sampling import PointSet, to_points
+from noa.sampling import PointSet, parse_points, to_points
 
 
 def test_integrand_true_values():
@@ -80,6 +81,15 @@ def test_estimate_dimension_mismatch():
     pts = PointSet(np.array([[0.5, 0.5]]))
     with pytest.raises(DimensionMismatchError):
         estimate(pts, make_integrand("ADD-EXP", 3))
+
+
+def test_estimate_refuses_an_empty_point_set():
+    # a points file may hold no rows; the mean of none would be nan, with a warning
+    empty = parse_points("# noa-points v1 n=0 d=3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty point set"):
+            estimate(empty, make_integrand("ADD-LIN", 3))
 
 
 @pytest.mark.parametrize("kind", ["iid", "lhs", "oa2", "tang", "noa3"])

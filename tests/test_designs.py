@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -179,16 +180,18 @@ def test_check_strength_reads_columns_in_place():
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two CPUs for the runner, and the helper lanes it starts."""
+    """Two CPUs for the runner, and the helper lanes it starts: its executors' worker threads."""
     started = []
-    real = designs._helper_lane
 
-    def counted(*args):
+    class Counted(futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, initializer=count, **kwargs)
+
+    def count():
         started.append(threading.current_thread())
-        real(*args)
 
     monkeypatch.setattr(designs, "_cpus", lambda: 2)
-    monkeypatch.setattr(designs, "_helper_lane", counted)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Counted)
     return started
 
 

@@ -4,10 +4,8 @@
 - no ``assert`` statement: ``-O`` strips it, so a check must raise;
 - no bare ``except:`` and no ``except Exception``/``BaseException``: a
   handler names the errors it expects, so a programming error keeps its
-  traceback.  One handler is exempt: ``except BaseException`` in
-  ``designs._helper_lane``, the helper thread of ``designs.pipeline``,
-  which keeps whatever that thread raises for the calling thread to raise
-  again, traceback and all;
+  traceback.  No handler is exempt: ``designs.pipeline``'s executor hands
+  a worker's error to the calling thread itself;
 - no ``from .mod import _name``: another module's private helpers stay
   private, so the public names are the only coupling between modules;
 - no import that the module never references (``__init__.py`` imports to
@@ -62,7 +60,6 @@ LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictCo
 
 def problems(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    relay = relay_handlers(path, tree)
     for node in ast.walk(tree):
         where = f"{path.name}:{getattr(node, 'lineno', '?')}"
         if isinstance(node, ast.Name) and node.id == "__debug__":
@@ -74,7 +71,7 @@ def problems(path):
             if node.type is None:
                 yield f"{where}: bare except"
             for name in caught:
-                if isinstance(name, ast.Name) and name.id in BROAD and id(node) not in relay:
+                if isinstance(name, ast.Name) and name.id in BROAD:
                     yield f"{where}: except {name.id}"
         elif isinstance(node, ast.ImportFrom):
             if not (node.level or (node.module or "").startswith("noa")):
@@ -89,21 +86,6 @@ def problems(path):
     yield from kind_comparisons(path, tree)
     yield from prime_power_calls(path, tree)
     yield from parallelism(path, tree)
-
-
-def relay_handlers(path, tree):
-    """The ids of the ``except BaseException`` handlers in designs._helper_lane, the one exemption."""
-    if path.name != "designs.py":
-        return set()
-    return {
-        id(handler)
-        for func in tree.body
-        if isinstance(func, ast.FunctionDef) and func.name == "_helper_lane"
-        for handler in ast.walk(func)
-        if isinstance(handler, ast.ExceptHandler)
-        and isinstance(handler.type, ast.Name)
-        and handler.type.id == "BaseException"
-    }
 
 
 def unused_imports(path, tree):
@@ -359,8 +341,8 @@ def test_rules_catch_violations(tmp_path):
         "ThreadPoolExecutor outside designs.py",
         "futures.ProcessPoolExecutor outside designs.py",
     ]
-    # only designs._helper_lane may keep a BaseException, for the calling
-    # thread; the helper class that held the exemption before has lost it
+    # no function or class of designs.py may keep a BaseException, whatever
+    # its name
     designs = tmp_path / "designs.py"
     designs.write_text(
         "def _helper_lane(count, produce, stop, box, ready, taken):\n"
@@ -386,6 +368,7 @@ def test_rules_catch_violations(tmp_path):
         "        pass\n"
     )
     assert [p.split(": ", 1)[1] for p in problems(designs)] == [
+        "except BaseException",  # _helper_lane
         "except BaseException",
         "except Exception",
         "except BaseException",  # _Helper.run

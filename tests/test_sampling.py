@@ -77,14 +77,46 @@ def test_midpoint_exactness_noa_ladder():
                 assert abs(centered_product_mean(pts, cols)) <= 1e-12
 
 
-def test_points_csv_round_trip_exact():
-    design = construct_lhs(12, 3, 7)
-    ps = to_points(design, "uniform", seed=1)
+@pytest.mark.parametrize(
+    "n, d",
+    # past 12 x 3, the edges of format_table's blocks of 2^15 entries: a row
+    # fewer and more than a block, one column, a row wider than a block, no rows
+    [(12, 3), (4095, 8), (4097, 8), (2**15 + 1, 1), (2, 2**15 + 1), (0, 3)],
+)
+def test_points_csv_round_trip_exact(n, d):
+    if n == 12:
+        ps = to_points(construct_lhs(12, 3, 7), "uniform", seed=1)
+    else:
+        ps = PointSet(np.random.default_rng(n).random((n, d)))
     text = format_points(ps)
     rows = "".join(",".join(map("{:.17g}".format, row)) + "\n" for row in ps.points.tolist())
-    assert text == "# noa-points v1 n=12 d=3\n" + rows
+    assert text == f"# noa-points v1 n={n} d={d}\n" + rows
     loaded = parse_points(text)
-    assert (loaded.points == ps.points).all()
+    assert loaded.points.shape == (n, d) and (loaded.points == ps.points).all()
+
+
+def test_saving_holds_a_block_not_the_table(tmp_path):
+    # files are written a block of at most 2^15 entries at a time, so the
+    # peak is one block's text and objects (about 1.9 MiB) at any row count;
+    # rendering the whole 32768 x 8 body at once held 15.2 MiB for the 2 MiB
+    # points and 12.7 MiB for the 0.5 MiB uint16 design (twice that at 65536 rows)
+    rng = np.random.default_rng(5)
+    points = PointSet(rng.random((32768, 8)))
+    design = Design(rng.integers(0, 65536, (32768, 8)), s=65536)
+    assert design.matrix.dtype == np.uint16
+    for save, table, format_ in (
+        (sampling.save_points, points, format_points),
+        (designs.save_design, design, designs.format_design),
+    ):
+        path = tmp_path / "table.csv"
+        tracemalloc.start()
+        try:
+            save(table, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, save.__name__
+        assert path.read_text() == format_(table)
 
 
 def test_points_csv_bad_header():
