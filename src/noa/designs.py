@@ -321,15 +321,17 @@ def pipeline(rows: int, count: int, produce, consume) -> None:
 
     with ThreadPoolExecutor(1, thread_name_prefix="noa-pipeline") as lane:
         try:
-            item = lane.submit(produce, 0, stop)
+            future = lane.submit(produce, 0, stop)
             for i in range(count):
-                taken = item.result()
+                item = future.result()
                 if i + 1 < count:
-                    item = lane.submit(produce, i + 1, stop)
-                if consume(i, taken):
+                    future = lane.submit(produce, i + 1, stop)
+                if consume(i, item):
                     break
         finally:
-            stop.append(True)  # before the with block joins the worker
+            # before the with block joins the worker; the item made beside the last
+            # consume is dropped, result or error: the one-lane loop never made it
+            stop.append(True)
 
 
 def collapse(design: Design, s_coarse: int) -> Design:

@@ -77,22 +77,20 @@ def test_midpoint_exactness_noa_ladder():
                 assert abs(centered_product_mean(pts, cols)) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "n, d",
+def test_points_csv_round_trip_exact():
     # past 12 x 3, the edges of format_table's blocks of 2^15 entries: a row
     # fewer and more than a block, one column, a row wider than a block, no rows
-    [(12, 3), (4095, 8), (4097, 8), (2**15 + 1, 1), (2, 2**15 + 1), (0, 3)],
-)
-def test_points_csv_round_trip_exact(n, d):
-    if n == 12:
-        ps = to_points(construct_lhs(12, 3, 7), "uniform", seed=1)
-    else:
-        ps = PointSet(np.random.default_rng(n).random((n, d)))
-    text = format_points(ps)
-    rows = "".join(",".join(map("{:.17g}".format, row)) + "\n" for row in ps.points.tolist())
-    assert text == f"# noa-points v1 n={n} d={d}\n" + rows
-    loaded = parse_points(text)
-    assert loaded.points.shape == (n, d) and (loaded.points == ps.points).all()
+    shapes = [(12, 3), (4095, 8), (4097, 8), (2**15 + 1, 1), (2, 2**15 + 1), (0, 3)]
+    for n, d in shapes:
+        if n == 12:
+            ps = to_points(construct_lhs(12, 3, 7), "uniform", seed=1)
+        else:
+            ps = PointSet(np.random.default_rng(n).random((n, d)))
+        text = format_points(ps)
+        rows = "".join(",".join(map("{:.17g}".format, row)) + "\n" for row in ps.points.tolist())
+        assert text == f"# noa-points v1 n={n} d={d}\n" + rows
+        loaded = parse_points(text)
+        assert loaded.points.shape == (n, d) and (loaded.points == ps.points).all()
 
 
 def test_saving_holds_a_block_not_the_table(tmp_path):
