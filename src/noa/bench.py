@@ -114,7 +114,7 @@ def kind_points(kind: str, n: int, d: int, seed: int, plan: nested.Plan | None) 
     """
     if kind == "iid":
         return PointSet(stream(seed, STAGE_IID).random((n, d)))
-    return to_points(nested.construct(plan, seed).design, "uniform", seed)
+    return to_points(nested.construct(plan, seed), "uniform", seed)
 
 
 # --- benchmark driver --------------------------------------------------------
@@ -125,8 +125,6 @@ def _labelled(kind: str, n: int, d: int):
     """Re-raise a kind's design or value error as a ConstructionError that names it."""
     try:
         yield
-    except ConstructionError:
-        raise
     except (DesignError, ValueError) as exc:
         raise ConstructionError(f"kind {kind!r} failed for n={n}, d={d}: {exc}") from exc
 

@@ -33,9 +33,8 @@ def _cmd_gen(args) -> int:
     from .gf import field_of_order
     from .nested import construct, plan
 
-    seed = args.seed
-    # bush takes --s, --t and --d, every other kind --n and --d
-    foreign = ("n",) if args.kind == "bush" else ("s", "t")
+    # bush takes --s, --t and --d, every other kind --n, --d and --seed
+    foreign = ("n", "seed") if args.kind == "bush" else ("s", "t")
     given = [f"--{f}" for f in foreign if getattr(args, f) is not None]
     if given:
         raise ValueError(f"gen --kind {args.kind} does not take {', '.join(given)}")
@@ -46,13 +45,14 @@ def _cmd_gen(args) -> int:
         ladder = bush_ladder(args.s, args.t, d)  # checked before the field is built
         design = bush_construct(field_of_order(args.s), args.t, d)
         verify_ladder(design, ladder)
+        extra = {}
     elif args.n is None or args.d is None:
         raise ValueError(f"gen --kind {args.kind} requires --n and --d")
-    else:  # every construction verifies its own ladder
-        nd = construct(plan(args.kind, args.n, args.d), seed)
-        design, ladder = nd.design, nd.ladder
+    else:  # construct verifies the plan's ladder; an absent seed is 0
+        chosen, seed = plan(args.kind, args.n, args.d), args.seed or 0
+        design, ladder, extra = construct(chosen, seed), chosen.ladder, {"seed": str(seed)}
     if args.out:
-        extra = {"seed": str(seed), "ladder": ";".join(f"({lv},{t})" for lv, t in ladder)}
+        extra["ladder"] = ";".join(f"({lv},{t})" for lv, t in ladder)
         save_design(design, args.out, extra)
     print("  ".join(f"{lv},{t},{design.n // lv**t}" for lv, t in ladder))
     return EXIT_OK
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--d", type=int, help="factors (optional for bush)")
     gen.add_argument("--s", type=int, help="field order (bush only)")
     gen.add_argument("--t", type=int, help="strength (bush only)")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, help="draw seed (every kind but bush; default 0)")
     gen.add_argument("--out", help="design CSV output path")
     gen.set_defaults(func=_cmd_gen)
 

@@ -1,11 +1,11 @@
 """Nested orthogonal array construction.
 
 Every design kind (``lhs``, ``oa2``, ``tang``, ``noa3``) is planned by
-``plan(kind, n, d)`` and built by ``construct(plan, seed)``;
-``construct_oa`` builds a single randomized orthogonal array of any
-strength.  All constructions are pure functions of their parameters and a
-single user seed, and every ladder they return, the Latin hypercube's
-included, has been verified.
+``plan(kind, n, d)`` and built by ``construct(plan, seed)``, which returns
+the ``Design`` once it has verified ``plan.ladder``, the Latin hypercube's
+included; ``construct_oa`` builds a single randomized orthogonal array of
+any strength.  All constructions are pure functions of their parameters
+and a single user seed.
 
 The strength-3 design is built by combining stacked copies of a strength-3
 Bush array at s3 levels (its leading-coefficient column not built, so rows
@@ -33,7 +33,7 @@ import numpy as np
 
 from .bush import bush_columns, bush_ladder
 from .designs import Design, check_size, level_dtype, pipeline, verify_ladder
-from .errors import ConstructionError, NoNontrivialPlanError, UnbalancedColumnError
+from .errors import NoNontrivialPlanError, UnbalancedColumnError
 from .gf import MAX_ORDER, field_of_order, prime_power
 from .rng import STAGE_DESIGN, stream
 
@@ -69,7 +69,7 @@ class Plan:
 
 
 @dataclass(frozen=True)
-class NestedDesign:
+class NestedDesign:  # construct_noa's result: a design and its plan's ladder
     design: Design
     ladder: tuple[tuple[int, int], ...]  # (levels, strength) pairs
 
@@ -99,7 +99,7 @@ def plan(kind: str, n: int, d: int) -> Plan:
     if kind == "oa2":
         s = max(_prime_power_roots(n, 2), default=0)
         if n == 0 or s * s != n:  # 0 has no roots, and 0 * 0 == 0
-            raise ConstructionError(f"oa2 needs n a square of a prime power, got n={n}")
+            raise NoNontrivialPlanError(f"oa2 needs n a square of a prime power, got n={n}")
         return Plan(kind, n, d, bush_ladder(s, 2, d))
     if kind == "tang":
         if n < 4 or d < 2:
@@ -135,7 +135,7 @@ def plan(kind: str, n: int, d: int) -> Plan:
 
 
 def plan_noa(n: int, d: int) -> Plan:
-    """The strength-3 nested design's plan: plan("noa3", n, d)."""
+    """plan("noa3", n, d), kept for the harness in benchmarks/."""
     return plan("noa3", n, d)
 
 
@@ -278,42 +278,42 @@ def _build(plan: Plan, rng: np.random.Generator) -> Design:
     return Design(_expand_levels(levels, plan.s2, rng), s=n)
 
 
-def construct(plan: Plan, seed: int) -> NestedDesign:
-    """Build a plan's design, deterministically per seed, and verify its ladder."""
+def construct(plan: Plan, seed: int) -> Design:
+    """Build a plan's design, deterministically per seed, and verify plan.ladder on it."""
     check_size(plan.n, plan.d)
     if plan.kind == "oa2":
         return construct_oa(plan.ladder[0][0], 2, plan.d, seed)  # the rung holds s
     design = _build(plan, stream(seed, STAGE_DESIGN))
     verify_ladder(design, plan.ladder)
-    return NestedDesign(design, plan.ladder)
+    return design
 
 
 def construct_noa(plan: Plan, seed: int) -> NestedDesign:
-    """Build the strength-3 nested design for a plan_noa plan."""
-    return construct(plan, seed)
+    """construct(plan, seed) paired with plan.ladder, kept for the harness in benchmarks/."""
+    return NestedDesign(construct(plan, seed), plan.ladder)
 
 
-def construct_tang(n: int, d: int, seed: int) -> NestedDesign:
-    """Strength-2 nested design: Bush array at s2 levels expanded to n levels."""
+def construct_tang(n: int, d: int, seed: int) -> Design:
+    """construct(plan("tang", n, d), seed): a Bush array at s2 levels expanded to n levels."""
     return construct(plan("tang", n, d), seed)
 
 
 def construct_lhs(n: int, d: int, seed: int) -> Design:
-    """Latin hypercube: each column an independent uniform permutation of 0..n-1."""
-    return construct(plan("lhs", n, d), seed).design
+    """construct(plan("lhs", n, d), seed): each column a uniform permutation of 0..n-1."""
+    return construct(plan("lhs", n, d), seed)
 
 
-def construct_oa(s: int, t: int, d: int, seed: int) -> NestedDesign:
+def construct_oa(s: int, t: int, d: int, seed: int) -> Design:
     """Randomized OA(s^t, d, s, t): Bush columns, each relabelled at random.
 
-    This is Owen's (1992) randomized orthogonal array; its ladder is
-    bush_ladder(s, t, d).
+    This is Owen's (1992) randomized orthogonal array; it is verified
+    against bush_ladder(s, t, d), where callers find its ladder.
     """
     ladder = bush_ladder(s, t, d)
     rng = stream(seed, STAGE_DESIGN)
     design = Design(_oa(field_of_order(s), t, d, 1, rng, level_dtype(s)), s=s)
     verify_ladder(design, ladder)
-    return NestedDesign(design, ladder)
+    return design
 
 
 def expand_to_lhs(design: Design, seed: int) -> Design:

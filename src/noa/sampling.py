@@ -24,8 +24,8 @@ class PointSet:
 
     def __post_init__(self):
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError("points must be 2-d")
+        if pts.ndim != 2 or pts.shape[1] < 1:  # 0 rows is valid, 0 columns does not load back
+            raise ValueError("points must be 2-d with at least one column")
         # written so that NaN (which min() propagates) fails the test too
         if pts.size and not (pts.min() >= 0.0 and pts.max() < 1.0):
             bad = pts[~((pts >= 0.0) & (pts < 1.0))][0]

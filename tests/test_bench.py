@@ -16,8 +16,10 @@ from noa.bench import (
     run_bench,
 )
 from noa.bush import bush_construct
-from noa.designs import Design
-from noa.errors import ConstructionError, DimensionMismatchError
+from noa.designs import MAX_ENTRIES, Design
+from noa.errors import (
+    ConstructionError, DimensionMismatchError, FieldOverflowError, NoNontrivialPlanError
+)
 from noa.gf import field_of_order
 from noa.nested import construct_lhs
 from noa.sampling import PointSet, parse_points, to_points
@@ -33,6 +35,8 @@ def test_integrand_true_values():
         make_integrand("NOPE", 3)
     with pytest.raises(ValueError):
         make_integrand("TRILIN", 2)
+    with pytest.raises(ValueError, match="BILIN needs d >= 2"):
+        make_integrand("BILIN", 1)
 
 
 def test_estimate_lhs_midpoint_add_lin_exact():
@@ -155,9 +159,20 @@ def test_run_bench_refuses_an_empty_kind_list():
         run_bench(16, 3, [], "ADD-LIN", 2, 0)
 
 
+def test_run_bench_refuses_more_replications_than_it_keeps(monkeypatch):
+    calls = counting(monkeypatch, bench, "kind_points")
+    reps = MAX_ENTRIES + 1
+    with pytest.raises(FieldOverflowError, match=f"{reps} replications exceed {MAX_ENTRIES}"):
+        run_bench(1, 1, ["iid"], "ADD-LIN", reps, 0)
+    assert calls == []
+
+
 def test_oa2_requires_square():
-    with pytest.raises(ConstructionError):
+    # a plan's refusal, like tang's and noa3's, which run_bench then labels with the kind
+    with pytest.raises(NoNontrivialPlanError, match="oa2 needs n a square of a prime power"):
         nested.plan("oa2", 24, 3)
+    with pytest.raises(ConstructionError, match="kind 'oa2' failed for n=24, d=3: oa2 needs"):
+        run_bench(24, 3, ["oa2"], "ADD-LIN", 2, 0)
 
 
 def test_fit_rate_degenerate_constant():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noa
@@ -50,6 +50,11 @@ def test_gen_lhs(tmp_path, capsys):
     assert stdout.strip() == "4,1,1"
     design, _ = load_design(out)
     assert (design.n, design.d) == (4, 3)
+    # with no --seed, a planned kind draws seed 0
+    run(capsys, "gen", "--kind", "lhs", "--n", "4", "--d", "3", "--out", str(tmp_path / "0.csv"))
+    run(capsys, "gen", "--kind", "lhs", "--n", "4", "--d", "3", "--seed", "0", "--out", str(out))
+    assert (tmp_path / "0.csv").read_text() == out.read_text()
+    assert load_design(out)[1]["seed"] == "0"
 
 
 def test_gen_noa3_no_plan(capsys):
@@ -75,6 +80,11 @@ def test_gen_requires_n_and_d(capsys, kind, given):
          "gen --kind noa3 does not take --s, --t"),
         (("--kind", "lhs", "--n", "4", "--d", "2", "--t", "2"), "gen --kind lhs does not take --t"),
         (("--kind", "tang", "--n", "64", "--d", "3", "--s", "8"), "gen --kind tang does not take --s"),
+        # a Bush array draws nothing, so a seed would be ignored
+        (("--kind", "bush", "--s", "4", "--t", "2", "--seed", "5"),
+         "gen --kind bush does not take --seed"),
+        (("--kind", "bush", "--s", "4", "--t", "2", "--seed", "0", "--n", "16"),
+         "gen --kind bush does not take --n, --seed"),
     ],
 )
 def test_gen_refuses_the_other_familys_flags(capsys, argv, message):
@@ -128,6 +138,7 @@ def test_gen_bush(tmp_path, capsys):
     )
     assert code == 0
     assert stdout.strip() == "3,2,1"
+    assert out.read_text().startswith("# noa-design v1 n=9 d=4 s=3 ladder=(3,2)\n")  # no seed=
 
 
 @pytest.mark.parametrize("d", ["0", "6"])
@@ -379,7 +390,7 @@ NO_NOA3_PLAN_24 = (
         pytest.param(("--n", "24", "--kinds", "iid,lhs,noa3"), NO_NOA3_PLAN_24, id="noa3-plan"),
         pytest.param(
             ("--n", "32", "--kinds", "iid,lhs,oa2"),
-            "oa2 needs n a square of a prime power, got n=32",
+            "kind 'oa2' failed for n=32, d=3: oa2 needs n a square of a prime power, got n=32",
             id="oa2-square",
         ),
         pytest.param(
@@ -464,7 +475,10 @@ def test_bench_refuses_unbuildable_oa2_field_before_any_replication(capsys, monk
         "--integrand", "ADD-LIN", "--reps", "1",
     )
     assert (code, stdout) == (2, "")
-    assert err == "error: oa2 needs n a square of a prime power, got n=16801801\n"
+    assert err == (
+        "error: kind 'oa2' failed for n=16801801, d=2: "
+        "oa2 needs n a square of a prime power, got n=16801801\n"
+    )
 
 
 def test_bench_refuses_unwritable_estimates_out_before_any_replication(tmp_path, capsys, monkeypatch):
@@ -603,16 +617,17 @@ VALUES = {
 }
 VALUES["--estimates-out"] = VALUES["--out"]
 FLAGS = {  # per command: flags mostly given, flags given half the time
-    "gen": (["--kind", "--d"], ["--seed", "--out"]),
+    "gen": (["--kind", "--d"], ["--out"]),
     "verify": (["--in", "--t"], ["--collapse"]),
     "sample": (["--in"], ["--mode", "--seed", "--out"]),
     "bench": (
         ["--n", "--d", "--kinds", "--integrand", "--reps"], ["--seed", "--rate", "--estimates-out"]
     ),
 }
-# gen's size flags, mostly given: bush's or every other kind's, so that a kind
-# drawn apart from them is sometimes built and sometimes refused for the other's
-GEN_FAMILIES = (["--s", "--t"], ["--n"])
+# gen's own flags as (mostly given, given half the time), bush's or every other
+# kind's, so that a kind drawn apart from them is sometimes built and sometimes
+# refused for the other's
+GEN_FAMILIES = ((["--s", "--t"], []), (["--n"], ["--seed"]))
 # stray tokens: other commands' flags, unknown flags, positionals, a flag without
 # its value, and a line break, which argparse's message quotes as it is
 STRAY = ["--kind", "--n", "--collapse", "--rate", "--bogus", "-x", "extra", "--t=2", "--\nx"]
@@ -653,7 +668,8 @@ def cli_argvs(draw):
     command = draw(st.sampled_from(commands))
     mostly, sometimes = FLAGS.get(command, ([], []))
     if command == "gen":
-        mostly = mostly + draw(st.sampled_from(GEN_FAMILIES))
+        more, maybe = draw(st.sampled_from(GEN_FAMILIES))
+        mostly, sometimes = mostly + more, sometimes + maybe
     chosen = [f for f in mostly if draw(MOSTLY)] + [f for f in sometimes if draw(st.booleans())]
     argv = [command]
     for flag in draw(st.permutations(chosen)):
@@ -670,6 +686,8 @@ def cli_root(tmp_path_factory):
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(text=design_texts(), argv=cli_argvs())
+# the draws build lhs designs but no Bush array, whose flags must all be good at once
+@example(text="# noa-design v1\n", argv=["gen", "--kind", "bush", "--s", "3", "--t", "2"])
 def test_every_argv_ends_in_an_exit_code_and_at_most_one_error_line(cli_root, text, argv):
     (cli_root / "design.csv").write_text(text)
     argv = [str(cli_root / a) if a in PATHS else a for a in argv]

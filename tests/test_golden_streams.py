@@ -28,13 +28,13 @@ OUTPUTS = {
     "noa3-64-3": lambda: format_design(construct_noa(plan_noa(64, 3), 7).design),
     "noa3-256-4": lambda: format_design(construct_noa(plan_noa(256, 4), 8).design),
     "noa3-512-3": lambda: format_design(construct_noa(plan_noa(512, 3), 9).design),
-    "tang-64-3": lambda: format_design(construct_tang(64, 3, 7).design),
-    "tang-1024-5": lambda: format_design(construct_tang(1024, 5, 8).design),
+    "tang-64-3": lambda: format_design(construct_tang(64, 3, 7)),
+    "tang-1024-5": lambda: format_design(construct_tang(1024, 5, 8)),
     "lhs-16-3": lambda: format_design(construct_lhs(16, 3, 7)),
     "lhs-300-2": lambda: format_design(construct_lhs(300, 2, 8)),
-    "oa-8-2-9": lambda: format_design(construct_oa(8, 2, 9, 7).design),
-    "oa-5-3-4": lambda: format_design(construct_oa(5, 3, 4, 8).design),
-    "expand-oa-4-2-3": lambda: format_design(expand_to_lhs(construct_oa(4, 2, 3, 7).design, 9)),
+    "oa-8-2-9": lambda: format_design(construct_oa(8, 2, 9, 7)),
+    "oa-5-3-4": lambda: format_design(construct_oa(5, 3, 4, 8)),
+    "expand-oa-4-2-3": lambda: format_design(expand_to_lhs(construct_oa(4, 2, 3, 7), 9)),
     # 1000 fine levels per level: the ranks are shuffled in more than one block
     "expand-100000-100": lambda: format_design(
         expand_to_lhs(collapse(construct_lhs(100000, 1, 3), 100), 4)
@@ -44,7 +44,7 @@ OUTPUTS = {
     ),
     "points-lhs-300-2": lambda: format_points(to_points(construct_lhs(300, 2, 8), "uniform", 12)),
     "points-tang-64-3-mid": lambda: format_points(
-        to_points(construct_tang(64, 3, 7).design, "midpoint")
+        to_points(construct_tang(64, 3, 7), "midpoint")
     ),
     # more than one 2^16-row block: the two-lane path of every pipeline stage
     "noa3-131072-5": lambda: format_design(construct_noa(plan_noa(131072, 5), 5).design),

@@ -13,7 +13,6 @@ from noa import bush, cli, designs, nested
 from noa.bush import bush_construct
 from noa.designs import Design, check_strength, collapse, level_dtype
 from noa.errors import (
-    ConstructionError,
     DesignError,
     FieldOverflowError,
     InternalInvariantError,
@@ -133,13 +132,14 @@ def test_plan_preconditions():
         plan_noa(4, 3)
     with pytest.raises(ValueError):
         plan_noa(64, 2)
+    with pytest.raises(AttributeError, match="a lhs plan has no strength-2 rung"):
+        nested.plan("lhs", 8, 2).s2
 
 
-def assert_ladder(nd):
-    n = nd.design.n
-    for levels, t in nd.ladder:
-        rep = check_strength(collapse(nd.design, levels), t)
-        assert rep.ok and rep.lam == n // levels**t
+def assert_ladder(design, ladder):
+    for levels, t in ladder:
+        rep = check_strength(collapse(design, levels), t)
+        assert rep.ok and rep.lam == design.n // levels**t
 
 
 @pytest.mark.parametrize("n,d", [(64, 3), (128, 3), (81, 3), (256, 4), (108, 3)])
@@ -148,7 +148,7 @@ def test_noa_ladder(n, d, seed):
     plan = plan_noa(n, d)
     nd = construct_noa(plan, seed)
     assert nd.ladder == ((n, 1), (plan.s2, 2), (plan.s3, 3))
-    assert_ladder(nd)
+    assert_ladder(nd.design, nd.ladder)
 
 
 def oracle_ladder(kind, n, d):
@@ -215,10 +215,9 @@ def test_construct_keeps_the_planned_ladder(case, seed):
     kind, n, d = case
     plan = nested.plan(kind, n, d)
     assert plan.ladder == oracle_ladder(kind, n, d)
-    nd = nested.construct(plan, seed)
-    assert nd.ladder == plan.ladder
-    assert nd.design.matrix.shape == (n, d)
-    assert_ladder(nd)
+    design = nested.construct(plan, seed)
+    assert design.matrix.shape == (n, d)
+    assert_ladder(design, plan.ladder)
 
 
 def test_plan_rejects_unknown_kind():
@@ -447,12 +446,12 @@ def test_constructors_store_the_level_dtype():
         (bush_construct(field_of_order(4), 2), np.uint8),
         (construct_noa(plan_noa(64, 3), 0).design, np.uint8),
         (construct_noa(plan_noa(512, 3), 0).design, np.uint16),
-        (construct_tang(1024, 3, 0).design, np.uint16),
-        (construct_oa(8, 2, 5, 0).design, np.uint8),
+        (construct_tang(1024, 3, 0), np.uint16),
+        (construct_oa(8, 2, 5, 0), np.uint8),
         (construct_lhs(300, 2, 0), np.uint16),
         (construct_lhs(65537, 1, 0), np.uint32),
         # widened from the uint8 input's 17 levels to 289
-        (expand_to_lhs(construct_oa(17, 2, 3, 0).design, 0), np.uint16),
+        (expand_to_lhs(construct_oa(17, 2, 3, 0), 0), np.uint16),
     ]
     for design, dtype in designs_built:
         assert design.matrix.dtype == dtype == level_dtype(design.s)
@@ -513,9 +512,7 @@ def test_a_construction_that_breaks_a_rung_is_refused(monkeypatch, capsys):
     ],
 )
 def test_tang_ladder(build, ladder):
-    nd = build()
-    assert nd.ladder == ladder
-    assert_ladder(nd)
+    assert_ladder(build(), ladder)
 
 
 def test_tang_no_plan():
@@ -527,8 +524,8 @@ def test_tang_deterministic():
     builds = (lambda seed: construct_tang(16, 4, seed), lambda seed: construct_oa(7, 2, 5, seed))
     for build in builds:
         a, b, c = build(8), build(8), build(9)
-        assert (a.design.matrix == b.design.matrix).all()
-        assert (a.design.matrix != c.design.matrix).any()
+        assert (a.matrix == b.matrix).all()
+        assert (a.matrix != c.matrix).any()
 
 
 def test_oa_relabelling_matches_loop():
@@ -552,7 +549,7 @@ def test_relabelling_independent_across_copies():
     # and copies sharing one relabelling would agree 300 times
     agree = np.zeros(3, dtype=int)
     for seed in range(300):
-        blocks = collapse(construct_tang(32, 3, seed).design, 4).matrix.reshape(2, 16, 3)
+        blocks = collapse(construct_tang(32, 3, seed), 4).matrix.reshape(2, 16, 3)
         agree += (blocks[0] == blocks[1]).all(axis=0)
     assert (agree <= 35).all(), agree
 
@@ -562,7 +559,7 @@ def test_relabelling_independent_across_columns():
     # pair of its columns' relabels of 0: uniform over the 9 cells when the
     # columns are relabelled independently, only the diagonal when they share
     # a permutation; 200 seeds miss some cell with probability < 9 (8/9)^200 < 1e-9
-    cells = {tuple(construct_oa(3, 2, 2, seed).design.matrix[0]) for seed in range(200)}
+    cells = {tuple(construct_oa(3, 2, 2, seed).matrix[0]) for seed in range(200)}
     assert cells == set(itertools.product(range(3), repeat=2))
 
 
@@ -589,7 +586,7 @@ def test_size_refused_before_allocation(monkeypatch):
     # the bound is exact: 1024 x 4 fits in 4096 entries, 1024 x 5 does not
     monkeypatch.setattr(designs, "MAX_ENTRIES", 4096)
     assert construct_lhs(1024, 4, 0).matrix.size == 4096
-    assert construct_tang(1024, 4, 0).design.matrix.size == 4096
+    assert construct_tang(1024, 4, 0).matrix.size == 4096
     assert construct_noa(plan_noa(1024, 4), 0).design.matrix.size == 4096
     for build in (
         lambda: construct_lhs(1024, 5, 0),
@@ -610,9 +607,9 @@ def test_tang_builds_at_the_size_edge(monkeypatch):
     # only the kept Bush columns are built, so a design that fits the bound
     # builds: 32^2 x 4 and 16^2 x 8 Bush entries, not 32^2 x 5 and 16^2 x 9
     set_max_entries(monkeypatch, 4096)
-    assert construct_tang(1024, 4, 0).design.matrix.size == 4096
+    assert construct_tang(1024, 4, 0).matrix.size == 4096
     set_max_entries(monkeypatch, 2048)
-    assert nested.construct(nested.plan("tang", 256, 8), 0).design.matrix.size == 2048
+    assert nested.construct(nested.plan("tang", 256, 8), 0).matrix.size == 2048
 
 
 SIZE_EDGE_RUNS = [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 108, 125, 128, 243, 256, 512]
@@ -629,7 +626,7 @@ def test_every_plan_builds_at_its_own_size(monkeypatch):
         except (ValueError, DesignError):
             continue
         set_max_entries(monkeypatch, n * d)
-        assert nested.construct(plan, 0).design.matrix.shape == (n, d)
+        assert nested.construct(plan, 0).matrix.shape == (n, d)
         built.add(kind)
     assert built == set(KIND_NAMES)
 
@@ -638,7 +635,7 @@ def test_oa2_plan_bounds_the_field():
     # GF(4099) and GF(8192) cannot be built, so n = 4099^2 and n = 8192^2
     # have no plan; no field is built to find that out
     for n in (4099**2, 2**26, 0):
-        with pytest.raises(ConstructionError) as exc:
+        with pytest.raises(NoNontrivialPlanError) as exc:
             nested.plan("oa2", n, 2)
         assert str(exc.value) == f"oa2 needs n a square of a prime power, got n={n}"
     assert nested.plan("oa2", 4096**2, 2).ladder == ((4096, 2),)

@@ -139,10 +139,15 @@ def test_undecodable_file_is_format_error(tmp_path, load):
         load(path)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.0, -0.25])
-def test_pointset_rejects_non_finite_and_out_of_range(value):
+@pytest.mark.parametrize(
+    "points",
+    [pytest.param([[0.5, v]], id=str(v)) for v in (np.nan, np.inf, -np.inf, 1.0, -0.25)]
+    # a 1-d array, and no columns, which a points file cannot hold (its header needs d >= 1)
+    + [pytest.param(np.zeros(3), id="1-d"), pytest.param(np.empty((3, 0)), id="0-columns")],
+)
+def test_pointset_rejects_non_finite_and_out_of_range(points):
     with pytest.raises(ValueError):
-        PointSet(np.array([[0.5, value]]))
+        PointSet(np.asarray(points))
 
 
 @pytest.mark.parametrize("s", [3, 49, 2**18])
