@@ -48,9 +48,10 @@ def _cmd_gen(args) -> int:
         extra = {}
     elif args.n is None or args.d is None:
         raise ValueError(f"gen --kind {args.kind} requires --n and --d")
-    else:  # construct verifies the plan's ladder; an absent seed is 0
-        chosen, seed = plan(args.kind, args.n, args.d), args.seed or 0
-        design, ladder, extra = construct(chosen, seed), chosen.ladder, {"seed": str(seed)}
+    else:  # construct verifies the plan's ladder
+        chosen, seed = plan(args.kind, args.n, args.d), args.seed or 0  # an absent seed is 0
+        design, ladder = construct(chosen, seed), chosen.ladder
+        extra = {"seed": str(seed)}
     if args.out:
         extra["ladder"] = ";".join(f"({lv},{t})" for lv, t in ladder)
         save_design(design, args.out, extra)
