@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -120,25 +119,19 @@ def kind_points(kind: str, n: int, d: int, seed: int, plan: nested.Plan | None) 
 # --- benchmark driver --------------------------------------------------------
 
 
-@contextmanager
-def _labelled(kind: str, n: int, d: int):
-    """Re-raise a kind's design or value error as a ConstructionError that names it."""
-    try:
-        yield
-    except (DesignError, ValueError) as exc:
-        raise ConstructionError(f"kind {kind!r} failed for n={n}, d={d}: {exc}") from exc
-
-
-def check_inputs(ns, d: int, kinds, reps: int) -> dict:
-    """Refuse bad run counts, sizes, kind lists or plans before any replication is built.
+def check_inputs(ns, d: int, kinds, reps: int, integrand: str) -> tuple[dict, Integrand]:
+    """Refuse a bad integrand, run count, size, kind list or plan before any replication.
 
     A run of more than MAX_ENTRIES replications, or of more than MAX_DRAWN
     point coordinates (reps * n * d) per kind, is refused with
-    FieldOverflowError.
+    FieldOverflowError; a kind with no plan for an n, with a
+    ConstructionError that names it.
 
-    Returns nested.plan(kind, n, d) (None for iid) keyed by (kind, n), for
-    every kind and n.
+    Returns (plans, f): plans[kind][n] is nested.plan(kind, n, d) (None for
+    iid), with each kind once, in the order first named, and f is the
+    integrand.
     """
+    f = make_integrand(integrand, d)
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if reps > MAX_ENTRIES:  # one 8-byte estimate is kept per replication
@@ -151,17 +144,19 @@ def check_inputs(ns, d: int, kinds, reps: int) -> dict:
             raise FieldOverflowError(
                 f"{reps} replications of {n} x {d} points exceed {MAX_DRAWN} drawn coordinates"
             )
-    if not kinds:
+    plans = {kind: {} for kind in kinds}  # each kind once, in the order first named
+    if not plans:
         raise ValueError("kinds must name at least one design kind")
-    for kind in kinds:
+    for kind in plans:
         if kind not in _KIND_ID:
             raise ValueError(f"unknown design kind {kind!r}")
-    plans = {}
-    for kind in kinds:
+    for kind, by_n in plans.items():
         for n in ns:
-            with _labelled(kind, n, d):
-                plans[kind, n] = None if kind == "iid" else nested.plan(kind, n, d)
-    return plans
+            try:
+                by_n[n] = None if kind == "iid" else nested.plan(kind, n, d)
+            except (DesignError, ValueError) as exc:
+                raise ConstructionError(f"kind {kind!r} failed for n={n}, d={d}: {exc}") from exc
+    return plans, f
 
 
 @dataclass(frozen=True)
@@ -170,6 +165,20 @@ class KindStats:
     var: float
     mse: float
     estimates: np.ndarray = field(repr=False)
+
+
+def _kind_stats(kind: str, n: int, d: int, plan, f: Integrand, reps: int, seed: int) -> KindStats:
+    """Estimate f with `reps` fresh designs of one kind, each built from plan."""
+    ests = np.empty(reps)
+    for r in range(reps):
+        rep_seed = derive_seed(seed, STAGE_BENCH, _KIND_ID[kind], r)
+        ests[r] = estimate(kind_points(kind, n, d, rep_seed, plan), f)
+    mean = float(ests.mean())
+    var = float(ests.var(ddof=1)) if reps > 1 else 0.0
+    bias = mean - f.true_integral
+    # MSE reported via the decomposition, so the identity holds exactly
+    mse = var + bias * bias
+    return KindStats(mean=mean, var=var, mse=mse, estimates=ests)
 
 
 @dataclass(frozen=True)
@@ -219,22 +228,8 @@ def run_bench(
 
     A kind named more than once is run once.
     """
-    kinds = list(dict.fromkeys(kinds))
-    plans = check_inputs((n,), d, kinds, reps)
-    f = make_integrand(integrand, d)
-    results: dict[str, KindStats] = {}
-    for kind in kinds:
-        ests = np.empty(reps)
-        with _labelled(kind, n, d):
-            for r in range(reps):
-                rep_seed = derive_seed(seed, STAGE_BENCH, _KIND_ID[kind], r)
-                ests[r] = estimate(kind_points(kind, n, d, rep_seed, plans[kind, n]), f)
-        mean = float(ests.mean())
-        var = float(ests.var(ddof=1)) if reps > 1 else 0.0
-        bias = mean - f.true_integral
-        # MSE reported via the decomposition, so the identity holds exactly
-        mse = var + bias * bias
-        results[kind] = KindStats(mean=mean, var=var, mse=mse, estimates=ests)
+    plans, f = check_inputs((n,), d, kinds, reps, integrand)
+    results = {kind: _kind_stats(kind, n, d, plans[kind][n], f, reps, seed) for kind in plans}
     return BenchReport(
         n=n,
         d=d,
@@ -249,27 +244,28 @@ def run_bench(
 
 @dataclass(frozen=True)
 class RateFit:
-    kind: str
     ns: tuple[int, ...]
     variances: tuple[float, ...]
     slope: float | None
     degenerate: bool
 
 
-def fit_rate(ns, d: int, kind: str, integrand: str, reps: int, seed: int) -> RateFit:
-    """Least-squares slope of log variance against log n, every run count checked first."""
+def fit_rate(ns, d: int, kinds, integrand: str, reps: int, seed: int) -> dict[str, RateFit]:
+    """Least-squares slope of log variance against log n for each kind, inputs checked first.
+
+    A kind named more than once is fitted once.
+    """
     ns = tuple(int(v) for v in ns)
+    plans, f = check_inputs(ns, d, kinds, reps, integrand)
     if len(set(ns)) < 3:
         raise ValueError(f"need at least 3 distinct run counts, got {ns}")
-    check_inputs(ns, d, (kind,), reps)
-    variances = []
-    for n in ns:
-        rep = run_bench(n, d, [kind], integrand, reps, seed)
-        variances.append(rep.results[kind].var)
-    if any(v <= 0.0 for v in variances):
-        return RateFit(kind, ns, tuple(variances), None, True)
-    slope = float(np.polyfit(np.log(ns), np.log(variances), 1)[0])
-    return RateFit(kind, ns, tuple(variances), slope, False)
+    fits = {}
+    for kind, by_n in plans.items():
+        variances = tuple(_kind_stats(kind, n, d, by_n[n], f, reps, seed).var for n in ns)
+        degenerate = any(v <= 0.0 for v in variances)
+        slope = None if degenerate else float(np.polyfit(np.log(ns), np.log(variances), 1)[0])
+        fits[kind] = RateFit(ns, variances, slope, degenerate)
+    return fits
 
 
 def format_estimates_csv(report: BenchReport) -> str:

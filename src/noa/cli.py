@@ -78,8 +78,10 @@ def _cmd_verify(args) -> int:
 def _cmd_sample(args) -> int:
     from .sampling import points_text, save_points, to_points
 
+    if args.mode == "midpoint" and args.seed is not None:  # a midpoint draws nothing
+        raise ValueError("sample --mode midpoint does not take --seed")
     design, _meta = load_design(args.infile)
-    ps = to_points(design, args.mode, args.seed)
+    ps = to_points(design, args.mode, args.seed or 0)  # an absent seed is 0
     if args.out:
         save_points(ps, args.out)
     else:
@@ -90,29 +92,21 @@ def _cmd_sample(args) -> int:
 def _cmd_bench(args) -> int:
     import json
     from contextlib import nullcontext
+    from dataclasses import asdict
 
     from . import bench as bench_mod
 
-    # each kind once, so --rate also fits each kind once
-    kinds = list(dict.fromkeys(k.strip() for k in args.kinds.split(",") if k.strip()))
-    bench_mod.make_integrand(args.integrand, args.d)  # an unknown name lists the known ones
+    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     if args.rate is not None:
         if args.estimates_out:
             raise ValueError("bench --estimates-out cannot be used with --rate")
-        bench_mod.check_inputs(args.rate, args.d, kinds, args.reps)  # all kinds and plans, before any fit
-        out = {}
-        for kind in kinds:
-            fit = bench_mod.fit_rate(args.rate, args.d, kind, args.integrand, args.reps, args.seed)
-            out[kind] = {
-                "ns": list(fit.ns),
-                "variances": list(fit.variances),
-                "slope": fit.slope,
-                "degenerate": fit.degenerate,
-            }
-        print(json.dumps(out, indent=2))
+        fits = bench_mod.fit_rate(args.rate, args.d, kinds, args.integrand, args.reps, args.seed)
+        print(json.dumps({kind: asdict(fit) for kind, fit in fits.items()}, indent=2))
         return EXIT_OK
-    # bad inputs, then an unwritable estimates path, are refused before any replication
-    bench_mod.check_inputs([args.n], args.d, kinds, args.reps)
+    # bad inputs, then an unwritable estimates path, are refused before any
+    # replication: run_bench checks the inputs too, but after the path is opened
+    if args.estimates_out:
+        bench_mod.check_inputs([args.n], args.d, kinds, args.reps, args.integrand)
     with open(args.estimates_out, "w") if args.estimates_out else nullcontext() as fh:
         report = bench_mod.run_bench(args.n, args.d, kinds, args.integrand, args.reps, args.seed)
         print(report.to_json())
@@ -159,18 +153,19 @@ def build_parser() -> argparse.ArgumentParser:
     sample = sub.add_parser("sample", help="turn a design file into points in [0,1)^d")
     sample.add_argument("--in", dest="infile", required=True)
     sample.add_argument("--mode", choices=["uniform", "midpoint"], default="uniform")
-    sample.add_argument("--seed", type=int, default=0)
+    sample.add_argument("--seed", type=int, help="jitter seed (uniform mode only; default 0)")
     sample.add_argument("--out", help="points CSV output path")
     sample.set_defaults(func=_cmd_sample)
 
     bench = sub.add_parser("bench", help="compare estimator variance across kinds")
-    bench.add_argument("--n", type=int, required=True)
+    sizes = bench.add_mutually_exclusive_group(required=True)  # one run count, or a rate fit's
+    sizes.add_argument("--n", type=int)
+    sizes.add_argument("--rate", type=_int_list, help="comma-separated n values for a rate fit")
     bench.add_argument("--d", type=int, required=True)
     bench.add_argument("--kinds", required=True, help="comma-separated design kinds")
     bench.add_argument("--integrand", required=True, help="integrand name, e.g. ADD-LIN")
     bench.add_argument("--reps", type=int, default=100)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--rate", type=_int_list, help="comma-separated n values for a rate fit")
     bench.add_argument("--estimates-out", help="per-replication estimates CSV path")
     bench.set_defaults(func=_cmd_bench)
     return parser

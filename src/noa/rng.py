@@ -16,12 +16,19 @@ STAGE_BENCH = 7
 STAGE_IID = 8
 
 
+def _seed_sequence(seed: int, key) -> np.random.SeedSequence:
+    """The SeedSequence of (seed, key...); a seed outside [0, 2^64) is refused, not wrapped."""
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    return np.random.SeedSequence([seed, *map(int, key)])
+
+
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, key...)."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), *map(int, key)]))
+    return np.random.default_rng(_seed_sequence(seed, key))
 
 
 def derive_seed(seed: int, *key: int) -> int:
     """A child seed usable as the user seed of a nested construction."""
-    ss = np.random.SeedSequence([int(seed) & (2**64 - 1), *map(int, key)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, key).generate_state(1, np.uint64)[0])

@@ -132,8 +132,8 @@ def test_criterion_7_variance_ordering():
 
 def test_criterion_8_rate():
     start = time.monotonic()
-    lhs = fit_rate([16, 64, 256, 1024], 3, "lhs", "ADD-EXP", 2000, 77)
-    iid = fit_rate([16, 64, 256, 1024], 3, "iid", "ADD-EXP", 2000, 77)
+    fits = fit_rate([16, 64, 256, 1024], 3, ["lhs", "iid"], "ADD-EXP", 2000, 77)
+    lhs, iid = fits["lhs"], fits["iid"]
     elapsed = time.monotonic() - start
     ok = (
         not lhs.degenerate

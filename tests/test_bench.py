@@ -8,6 +8,7 @@ import pytest
 from noa import bench, nested
 from noa.bench import (
     INTEGRANDS,
+    check_inputs,
     estimate,
     fit_rate,
     format_estimates_csv,
@@ -18,7 +19,11 @@ from noa.bench import (
 from noa.bush import bush_construct
 from noa.designs import MAX_ENTRIES, Design
 from noa.errors import (
-    ConstructionError, DimensionMismatchError, FieldOverflowError, NoNontrivialPlanError
+    ConstructionError,
+    DimensionMismatchError,
+    FieldOverflowError,
+    InternalInvariantError,
+    NoNontrivialPlanError,
 )
 from noa.gf import field_of_order
 from noa.nested import construct_lhs
@@ -179,7 +184,7 @@ def test_fit_rate_degenerate_constant():
     # an LHS integrates a constant-in-each-coordinate-sum... use midrange:
     # ADD-LIN over full LHS designs is not constant, so craft degeneracy via
     # single-replication variance zero
-    fit = fit_rate([8, 16, 32], 3, "iid", "ADD-LIN", 1, 0)
+    fit = fit_rate([8, 16, 32], 3, ["iid"], "ADD-LIN", 1, 0)["iid"]
     assert fit.degenerate and fit.slope is None
 
 
@@ -187,7 +192,7 @@ def test_fit_rate_needs_three_points():
     # three equal run counts are one point: the fit would be degenerate
     for ns in ([8, 16], [8, 8, 8]):
         with pytest.raises(ValueError):
-            fit_rate(ns, 3, "iid", "ADD-LIN", 10, 0)
+            fit_rate(ns, 3, ["iid"], "ADD-LIN", 10, 0)
 
 
 def test_estimates_csv():
@@ -231,3 +236,43 @@ def test_run_bench_plans_each_kind_once(monkeypatch):
     calls = counting(monkeypatch, nested, "_prime_power_roots")
     run_bench(64, 3, ["tang"], "ADD-EXP", 20, 0)
     assert calls == [(64, 2)]
+
+
+def test_check_inputs_plans_each_kind_once_in_the_order_first_named(monkeypatch):
+    calls = counting(monkeypatch, nested, "plan")
+    plans, f = check_inputs((16, 64), 3, ["tang", "iid", "lhs", "tang"], 5, "BILIN")
+    assert list(plans) == ["tang", "iid", "lhs"]
+    assert plans["iid"] == {16: None, 64: None}
+    assert calls == [("tang", 16, 3), ("tang", 64, 3), ("lhs", 16, 3), ("lhs", 64, 3)]
+    assert plans["lhs"][64] == nested.plan("lhs", 64, 3)
+    assert (f.name, f.d) == ("BILIN", 3)
+
+
+def test_check_inputs_builds_the_integrand_first(monkeypatch):
+    calls = counting(monkeypatch, nested, "plan")
+    with pytest.raises(ValueError, match="unknown integrand 'NOPE'"):
+        check_inputs((0,), 3, ["bogus"], 0, "NOPE")
+    assert calls == []
+
+
+def test_fit_rate_variances_are_run_bench_variances():
+    # one fit per kind, each variance the one run_bench gives at that n, a run
+    # count named twice included
+    fits = fit_rate([16, 64, 256, 64], 3, ["lhs", "iid"], "ADD-EXP", 10, 2)
+    assert list(fits) == ["lhs", "iid"]
+    for kind, fit in fits.items():
+        assert fit.variances == tuple(
+            run_bench(n, 3, [kind], "ADD-EXP", 10, 2).results[kind].var for n in fit.ns
+        )
+
+
+def test_a_replications_internal_error_is_not_relabelled(monkeypatch):
+    # only a refused plan names the kind; a construction that fails its own
+    # checks is a bug, and surfaces as itself
+    def broken(plan, seed):
+        raise InternalInvariantError("column 0 is not a permutation")
+
+    monkeypatch.setattr(nested, "construct", broken)
+    with pytest.raises(InternalInvariantError, match="column 0 is not a permutation"):
+        run_bench(16, 3, ["iid", "lhs"], "ADD-LIN", 2, 0)
+

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noa
-from noa import bench, gf
+from noa import bench, gf, nested
 from noa.cli import main
 from noa.designs import format_design, load_design, nested64_fixture, save_design, Design
 from noa.sampling import load_points
@@ -109,9 +109,14 @@ def test_gen_bush_requires_s_and_t(capsys):
         (("sample", "--in"), "error: noa sample: argument --in: expected one argument"),
         (("gen", "--kind", "lhs", "--n", "4", "--d", "2", "--x\ny"),
          "error: noa: unrecognized arguments: --x y"),
-        (("bench", "--n", "64", "--d", "3", "--kinds", "lhs", "--integrand", "ADD-EXP",
-          "--rate", "8,x"),
+        (("bench", "--d", "3", "--kinds", "lhs", "--integrand", "ADD-EXP", "--rate", "8,x"),
          "error: noa bench: argument --rate: expected comma-separated integers, got '8,x'"),
+        # --n is one run count and --rate a fit's: one is given, and never both
+        (("bench", "--d", "3", "--kinds", "lhs", "--integrand", "ADD-EXP", "--n", "8",
+          "--rate", "8,16,32"),
+         "error: noa bench: argument --rate: not allowed with argument --n"),
+        (("bench", "--d", "3", "--kinds", "lhs", "--integrand", "ADD-EXP"),
+         "error: noa bench: one of the arguments --n --rate is required"),
     ],
 )
 def test_argparse_refusals_are_one_error_line(capsys, argv, start):
@@ -268,6 +273,42 @@ def test_sample_midpoint(tmp_path, capsys):
     assert set(np.round(pts.points.ravel(), 6)) <= {0.125, 0.375, 0.625, 0.875}
 
 
+def test_sample_midpoint_refuses_a_seed(tmp_path, capsys):
+    # a midpoint draws nothing, so a seed would be ignored; uniform mode
+    # without one draws seed 0
+    dpath = tmp_path / "d.csv"
+    run(capsys, "gen", "--kind", "lhs", "--n", "4", "--d", "2", "--out", str(dpath))
+    code, stdout, err = run(
+        capsys, "sample", "--in", str(dpath), "--mode", "midpoint", "--seed", "1"
+    )
+    assert (code, stdout, err) == (2, "", "error: sample --mode midpoint does not take --seed\n")
+    _, unseeded, _ = run(capsys, "sample", "--in", str(dpath))
+    code, seeded, _ = run(capsys, "sample", "--in", str(dpath), "--seed", "0")
+    assert code == 0 and unseeded == seeded
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--kind", "lhs", "--n", "6", "--d", "2", "--out", "out.csv"),
+        ("sample", "--in", "d.csv", "--out", "out.csv"),
+        ("bench", "--n", "8", "--d", "2", "--kinds", "iid,lhs", "--integrand", "ADD-LIN",
+         "--reps", "2"),
+        ("bench", "--rate", "8,16,32", "--d", "2", "--kinds", "lhs", "--integrand", "ADD-LIN",
+         "--reps", "2"),
+    ],
+    ids=["gen", "sample", "bench", "bench-rate"],
+)
+def test_a_seed_outside_64_bits_is_refused(tmp_path, capsys, argv, seed):
+    # a seed is not wrapped: -1 would build the design of 2^64 - 1, and 2^64 that of 0
+    run(capsys, "gen", "--kind", "lhs", "--n", "6", "--d", "2", "--out", str(tmp_path / "d.csv"))
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    code, stdout, err = run(capsys, *argv, "--seed", seed)
+    assert (code, stdout, err) == (2, "", f"error: seed must be in [0, 2^64), got {seed}\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sample_uniform_rebins(tmp_path, capsys):
     dpath = tmp_path / "d.csv"
     run(capsys, "gen", "--kind", "lhs", "--n", "8", "--d", "3", "--seed", "1",
@@ -313,16 +354,32 @@ def test_bench_json(capsys):
     assert report["kinds"]["iid"]["r"] == 20
 
 
-def test_bench_takes_each_kind_once(capsys, monkeypatch):
+def test_bench_takes_each_kind_once(capsys):
     argv = ("bench", "--n", "16", "--d", "3", "--integrand", "ADD-EXP", "--reps", "5")
     _, once, _ = run(capsys, *argv, "--kinds", "iid,lhs")
     code, twice, _ = run(capsys, *argv, "--kinds", "iid,lhs,iid,lhs")
     assert code == 0 and twice == once
-    fits = []
-    fit_rate = bench.fit_rate
-    monkeypatch.setattr(bench, "fit_rate", lambda *args: fits.append(args[2]) or fit_rate(*args))
-    code, stdout, _ = run(capsys, *argv, "--kinds", "lhs,lhs", "--rate", "8,16,32")
-    assert code == 0 and list(json.loads(stdout)) == fits == ["lhs"]
+    rate = ("bench", "--d", "3", "--integrand", "ADD-EXP", "--reps", "5", "--rate", "8,16,32")
+    _, once, _ = run(capsys, *rate, "--kinds", "lhs")
+    code, twice, _ = run(capsys, *rate, "--kinds", "lhs,lhs")
+    assert code == 0 and twice == once and list(json.loads(twice)) == ["lhs"]
+
+
+def test_bench_plans_each_kind_and_run_count_once(capsys, monkeypatch):
+    # one input check plans every (kind, n) before the first replication, and
+    # every replication builds from those plans
+    calls = []
+    plan = nested.plan
+    monkeypatch.setattr(nested, "plan", lambda *args: calls.append(args) or plan(*args))
+    argv = ("bench", "--d", "3", "--kinds", "tang,iid,lhs,tang", "--integrand", "ADD-EXP",
+            "--reps", "4")
+    code, stdout, _ = run(capsys, *argv, "--rate", "16,64,256")
+    assert code == 0 and list(json.loads(stdout)) == ["tang", "iid", "lhs"]
+    assert calls == [(kind, n, 3) for kind in ("tang", "lhs") for n in (16, 64, 256)]
+    calls.clear()
+    code, stdout, _ = run(capsys, *argv, "--n", "64")
+    assert code == 0 and list(json.loads(stdout)["kinds"]) == ["tang", "iid", "lhs"]
+    assert calls == [("tang", 64, 3), ("lhs", 64, 3)]
 
 
 def test_bench_degenerate_reps(capsys):
@@ -375,15 +432,15 @@ NO_NOA3_PLAN_24 = (
     [
         (("--n", "64", "--kinds", "iid,lhs,noa3,bogus"), "unknown design kind 'bogus'"),
         (
-            ("--n", "64", "--kinds", "lhs", "--rate", "64,256,0"),
+            ("--kinds", "lhs", "--rate", "64,256,0"),
             "need n >= 1 and d >= 1, got n=0, d=3",
         ),
         (
-            ("--n", "64", "--kinds", "lhs,bogus", "--rate", "16,32,64"),
+            ("--kinds", "lhs,bogus", "--rate", "16,32,64"),
             "unknown design kind 'bogus'",
         ),
         (
-            ("--n", "64", "--kinds", "iid", "--rate", "16,32,50000000"),
+            ("--kinds", "iid", "--rate", "16,32,50000000"),
             "design of 50000000 rows x 3 columns exceeds 134217728 entries",
         ),
         # every kind is planned before the first replication of any kind
@@ -394,7 +451,7 @@ NO_NOA3_PLAN_24 = (
             id="oa2-square",
         ),
         pytest.param(
-            ("--n", "64", "--kinds", "iid,lhs,noa3", "--rate", "64,24,512"),
+            ("--kinds", "iid,lhs,noa3", "--rate", "64,24,512"),
             NO_NOA3_PLAN_24,
             id="noa3-plan-rate",
         ),
@@ -457,7 +514,7 @@ def test_bench_rate_refuses_estimates_out(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bench, "fit_rate", None)  # refused before any fit
     path = tmp_path / "estimates.csv"
     code, stdout, err = run(
-        capsys, "bench", "--n", "8", "--d", "3", "--kinds", "iid", "--integrand", "ADD-EXP",
+        capsys, "bench", "--d", "3", "--kinds", "iid", "--integrand", "ADD-EXP",
         "--reps", "30", "--rate", "8,16,32", "--estimates-out", str(path),
     )
     assert code == 2
@@ -502,7 +559,7 @@ def test_bench_refuses_unwritable_estimates_out_before_any_replication(tmp_path,
 
 def test_bench_rate(capsys):
     code, stdout, _ = run(
-        capsys, "bench", "--n", "8", "--d", "3", "--kinds", "iid",
+        capsys, "bench", "--d", "3", "--kinds", "iid",
         "--integrand", "ADD-EXP", "--reps", "30", "--seed", "1",
         "--rate", "8,16,32",
     )
@@ -620,14 +677,14 @@ FLAGS = {  # per command: flags mostly given, flags given half the time
     "gen": (["--kind", "--d"], ["--out"]),
     "verify": (["--in", "--t"], ["--collapse"]),
     "sample": (["--in"], ["--mode", "--seed", "--out"]),
-    "bench": (
-        ["--n", "--d", "--kinds", "--integrand", "--reps"], ["--seed", "--rate", "--estimates-out"]
-    ),
+    "bench": (["--d", "--kinds", "--integrand", "--reps"], ["--seed", "--estimates-out"]),
 }
 # gen's own flags as (mostly given, given half the time), bush's or every other
 # kind's, so that a kind drawn apart from them is sometimes built and sometimes
 # refused for the other's
 GEN_FAMILIES = ((["--s", "--t"], []), (["--n"], ["--seed"]))
+# bench's run counts, one of which it takes: one --n, or a rate fit's --rate
+BENCH_SIZES = ["--n", "--rate"]
 # stray tokens: other commands' flags, unknown flags, positionals, a flag without
 # its value, and a line break, which argparse's message quotes as it is
 STRAY = ["--kind", "--n", "--collapse", "--rate", "--bogus", "-x", "extra", "--t=2", "--\nx"]
@@ -670,6 +727,8 @@ def cli_argvs(draw):
     if command == "gen":
         more, maybe = draw(st.sampled_from(GEN_FAMILIES))
         mostly, sometimes = mostly + more, sometimes + maybe
+    if command == "bench":
+        mostly = [draw(st.sampled_from(BENCH_SIZES)), *mostly]
     chosen = [f for f in mostly if draw(MOSTLY)] + [f for f in sometimes if draw(st.booleans())]
     argv = [command]
     for flag in draw(st.permutations(chosen)):

@@ -1,17 +1,20 @@
 """Pinned output streams: SHA-256 digests of designs, points and bench reports.
 
 Each digest covers the exact text a user sees (design and points CSV, bench
-JSON) for a fixed seed.  A change to storage or speed must leave every digest
-as it is; a deliberate change to a random stream updates the digests here and
-says so in CHANGES.md.
+JSON, the JSON that `noa bench --rate` prints) for a fixed seed.  A change to
+storage or speed must leave every digest as it is; a deliberate change to a
+random stream updates the digests here and says so in CHANGES.md.
 """
 
 import hashlib
+import io
+from contextlib import redirect_stdout
 
 import pytest
 
 from noa.bench import KINDS, run_bench
 from noa import designs
+from noa.cli import main
 from noa.designs import Design, collapse, format_design
 from noa.errors import UnbalancedColumnError
 from noa.nested import (
@@ -23,6 +26,14 @@ from noa.nested import (
     plan_noa,
 )
 from noa.sampling import format_points, to_points
+
+
+def cli_stdout(*argv):
+    """What one successful noa command prints."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
 
 OUTPUTS = {
     "noa3-64-3": lambda: format_design(construct_noa(plan_noa(64, 3), 7).design),
@@ -56,11 +67,17 @@ OUTPUTS = {
     ),
     "bench-64-3-s5": lambda: run_bench(64, 3, KINDS, "ADD-EXP", 50, 5).to_json(),
     "bench-64-3-s6": lambda: run_bench(64, 3, KINDS, "ADD-EXP", 50, 6).to_json(),
+    # four kinds, one named twice, each fitted once over three run counts
+    "bench-rate-s5": lambda: cli_stdout(
+        "bench", "--d", "3", "--kinds", "noa3,lhs,tang,iid,lhs", "--integrand", "ADD-EXP",
+        "--reps", "20", "--seed", "5", "--rate", "64,512,4096",
+    ),
 }
 
 DIGESTS = {
     "bench-64-3-s5": "a94b3cc5d07aa7313f8041d97850eef8b4e479b39d02c8bb3f85c56ac6f14776",
     "bench-64-3-s6": "b31a09616c1cc2c476e78247e76bf33486fb877a21c7ab76912f7806830867b3",
+    "bench-rate-s5": "f56de72677c4c0e254b07c0548597cd663ede4b7f74aad0b5548feb845e404e3",
     "expand-100000-100": "913d0e05921e61115fa10dc30d34c4317e82add74e29ecdac885a476d4d651a8",
     "expand-oa-4-2-3": "389fd3bcbfcfdf5e3ad22806f72c15c30222fab612a1ec5da7587c913e32ae9f",
     "lhs-16-3": "0cc6ce235c2ac47cc6a3b2326d52651f252c8a1f45d101d18a9d1182190b5ee3",

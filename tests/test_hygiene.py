@@ -34,7 +34,10 @@
   ``ProcessPoolExecutor``) and no ``multiprocessing`` outside
   ``designs.py``: ``designs.pipeline`` is the package's one parallel code
   (the strength check, the level expansion and ``to_points`` call it), so
-  threads and processes stay in one place.
+  threads and processes stay in one place;
+- no ``default_rng`` or ``SeedSequence`` outside ``rng.py``: ``rng.stream``
+  and ``rng.derive_seed`` are the one place a seed becomes a generator, so
+  every seed is checked against [0, 2^64) and none is wrapped.
 """
 
 import ast
@@ -55,6 +58,7 @@ CACHES = {"lru_cache", "cache"}
 BROAD = {"Exception", "BaseException"}
 KIND_NAMES = {"lhs", "oa2", "tang", "noa3"}
 EXECUTORS = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
+SEEDERS = {"default_rng", "SeedSequence"}
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -86,6 +90,7 @@ def problems(path):
     yield from kind_comparisons(path, tree)
     yield from prime_power_calls(path, tree)
     yield from parallelism(path, tree)
+    yield from seeders(path, tree)
 
 
 def unused_imports(path, tree):
@@ -231,6 +236,23 @@ def parallelism(path, tree):
             yield f"{path.name}:{node.lineno}: {name.lstrip('.')} outside designs.py"
 
 
+def seeders(path, tree):
+    """Every default_rng or SeedSequence named, imported or looked up outside rng.py."""
+    if path.name == "rng.py":
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name.split(".")[-1]
+        else:
+            continue
+        if name in SEEDERS:
+            yield f"{path.name}:{node.lineno}: {name} outside rng.py"
+
+
 def unused_exports(exports, paths):
     """The exported names that no module in paths reads, imports or looks up."""
     used = set()
@@ -315,6 +337,8 @@ def test_rules_catch_violations(tmp_path):
         "            construct_oa()\n"
         "        except BaseException as error:\n"
         "            self.error = error\n"
+        "from numpy.random import SeedSequence as Seeds\n"
+        "gen = np.random.default_rng(Seeds([0, 1]))\n"
     )
     assert [p.split(": ", 1)[1] for p in problems(bad)] == [
         "imports private nested._oa",
@@ -340,6 +364,8 @@ def test_rules_catch_violations(tmp_path):
         "multiprocessing.Pool outside designs.py",
         "ThreadPoolExecutor outside designs.py",
         "futures.ProcessPoolExecutor outside designs.py",
+        "SeedSequence outside rng.py",
+        "default_rng outside rng.py",
     ]
     # no function or class of designs.py may keep a BaseException, whatever
     # its name
@@ -388,6 +414,14 @@ def test_rules_catch_violations(tmp_path):
     gf = tmp_path / "gf.py"
     gf.write_text("def is_prime(p):\n    return prime_power(p) == (p, 1)\n")
     assert list(problems(gf)) == []
+    # a seed becomes a generator in rng.py alone
+    rng = tmp_path / "rng.py"
+    rng.write_text(
+        "import numpy as np\n"
+        "def stream(seed):\n"
+        "    return np.random.default_rng(np.random.SeedSequence([seed]))\n"
+    )
+    assert list(problems(rng)) == []
     # only what every command needs is imported with the CLI module
     cli = tmp_path / "cli.py"
     cli.write_text(

@@ -220,6 +220,14 @@ def test_construct_keeps_the_planned_ladder(case, seed):
     assert_ladder(design, plan.ladder)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_construct_refuses_a_seed_outside_64_bits(seed):
+    # -1 is not wrapped to the seed 2^64 - 1, nor 2^64 to 0
+    with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\^64\), got {seed}"):
+        nested.construct(nested.plan("lhs", 6, 2), seed)
+    nested.construct(nested.plan("lhs", 6, 2), (1 << 64) - 1)
+
+
 def test_plan_rejects_unknown_kind():
     for kind in ("iid", "bush", "NOA3"):
         with pytest.raises(ValueError, match=f"unknown design kind {kind!r}"):
