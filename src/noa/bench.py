@@ -21,7 +21,7 @@ from .designs import MAX_ENTRIES, check_size
 from .errors import (
     ConstructionError, DesignError, DimensionMismatchError, FieldOverflowError
 )
-from .rng import STAGE_BENCH, STAGE_IID, derive_seed, stream
+from .rng import STAGE_BENCH, STAGE_IID, check_seed, derive_seed, stream
 from .sampling import PointSet, to_points
 
 E = math.e
@@ -119,8 +119,8 @@ def kind_points(kind: str, n: int, d: int, seed: int, plan: nested.Plan | None) 
 # --- benchmark driver --------------------------------------------------------
 
 
-def check_inputs(ns, d: int, kinds, reps: int, integrand: str) -> tuple[dict, Integrand]:
-    """Refuse a bad integrand, run count, size, kind list or plan before any replication.
+def check_inputs(ns, d: int, kinds, reps: int, integrand: str, seed: int) -> tuple[dict, Integrand]:
+    """Refuse a bad integrand, run count, size, seed, kind list or plan before any replication.
 
     A run of more than MAX_ENTRIES replications, or of more than MAX_DRAWN
     point coordinates (reps * n * d) per kind, is refused with
@@ -144,6 +144,7 @@ def check_inputs(ns, d: int, kinds, reps: int, integrand: str) -> tuple[dict, In
             raise FieldOverflowError(
                 f"{reps} replications of {n} x {d} points exceed {MAX_DRAWN} drawn coordinates"
             )
+    check_seed(seed)
     plans = {kind: {} for kind in kinds}  # each kind once, in the order first named
     if not plans:
         raise ValueError("kinds must name at least one design kind")
@@ -228,7 +229,7 @@ def run_bench(
 
     A kind named more than once is run once.
     """
-    plans, f = check_inputs((n,), d, kinds, reps, integrand)
+    plans, f = check_inputs((n,), d, kinds, reps, integrand, seed)
     results = {kind: _kind_stats(kind, n, d, plans[kind][n], f, reps, seed) for kind in plans}
     return BenchReport(
         n=n,
@@ -253,18 +254,18 @@ class RateFit:
 def fit_rate(ns, d: int, kinds, integrand: str, reps: int, seed: int) -> dict[str, RateFit]:
     """Least-squares slope of log variance against log n for each kind, inputs checked first.
 
-    A kind named more than once is fitted once.
+    A kind or a run count named more than once is fitted, or run, once.
     """
     ns = tuple(int(v) for v in ns)
-    plans, f = check_inputs(ns, d, kinds, reps, integrand)
+    plans, f = check_inputs(ns, d, kinds, reps, integrand, seed)
     if len(set(ns)) < 3:
         raise ValueError(f"need at least 3 distinct run counts, got {ns}")
     fits = {}
-    for kind, by_n in plans.items():
-        variances = tuple(_kind_stats(kind, n, d, by_n[n], f, reps, seed).var for n in ns)
+    for kind, by_n in plans.items():  # by_n has each run count once, in the order first named
+        variances = tuple(_kind_stats(kind, n, d, by_n[n], f, reps, seed).var for n in by_n)
         degenerate = any(v <= 0.0 for v in variances)
-        slope = None if degenerate else float(np.polyfit(np.log(ns), np.log(variances), 1)[0])
-        fits[kind] = RateFit(ns, variances, slope, degenerate)
+        slope = None if degenerate else float(np.polyfit(np.log([*by_n]), np.log(variances), 1)[0])
+        fits[kind] = RateFit(tuple(by_n), variances, slope, degenerate)
     return fits
 
 

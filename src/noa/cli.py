@@ -106,7 +106,7 @@ def _cmd_bench(args) -> int:
     # bad inputs, then an unwritable estimates path, are refused before any
     # replication: run_bench checks the inputs too, but after the path is opened
     if args.estimates_out:
-        bench_mod.check_inputs([args.n], args.d, kinds, args.reps, args.integrand)
+        bench_mod.check_inputs([args.n], args.d, kinds, args.reps, args.integrand, args.seed)
     with open(args.estimates_out, "w") if args.estimates_out else nullcontext() as fh:
         report = bench_mod.run_bench(args.n, args.d, kinds, args.integrand, args.reps, args.seed)
         print(report.to_json())

@@ -16,12 +16,17 @@ STAGE_BENCH = 7
 STAGE_IID = 8
 
 
-def _seed_sequence(seed: int, key) -> np.random.SeedSequence:
-    """The SeedSequence of (seed, key...); a seed outside [0, 2^64) is refused, not wrapped."""
+def check_seed(seed: int) -> int:
+    """The seed as an int; a seed outside [0, 2^64) is refused, not wrapped."""
     seed = int(seed)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    return np.random.SeedSequence([seed, *map(int, key)])
+    return seed
+
+
+def _seed_sequence(seed: int, key) -> np.random.SeedSequence:
+    """The SeedSequence of (seed, key...), the seed checked by check_seed."""
+    return np.random.SeedSequence([check_seed(seed), *map(int, key)])
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

@@ -15,7 +15,7 @@ from noa.cli import main
 from noa.designs import check_strength, collapse, nested64_fixture
 from noa.errors import NoNontrivialPlanError
 from noa.gf import field_of_order
-from noa.nested import construct, construct_noa, construct_tang, plan, plan_noa
+from noa.nested import construct, plan
 from noa.sampling import to_points
 
 
@@ -61,11 +61,11 @@ ACCEPTANCE_INSTANCES = [(64, 3), (128, 3), (81, 3), (256, 4)]
 def test_criterion_3_ladder_soundness():
     start = time.monotonic()
     for n, d in ACCEPTANCE_INSTANCES:
-        plan = plan_noa(n, d)
+        chosen = plan("noa3", n, d)
         for seed in range(100):
-            nd = construct_noa(plan, seed)
-            for levels, t in nd.ladder:
-                rep = check_strength(collapse(nd.design, levels), t)
+            design = construct(chosen, seed)
+            for levels, t in chosen.ladder:
+                rep = check_strength(collapse(design, levels), t)
                 assert rep.ok and rep.lam == n // levels**t, (n, d, seed, levels, t)
     elapsed = time.monotonic() - start
     report("3 ladder soundness", elapsed < 60.0, f"{elapsed:.1f}s")
@@ -73,14 +73,14 @@ def test_criterion_3_ladder_soundness():
 
 def test_criterion_4_pair_coverage():
     for n, d in ACCEPTANCE_INSTANCES:
-        plan = plan_noa(n, d)
+        chosen = plan("noa3", n, d)
         for seed in range(100):
-            coarse = collapse(construct_noa(plan, seed).design, plan.s3).matrix
-            block_size = plan.s3 * plan.s3
+            coarse = collapse(construct(chosen, seed), chosen.s3).matrix
+            block_size = chosen.s3 * chosen.s3
             for start_row in range(0, n, block_size):
                 block = coarse[start_row : start_row + block_size]
                 for j1, j2 in itertools.combinations(range(d), 2):
-                    idx = block[:, j1] * plan.s3 + block[:, j2]
+                    idx = block[:, j1] * chosen.s3 + block[:, j2]
                     assert (np.bincount(idx, minlength=block_size) == 1).all(), (
                         n, d, seed, start_row, j1, j2,
                     )
@@ -89,9 +89,10 @@ def test_criterion_4_pair_coverage():
 
 def test_criterion_5_midpoint_exactness():
     for n, d in [(64, 3), (81, 3)]:
-        nd = construct_noa(plan_noa(n, d), 23)
-        for levels, t in nd.ladder:
-            rung = collapse(nd.design, levels)
+        chosen = plan("noa3", n, d)
+        design = construct(chosen, 23)
+        for levels, t in chosen.ladder:
+            rung = collapse(design, levels)
             assert check_strength(rung, t).ok
             pts = to_points(rung, "midpoint").points
             for size in range(1, t + 1):
@@ -147,12 +148,12 @@ def test_criterion_8_rate():
 
 def test_criterion_9_error_paths(capsys):
     with pytest.raises(NoNontrivialPlanError):
-        plan_noa(24, 3)
+        plan("noa3", 24, 3)
     code = main(["gen", "--kind", "noa3", "--n", "24", "--d", "3"])
     capsys.readouterr()
     assert code == 2
     with pytest.raises(NoNontrivialPlanError):
-        construct_tang(6, 3, 0)
+        construct(plan("tang", 6, 3), 0)
     report("9 error paths", True)
 
 

@@ -26,7 +26,6 @@ from noa.errors import (
     NoNontrivialPlanError,
 )
 from noa.gf import field_of_order
-from noa.nested import construct_lhs
 from noa.sampling import PointSet, parse_points, to_points
 
 
@@ -45,7 +44,7 @@ def test_integrand_true_values():
 
 
 def test_estimate_lhs_midpoint_add_lin_exact():
-    design = construct_lhs(16, 3, 4)
+    design = nested.construct(nested.plan("lhs", 16, 3), 4)
     pts = to_points(design, "midpoint")
     assert estimate(pts, make_integrand("ADD-LIN", 3)) == pytest.approx(0.0, abs=1e-13)
 
@@ -74,7 +73,7 @@ def test_estimate_in_row_blocks_equals_whole_array_mean(name):
 
 def test_estimate_memory_is_row_blocks():
     # one length-n vector of values beside the points, and one block's temporaries
-    points = to_points(construct_lhs(2**18, 8, 0), "uniform", 1)
+    points = to_points(nested.construct(nested.plan("lhs", 2**18, 8), 0), "uniform", 1)
     for name in INTEGRANDS:
         f = make_integrand(name, 8)
         tracemalloc.start()
@@ -240,7 +239,7 @@ def test_run_bench_plans_each_kind_once(monkeypatch):
 
 def test_check_inputs_plans_each_kind_once_in_the_order_first_named(monkeypatch):
     calls = counting(monkeypatch, nested, "plan")
-    plans, f = check_inputs((16, 64), 3, ["tang", "iid", "lhs", "tang"], 5, "BILIN")
+    plans, f = check_inputs((16, 64), 3, ["tang", "iid", "lhs", "tang"], 5, "BILIN", 0)
     assert list(plans) == ["tang", "iid", "lhs"]
     assert plans["iid"] == {16: None, 64: None}
     assert calls == [("tang", 16, 3), ("tang", 64, 3), ("lhs", 16, 3), ("lhs", 64, 3)]
@@ -251,16 +250,21 @@ def test_check_inputs_plans_each_kind_once_in_the_order_first_named(monkeypatch)
 def test_check_inputs_builds_the_integrand_first(monkeypatch):
     calls = counting(monkeypatch, nested, "plan")
     with pytest.raises(ValueError, match="unknown integrand 'NOPE'"):
-        check_inputs((0,), 3, ["bogus"], 0, "NOPE")
+        check_inputs((0,), 3, ["bogus"], 0, "NOPE", -1)
     assert calls == []
 
 
-def test_fit_rate_variances_are_run_bench_variances():
+def test_fit_rate_variances_are_run_bench_variances(monkeypatch):
     # one fit per kind, each variance the one run_bench gives at that n, a run
-    # count named twice included
+    # count named twice run and listed once
+    calls = counting(monkeypatch, bench, "kind_points")
     fits = fit_rate([16, 64, 256, 64], 3, ["lhs", "iid"], "ADD-EXP", 10, 2)
     assert list(fits) == ["lhs", "iid"]
+    assert [args[:2] for args in calls] == [
+        (kind, n) for kind in ("lhs", "iid") for n in (16, 64, 256) for _ in range(10)
+    ]
     for kind, fit in fits.items():
+        assert fit.ns == (16, 64, 256)
         assert fit.variances == tuple(
             run_bench(n, 3, [kind], "ADD-EXP", 10, 2).results[kind].var for n in fit.ns
         )

@@ -297,8 +297,11 @@ def test_sample_midpoint_refuses_a_seed(tmp_path, capsys):
          "--reps", "2"),
         ("bench", "--rate", "8,16,32", "--d", "2", "--kinds", "lhs", "--integrand", "ADD-LIN",
          "--reps", "2"),
+        # refused before the estimates file is opened, so none is left behind
+        ("bench", "--n", "8", "--d", "3", "--kinds", "iid", "--integrand", "ADD-EXP",
+         "--reps", "2", "--estimates-out", "out.csv"),
     ],
-    ids=["gen", "sample", "bench", "bench-rate"],
+    ids=["gen", "sample", "bench", "bench-rate", "bench-estimates"],
 )
 def test_a_seed_outside_64_bits_is_refused(tmp_path, capsys, argv, seed):
     # a seed is not wrapped: -1 would build the design of 2^64 - 1, and 2^64 that of 0
@@ -640,7 +643,7 @@ def test_package_names_load_on_first_access():
     namespace = {}
     exec("from noa import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(noa.__all__)
-    assert namespace["construct_noa"] is noa.construct_noa
+    assert namespace["construct"] is noa.construct
     with pytest.raises(AttributeError, match="has no attribute 'construct_nothing'"):
         noa.construct_nothing
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import sys
 import threading
 import time
@@ -193,6 +194,15 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(designs, "_cpus", lambda: 2)
     monkeypatch.setattr(futures, "ThreadPoolExecutor", Counted)
     return started
+
+
+def test_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    # without sched_getaffinity every CPU counts, and one when their number is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert designs._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert designs._cpus() == 1
 
 
 def swapped(design, j, rows):
@@ -707,6 +717,8 @@ def test_csv_rejects_bad_header():
         parse_design("0,1\n1,0\n")
     with pytest.raises(FormatError):
         parse_design("# noa-design v1 n=x d=2 s=2\n0,1\n")
+    with pytest.raises(FormatError, match="level count s must be >= 1"):
+        parse_design("# noa-design v1 n=1 d=1 s=0\n0\n")
     # with no rows, d alone shapes the table
     for d in (0, -1):
         with pytest.raises(FormatError, match=f"d={d} must be >= 1"):

@@ -27,6 +27,11 @@ def test_not_prime():
         FieldSpec(6, 1)
 
 
+def test_extension_degree_must_be_positive():
+    with pytest.raises(ValueError, match="extension degree m=0 must be >= 1"):
+        field_new(2, 0)
+
+
 def test_overflow():
     with pytest.raises(FieldOverflowError):
         FieldSpec(2, 17)

@@ -17,14 +17,7 @@ from noa import designs
 from noa.cli import main
 from noa.designs import Design, collapse, format_design
 from noa.errors import UnbalancedColumnError
-from noa.nested import (
-    construct_lhs,
-    construct_noa,
-    construct_oa,
-    construct_tang,
-    expand_to_lhs,
-    plan_noa,
-)
+from noa.nested import construct, construct_oa, expand_to_lhs, plan
 from noa.sampling import format_points, to_points
 
 
@@ -36,34 +29,36 @@ def cli_stdout(*argv):
     return out.getvalue()
 
 OUTPUTS = {
-    "noa3-64-3": lambda: format_design(construct_noa(plan_noa(64, 3), 7).design),
-    "noa3-256-4": lambda: format_design(construct_noa(plan_noa(256, 4), 8).design),
-    "noa3-512-3": lambda: format_design(construct_noa(plan_noa(512, 3), 9).design),
-    "tang-64-3": lambda: format_design(construct_tang(64, 3, 7)),
-    "tang-1024-5": lambda: format_design(construct_tang(1024, 5, 8)),
-    "lhs-16-3": lambda: format_design(construct_lhs(16, 3, 7)),
-    "lhs-300-2": lambda: format_design(construct_lhs(300, 2, 8)),
+    "noa3-64-3": lambda: format_design(construct(plan("noa3", 64, 3), 7)),
+    "noa3-256-4": lambda: format_design(construct(plan("noa3", 256, 4), 8)),
+    "noa3-512-3": lambda: format_design(construct(plan("noa3", 512, 3), 9)),
+    "tang-64-3": lambda: format_design(construct(plan("tang", 64, 3), 7)),
+    "tang-1024-5": lambda: format_design(construct(plan("tang", 1024, 5), 8)),
+    "lhs-16-3": lambda: format_design(construct(plan("lhs", 16, 3), 7)),
+    "lhs-300-2": lambda: format_design(construct(plan("lhs", 300, 2), 8)),
     "oa-8-2-9": lambda: format_design(construct_oa(8, 2, 9, 7)),
     "oa-5-3-4": lambda: format_design(construct_oa(5, 3, 4, 8)),
     "expand-oa-4-2-3": lambda: format_design(expand_to_lhs(construct_oa(4, 2, 3, 7), 9)),
     # 1000 fine levels per level: the ranks are shuffled in more than one block
     "expand-100000-100": lambda: format_design(
-        expand_to_lhs(collapse(construct_lhs(100000, 1, 3), 100), 4)
+        expand_to_lhs(collapse(construct(plan("lhs", 100000, 1), 3), 100), 4)
     ),
     "points-noa3-64-3": lambda: format_points(
-        to_points(construct_noa(plan_noa(64, 3), 7).design, "uniform", 11)
+        to_points(construct(plan("noa3", 64, 3), 7), "uniform", 11)
     ),
-    "points-lhs-300-2": lambda: format_points(to_points(construct_lhs(300, 2, 8), "uniform", 12)),
+    "points-lhs-300-2": lambda: format_points(
+        to_points(construct(plan("lhs", 300, 2), 8), "uniform", 12)
+    ),
     "points-tang-64-3-mid": lambda: format_points(
-        to_points(construct_tang(64, 3, 7), "midpoint")
+        to_points(construct(plan("tang", 64, 3), 7), "midpoint")
     ),
     # more than one 2^16-row block: the two-lane path of every pipeline stage
-    "noa3-131072-5": lambda: format_design(construct_noa(plan_noa(131072, 5), 5).design),
+    "noa3-131072-5": lambda: format_design(construct(plan("noa3", 131072, 5), 5)),
     "points-noa3-131072-5": lambda: format_points(
-        to_points(construct_noa(plan_noa(131072, 5), 5).design, "uniform", 13)
+        to_points(construct(plan("noa3", 131072, 5), 5), "uniform", 13)
     ),
     "points-noa3-131072-5-mid": lambda: format_points(
-        to_points(construct_noa(plan_noa(131072, 5), 5).design, "midpoint")
+        to_points(construct(plan("noa3", 131072, 5), 5), "midpoint")
     ),
     "bench-64-3-s5": lambda: run_bench(64, 3, KINDS, "ADD-EXP", 50, 5).to_json(),
     "bench-64-3-s6": lambda: run_bench(64, 3, KINDS, "ADD-EXP", 50, 6).to_json(),
@@ -122,7 +117,7 @@ def test_unbalanced_later_column_names_the_same_level(monkeypatch, cpus):
     # level 54 once over: the expansion has drawn a later column's levels
     # (two lanes) or not (one) when it refuses column 2, with the same message
     monkeypatch.setattr(designs, "_cpus", lambda: cpus)
-    mat = collapse(construct_lhs(131072, 4, 3), 64).matrix.copy()
+    mat = collapse(construct(plan("lhs", 131072, 4), 3), 64).matrix.copy()
     assert list(mat[:2, 2]) == [52, 54]
     mat[0, 2] = 54
     with pytest.raises(UnbalancedColumnError) as excinfo:

@@ -37,7 +37,12 @@
   threads and processes stay in one place;
 - no ``default_rng`` or ``SeedSequence`` outside ``rng.py``: ``rng.stream``
   and ``rng.derive_seed`` are the one place a seed becomes a generator, so
-  every seed is checked against [0, 2^64) and none is wrapped.
+  every seed is checked against [0, 2^64) and none is wrapped;
+- no name of a harness shim (``plan_noa``, ``construct_noa``,
+  ``construct_tang``, ``construct_lhs``, ``NestedDesign``) outside its own
+  definition in ``nested.py`` and ``__init__.py``'s name table: the shims
+  exist for ``benchmarks/`` alone, so no module comes to rely on them and
+  their removal stays a pure deletion.
 """
 
 import ast
@@ -59,6 +64,7 @@ BROAD = {"Exception", "BaseException"}
 KIND_NAMES = {"lhs", "oa2", "tang", "noa3"}
 EXECUTORS = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
 SEEDERS = {"default_rng", "SeedSequence"}
+SHIMS = {"plan_noa", "construct_noa", "construct_tang", "construct_lhs", "NestedDesign"}
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -91,6 +97,7 @@ def problems(path):
     yield from prime_power_calls(path, tree)
     yield from parallelism(path, tree)
     yield from seeders(path, tree)
+    yield from harness_shims(path, tree)
 
 
 def unused_imports(path, tree):
@@ -253,6 +260,37 @@ def seeders(path, tree):
             yield f"{path.name}:{node.lineno}: {name} outside rng.py"
 
 
+def harness_shims(path, tree):
+    """Every shim named outside its definition in nested.py and __init__.py's name table."""
+
+    def home(node):
+        if path.name == "nested.py":
+            return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in SHIMS
+        return path.name == "__init__.py" and isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "_MODULE_NAMES" for target in node.targets
+        )
+
+    allowed = {id(node) for outer in ast.walk(tree) if home(outer) for node in ast.walk(outer)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name, node.asname]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Constant):
+            names = [node.value]
+        else:
+            continue
+        if id(node) not in allowed:
+            found += [(node.lineno, node.col_offset, name) for name in names if name in SHIMS]
+    for lineno, _, name in sorted(found):
+        yield f"{path.name}:{lineno}: names harness shim {name}"
+
+
 def unused_exports(exports, paths):
     """The exported names that no module in paths reads, imports or looks up."""
     used = set()
@@ -339,6 +377,7 @@ def test_rules_catch_violations(tmp_path):
         "            self.error = error\n"
         "from numpy.random import SeedSequence as Seeds\n"
         "gen = np.random.default_rng(Seeds([0, 1]))\n"
+        "design = noa.construct_noa(plan_noa(64, 3), 0).design\n"
     )
     assert [p.split(": ", 1)[1] for p in problems(bad)] == [
         "imports private nested._oa",
@@ -366,6 +405,8 @@ def test_rules_catch_violations(tmp_path):
         "futures.ProcessPoolExecutor outside designs.py",
         "SeedSequence outside rng.py",
         "default_rng outside rng.py",
+        "names harness shim construct_noa",
+        "names harness shim plan_noa",
     ]
     # no function or class of designs.py may keep a BaseException, whatever
     # its name
@@ -429,13 +470,13 @@ def test_rules_catch_violations(tmp_path):
         "import numpy as np\n"
         "from . import bench\n"
         "from .designs import Design\n"
-        "from .nested import plan_noa\n"
+        "from .nested import plan\n"
         "from noa.gf import field_of_order\n"
         "if np:\n"
         "    from .sampling import to_points\n"
         "def gen():\n"
-        "    from .nested import construct_noa\n"
-        "    return argparse, json, bench, Design, plan_noa, field_of_order, to_points, construct_noa\n"
+        "    from .nested import construct\n"
+        "    return argparse, json, bench, Design, plan, field_of_order, to_points, construct\n"
     )
     assert [p.split(": ", 1)[1] for p in problems(cli)] == [
         "module-level import of numpy",
@@ -459,6 +500,25 @@ def test_rules_catch_violations(tmp_path):
         "module-level import of .bench",
         "module-level import of .nested",
         "module-level import of noa.gf",
+    ]
+    # a harness shim is named in its own definition and the name table, nowhere else
+    nested.write_text(
+        "class NestedDesign:\n"
+        "    design = None\n"
+        "def construct_noa(plan, seed):\n"
+        "    return NestedDesign(construct(plan, seed), plan.ladder)\n"
+        "def build(plan, seed):\n"
+        "    return construct_noa(plan, seed).design\n"
+    )
+    assert [p.split(": ", 1)[1] for p in problems(nested)] == [
+        "names harness shim construct_noa",
+    ]
+    init.write_text(
+        "_MODULE_NAMES = {'nested': ('construct', 'construct_lhs', 'plan_noa')}\n"
+        "_HARNESS = ('construct_tang',)\n"
+    )
+    assert [p.split(": ", 1)[1] for p in problems(init)] == [
+        "names harness shim construct_tang",
     ]
 
 

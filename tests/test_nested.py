@@ -24,12 +24,8 @@ from noa.gf import MAX_ORDER, field_of_order, is_prime, prime_power
 from noa.nested import (
     Plan,
     _prime_power_roots,
-    construct_lhs,
-    construct_noa,
     construct_oa,
-    construct_tang,
     expand_to_lhs,
-    plan_noa,
 )
 
 
@@ -84,7 +80,7 @@ def brute_force_plan(n, d):
     ],
 )
 def test_plan_examples(n, d, expected):
-    plan = plan_noa(n, d)
+    plan = nested.plan("noa3", n, d)
     s3, k3, p, c, b, s2 = noa_params(plan)
     assert (s3, k3, p, c, b, s2) == expected
     assert plan.ladder == ((n, 1), (s2, 2), (s3, 3))
@@ -96,7 +92,7 @@ def test_plan_examples(n, d, expected):
 def test_plan_no_nontrivial():
     for n, d in [(24, 3), (64, 4), (512, 5)]:
         with pytest.raises(NoNontrivialPlanError) as exc:
-            plan_noa(n, d)
+            nested.plan("noa3", n, d)
         assert f"n={n}, d={d}" in str(exc.value)
 
 
@@ -105,9 +101,9 @@ def test_plan_matches_brute_force():
         oracle = brute_force_plan(n, d)
         if oracle is None:
             with pytest.raises(NoNontrivialPlanError):
-                plan_noa(n, d)
+                nested.plan("noa3", n, d)
         else:
-            assert noa_params(plan_noa(n, d)) == oracle
+            assert noa_params(nested.plan("noa3", n, d)) == oracle
 
 
 def test_largest_root_is_buildable():
@@ -122,16 +118,16 @@ def test_largest_root_is_buildable():
 
 def test_plan_fields_are_buildable():
     # unbounded, s3 would be 2^20 and the fine field 2^10
-    s3, k3, p, c, b, _ = noa_params(plan_noa(2**60, 3))
+    s3, k3, p, c, b, _ = noa_params(nested.plan("noa3", 2**60, 3))
     assert (s3, p, c) == (4096, 2, 12)
     assert b * p ** (2 * c) == k3 * s3
 
 
 def test_plan_preconditions():
     with pytest.raises(ValueError):
-        plan_noa(4, 3)
+        nested.plan("noa3", 4, 3)
     with pytest.raises(ValueError):
-        plan_noa(64, 2)
+        nested.plan("noa3", 64, 2)
     with pytest.raises(AttributeError, match="a lhs plan has no strength-2 rung"):
         nested.plan("lhs", 8, 2).s2
 
@@ -145,10 +141,22 @@ def assert_ladder(design, ladder):
 @pytest.mark.parametrize("n,d", [(64, 3), (128, 3), (81, 3), (256, 4), (108, 3)])
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 def test_noa_ladder(n, d, seed):
-    plan = plan_noa(n, d)
-    nd = construct_noa(plan, seed)
-    assert nd.ladder == ((n, 1), (plan.s2, 2), (plan.s3, 3))
-    assert_ladder(nd.design, nd.ladder)
+    plan = nested.plan("noa3", n, d)
+    assert plan.ladder == ((n, 1), (plan.s2, 2), (plan.s3, 3))
+    assert_ladder(nested.construct(plan, seed), plan.ladder)
+
+
+def test_harness_shims_are_the_api():
+    # benchmarks/ still calls these shims; each is the plan or construct call it wraps
+    plan = nested.plan("noa3", 64, 3)
+    assert nested.plan_noa(64, 3) == plan
+    nd = nested.construct_noa(plan, 7)
+    assert np.array_equal(nd.design.matrix, nested.construct(plan, 7).matrix)
+    assert nd.design.s == 64 and nd.ladder == plan.ladder
+    for kind, shim in (("tang", nested.construct_tang), ("lhs", nested.construct_lhs)):
+        want = nested.construct(nested.plan(kind, 64, 3), 7)
+        got = shim(64, 3, 7)
+        assert got.s == want.s and np.array_equal(got.matrix, want.matrix)
 
 
 def oracle_ladder(kind, n, d):
@@ -235,33 +243,32 @@ def test_plan_rejects_unknown_kind():
 
 
 def test_noa_columns_are_permutations():
-    nd = construct_noa(plan_noa(64, 3), 9)
+    design = nested.construct(nested.plan("noa3", 64, 3), 9)
     for j in range(3):
-        assert sorted(nd.design.matrix[:, j]) == list(range(64))
+        assert sorted(design.matrix[:, j]) == list(range(64))
 
 
 def test_noa_deterministic():
-    plan = plan_noa(256, 4)
-    a = construct_noa(plan, 42)
-    b = construct_noa(plan, 42)
-    assert (a.design.matrix == b.design.matrix).all()
-    c = construct_noa(plan, 43)
-    assert (a.design.matrix != c.design.matrix).any()
+    plan = nested.plan("noa3", 256, 4)
+    a = nested.construct(plan, 42)
+    b = nested.construct(plan, 42)
+    assert (a.matrix == b.matrix).all()
+    c = nested.construct(plan, 43)
+    assert (a.matrix != c.matrix).any()
 
 
 def test_noa_nesting_consistency():
-    plan = plan_noa(64, 3)
-    nd = construct_noa(plan, 3)
-    via_s2 = collapse(collapse(nd.design, plan.s2), plan.s3)
-    direct = collapse(nd.design, plan.s3)
+    plan = nested.plan("noa3", 64, 3)
+    design = nested.construct(plan, 3)
+    via_s2 = collapse(collapse(design, plan.s2), plan.s3)
+    direct = collapse(design, plan.s3)
     assert (via_s2.matrix == direct.matrix).all()
 
 
 def test_noa_combination_range():
     # at s2 resolution every column holds each level n/s2 times
-    plan = plan_noa(128, 3)
-    nd = construct_noa(plan, 7)
-    at_s2 = collapse(nd.design, plan.s2)
+    plan = nested.plan("noa3", 128, 3)
+    at_s2 = collapse(nested.construct(plan, 7), plan.s2)
     for j in range(at_s2.d):
         counts = np.bincount(at_s2.matrix[:, j], minlength=plan.s2)
         assert (counts == 128 // plan.s2).all()
@@ -271,10 +278,9 @@ def test_noa_combination_range():
 def test_noa_pair_coverage_blocks(n, d):
     # within every block of s3^2 rows, every column pair holds every
     # coarse-level pair exactly once
-    plan = plan_noa(n, d)
-    nd = construct_noa(plan, 17)
+    plan = nested.plan("noa3", n, d)
     s3 = plan.s3
-    coarse = collapse(nd.design, s3).matrix
+    coarse = collapse(nested.construct(plan, 17), s3).matrix
     for start in range(0, n, s3 * s3):
         block = coarse[start : start + s3 * s3]
         for j1, j2 in itertools.combinations(range(d), 2):
@@ -283,7 +289,7 @@ def test_noa_pair_coverage_blocks(n, d):
 
 
 def test_lhs_columns_are_permutations():
-    d = construct_lhs(10, 4, 3)
+    d = nested.construct(nested.plan("lhs", 10, 4), 3)
     assert d.s == 10
     for j in range(4):
         assert sorted(d.matrix[:, j]) == list(range(10))
@@ -292,7 +298,7 @@ def test_lhs_columns_are_permutations():
 
 
 def test_lhs_single_row():
-    d = construct_lhs(1, 3, 0)
+    d = nested.construct(nested.plan("lhs", 1, 3), 0)
     assert d.matrix.tolist() == [[0, 0, 0]]
 
 
@@ -306,7 +312,7 @@ def test_expand_to_lhs_contract():
 
 
 def test_expand_to_lhs_identity_when_already_fine():
-    base = construct_lhs(6, 2, 1)
+    base = nested.construct(nested.plan("lhs", 6, 2), 1)
     out = expand_to_lhs(base, 99)
     assert (out.matrix == base.matrix).all()
 
@@ -341,7 +347,7 @@ def test_expand_levels_overwrites_its_input():
     # 2^16-entry rank blocks and a 2^14-entry intp scatter block, under 2.75
     # intp buffers of n
     n = 2**18
-    fine = construct_lhs(n, 8, 0).matrix
+    fine = nested.construct(nested.plan("lhs", n, 8), 0).matrix
     coarse = fine // 512
     tracemalloc.start()
     try:
@@ -452,12 +458,12 @@ def test_unbalanced_column_messages(old, new, moved, message):
 def test_constructors_store_the_level_dtype():
     designs_built = [
         (bush_construct(field_of_order(4), 2), np.uint8),
-        (construct_noa(plan_noa(64, 3), 0).design, np.uint8),
-        (construct_noa(plan_noa(512, 3), 0).design, np.uint16),
-        (construct_tang(1024, 3, 0), np.uint16),
+        (nested.construct(nested.plan("noa3", 64, 3), 0), np.uint8),
+        (nested.construct(nested.plan("noa3", 512, 3), 0), np.uint16),
+        (nested.construct(nested.plan("tang", 1024, 3), 0), np.uint16),
         (construct_oa(8, 2, 5, 0), np.uint8),
-        (construct_lhs(300, 2, 0), np.uint16),
-        (construct_lhs(65537, 1, 0), np.uint32),
+        (nested.construct(nested.plan("lhs", 300, 2), 0), np.uint16),
+        (nested.construct(nested.plan("lhs", 65537, 1), 0), np.uint32),
         # widened from the uint8 input's 17 levels to 289
         (expand_to_lhs(construct_oa(17, 2, 3, 0), 0), np.uint16),
     ]
@@ -469,10 +475,10 @@ def test_constructors_store_the_level_dtype():
 def test_construct_noa_memory_budget():
     # 262144 x 8 at 262144 levels is 8 MiB of uint32; the peak is the design
     # plus one collapse and the strength-2 counters while the ladder is checked
-    plan = plan_noa(262144, 8)
+    plan = nested.plan("noa3", 262144, 8)
     tracemalloc.start()
     try:
-        construct_noa(plan, 0)
+        nested.construct(plan, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -511,9 +517,15 @@ def test_a_construction_that_breaks_a_rung_is_refused(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "build,ladder",
     [
-        pytest.param(lambda: construct_tang(9, 3, 5), ((9, 1), (3, 2)), id="9-3-3"),
-        pytest.param(lambda: construct_tang(16, 4, 5), ((16, 1), (4, 2)), id="16-4-4"),
-        pytest.param(lambda: construct_tang(64, 3, 5), ((64, 1), (8, 2)), id="64-3-8"),
+        pytest.param(
+            lambda: nested.construct(nested.plan("tang", 9, 3), 5), ((9, 1), (3, 2)), id="9-3-3"
+        ),
+        pytest.param(
+            lambda: nested.construct(nested.plan("tang", 16, 4), 5), ((16, 1), (4, 2)), id="16-4-4"
+        ),
+        pytest.param(
+            lambda: nested.construct(nested.plan("tang", 64, 3), 5), ((64, 1), (8, 2)), id="64-3-8"
+        ),
         pytest.param(lambda: construct_oa(8, 2, 9, 5), ((8, 2),), id="oa-8-2-9"),
         pytest.param(lambda: construct_oa(5, 3, 4, 5), ((5, 3),), id="oa-5-3-4"),
         pytest.param(lambda: construct_oa(4, 3, 2, 5), ((4, 2),), id="oa-4-3-2"),
@@ -525,11 +537,14 @@ def test_tang_ladder(build, ladder):
 
 def test_tang_no_plan():
     with pytest.raises(NoNontrivialPlanError):
-        construct_tang(6, 3, 0)
+        nested.construct(nested.plan("tang", 6, 3), 0)
 
 
 def test_tang_deterministic():
-    builds = (lambda seed: construct_tang(16, 4, seed), lambda seed: construct_oa(7, 2, 5, seed))
+    builds = (
+        lambda seed: nested.construct(nested.plan("tang", 16, 4), seed),
+        lambda seed: construct_oa(7, 2, 5, seed),
+    )
     for build in builds:
         a, b, c = build(8), build(8), build(9)
         assert (a.matrix == b.matrix).all()
@@ -557,7 +572,8 @@ def test_relabelling_independent_across_copies():
     # and copies sharing one relabelling would agree 300 times
     agree = np.zeros(3, dtype=int)
     for seed in range(300):
-        blocks = collapse(construct_tang(32, 3, seed), 4).matrix.reshape(2, 16, 3)
+        design = nested.construct(nested.plan("tang", 32, 3), seed)
+        blocks = collapse(design, 4).matrix.reshape(2, 16, 3)
         agree += (blocks[0] == blocks[1]).all(axis=0)
     assert (agree <= 35).all(), agree
 
@@ -585,21 +601,21 @@ def test_size_refused_before_allocation(monkeypatch):
     # a small-s3 plan would need 24 TiB
     huge = Plan("noa3", 2**40, 3, ((2**40, 1), (2**20, 2), (4, 3)))
     for build in (
-        lambda: construct_lhs(10**12, 3, 0),
-        lambda: construct_tang(2**40, 3, 0),
-        lambda: construct_noa(huge, 0),
+        lambda: nested.construct(nested.plan("lhs", 10**12, 3), 0),
+        lambda: nested.construct(nested.plan("tang", 2**40, 3), 0),
+        lambda: nested.construct(huge, 0),
     ):
         with pytest.raises(FieldOverflowError, match="exceeds"):
             build()
     # the bound is exact: 1024 x 4 fits in 4096 entries, 1024 x 5 does not
     monkeypatch.setattr(designs, "MAX_ENTRIES", 4096)
-    assert construct_lhs(1024, 4, 0).matrix.size == 4096
-    assert construct_tang(1024, 4, 0).matrix.size == 4096
-    assert construct_noa(plan_noa(1024, 4), 0).design.matrix.size == 4096
+    assert nested.construct(nested.plan("lhs", 1024, 4), 0).matrix.size == 4096
+    assert nested.construct(nested.plan("tang", 1024, 4), 0).matrix.size == 4096
+    assert nested.construct(nested.plan("noa3", 1024, 4), 0).matrix.size == 4096
     for build in (
-        lambda: construct_lhs(1024, 5, 0),
-        lambda: construct_tang(1024, 5, 0),
-        lambda: construct_noa(plan_noa(1024, 5), 0),
+        lambda: nested.construct(nested.plan("lhs", 1024, 5), 0),
+        lambda: nested.construct(nested.plan("tang", 1024, 5), 0),
+        lambda: nested.construct(nested.plan("noa3", 1024, 5), 0),
     ):
         with pytest.raises(FieldOverflowError, match="1024 rows x 5 columns exceeds 4096"):
             build()
@@ -615,7 +631,7 @@ def test_tang_builds_at_the_size_edge(monkeypatch):
     # only the kept Bush columns are built, so a design that fits the bound
     # builds: 32^2 x 4 and 16^2 x 8 Bush entries, not 32^2 x 5 and 16^2 x 9
     set_max_entries(monkeypatch, 4096)
-    assert construct_tang(1024, 4, 0).matrix.size == 4096
+    assert nested.construct(nested.plan("tang", 1024, 4), 0).matrix.size == 4096
     set_max_entries(monkeypatch, 2048)
     assert nested.construct(nested.plan("tang", 256, 8), 0).matrix.size == 2048
 
@@ -657,16 +673,16 @@ def test_ladder_check_runs_under_optimize():
         import sys
         import noa.designs
         from noa.errors import InternalInvariantError
-        from noa.nested import construct_lhs, construct_noa, construct_oa, construct_tang, plan_noa
+        from noa.nested import construct, construct_oa, plan
 
         assert False, "assert statements must be stripped under -O"
         failed = noa.designs.StrengthReport(t=1, ok=False, lam=None, violation=None)
         noa.designs.check_strength = lambda design, t: failed
         builds = {
-            "noa": lambda: construct_noa(plan_noa(64, 3), 0),
-            "tang": lambda: construct_tang(16, 3, 0),
+            "noa": lambda: construct(plan("noa3", 64, 3), 0),
+            "tang": lambda: construct(plan("tang", 16, 3), 0),
             "oa": lambda: construct_oa(4, 2, 3, 0),
-            "lhs": lambda: construct_lhs(16, 3, 0),
+            "lhs": lambda: construct(plan("lhs", 16, 3), 0),
         }
         for name, build in builds.items():
             try:
@@ -687,9 +703,9 @@ def test_tang_builds_only_the_columns_it_uses():
     # used ones are 1.5 MiB, so a fresh process stays well under 100 MiB
     script = textwrap.dedent(
         """
-        from noa.nested import construct_tang
+        from noa.nested import construct, plan
 
-        construct_tang(65536, 3, 0)
+        construct(plan("tang", 65536, 3), 0)
         # VmHWM is the peak of this process alone; ru_maxrss also carries the
         # peak of the process that started it over exec
         with open("/proc/self/status") as fh:

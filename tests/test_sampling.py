@@ -11,7 +11,7 @@ from noa.bush import bush_construct
 from noa.designs import Design, check_strength, load_design
 from noa.errors import FormatError
 from noa.gf import field_of_order
-from noa.nested import construct_lhs, construct_noa, plan_noa
+from noa.nested import construct, plan
 from noa.sampling import PointSet, _place, format_points, load_points, parse_points, to_points
 
 
@@ -24,7 +24,7 @@ def test_midpoint_values():
 
 
 def test_stratum_recovery_uniform():
-    design = construct_lhs(16, 3, 2)
+    design = construct(plan("lhs", 16, 3), 2)
     pts = to_points(design, "uniform", seed=4)
     assert (np.floor(pts.points * design.s).astype(int) == design.matrix).all()
 
@@ -36,7 +36,7 @@ def test_stratum_recovery_midpoint():
 
 
 def test_uniform_deterministic():
-    design = construct_lhs(8, 2, 0)
+    design = construct(plan("lhs", 8, 2), 0)
     a = to_points(design, "uniform", seed=5).points
     b = to_points(design, "uniform", seed=5).points
     assert (a == b).all()
@@ -46,7 +46,7 @@ def test_uniform_deterministic():
 
 def test_bad_mode():
     with pytest.raises(ValueError):
-        to_points(construct_lhs(2, 2, 0), "center")
+        to_points(construct(plan("lhs", 2, 2), 0), "center")
 
 
 def centered_product_mean(pts, cols):
@@ -65,11 +65,12 @@ def test_midpoint_exactness_strength2():
 
 
 def test_midpoint_exactness_noa_ladder():
-    nd = construct_noa(plan_noa(64, 3), 2)
+    chosen = plan("noa3", 64, 3)
+    design = construct(chosen, 2)
     from noa.designs import collapse
 
-    for levels, t in nd.ladder:
-        rung = collapse(nd.design, levels)
+    for levels, t in chosen.ladder:
+        rung = collapse(design, levels)
         assert check_strength(rung, t).ok
         pts = to_points(rung, "midpoint").points
         for size in range(1, t + 1):
@@ -83,7 +84,7 @@ def test_points_csv_round_trip_exact():
     shapes = [(12, 3), (4095, 8), (4097, 8), (2**15 + 1, 1), (2, 2**15 + 1), (0, 3)]
     for n, d in shapes:
         if n == 12:
-            ps = to_points(construct_lhs(12, 3, 7), "uniform", seed=1)
+            ps = to_points(construct(plan("lhs", 12, 3), 7), "uniform", seed=1)
         else:
             ps = PointSet(np.random.default_rng(n).random((n, d)))
         text = format_points(ps)
@@ -211,7 +212,7 @@ def test_to_points_places_edge_offsets_as_one_whole_array(monkeypatch, cpus, s):
 
 def test_to_points_memory_is_the_output_plus_columns():
     # the output is the one n x d array built, beside one block's levels and scratch
-    design = construct_lhs(2**18, 8, 0)
+    design = construct(plan("lhs", 2**18, 8), 0)
     tracemalloc.start()
     try:
         points = to_points(design, "uniform", 1).points
