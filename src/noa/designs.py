@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -92,8 +93,9 @@ class Design:
     """An n x d matrix whose entries are levels in [0, s).
 
     The matrix is stored as a read-only column-major (Fortran-order) array
-    of level_dtype(s), so each column is contiguous.  The range is checked
-    on the caller's values before the cast, so -1 cannot wrap to s - 1.
+    of level_dtype(s), so each column is contiguous.  The range and the
+    whole-number rule are checked on the caller's values before the cast,
+    so -1 cannot wrap to s - 1 nor 0.5 truncate to 0.
     """
 
     matrix: np.ndarray
@@ -103,12 +105,17 @@ class Design:
         mat = np.asarray(self.matrix)
         if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
             raise ValueError("matrix must be 2-d and nonempty")
+        if not isinstance(self.s, numbers.Integral):
+            raise ValueError(f"level count s={self.s!r} must be an integer")
         if self.s < 1:
             raise ValueError("level count s must be >= 1")
         # unsigned entries need only the upper bound, one scan; written so
         # that NaN fails too
         if not ((mat.dtype.kind == "u" or mat.min() >= 0) and mat.max() < self.s):
             raise ValueError(f"entries must lie in [0, {self.s})")
+        # the cast would truncate 0.5 to 0
+        if mat.dtype.kind not in "biu" and not (mat % 1 == 0).all():
+            raise ValueError("entries must be whole numbers")
         mat = np.asfortranarray(mat, dtype=level_dtype(self.s))
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)

@@ -6,13 +6,14 @@ an element's index, least significant first, are the coefficients of
 the multiplicative identity, and GF(4) enumerates as 0, 1, a, a+1.
 
 Addition is digit-wise mod p; multiplication is polynomial multiplication
-reduced modulo a fixed irreducible.  The irreducible is the smallest monic
-irreducible of degree m, where "smallest" reads the coefficient vector
+reduced modulo a fixed primitive polynomial, whose root alpha generates the
+multiplicative group.  The modulus is the smallest monic primitive
+polynomial of degree m, where "smallest" reads the coefficient vector
 (constant term as the least significant digit) as a base-p integer.  Both
 operations are backed by precomputed s-by-s tables, which bounds the field
 order at MAX_ORDER = 4096 (two 128 MiB tables); the multiplication table is
-gathered from log/antilog tables over a primitive element (Hedayat, Sloane
-and Stufken, *Orthogonal Arrays*, 1999, ch. 3).
+gathered from log/antilog tables over alpha (Hedayat, Sloane and Stufken,
+*Orthogonal Arrays*, 1999, ch. 3).
 """
 
 from __future__ import annotations
@@ -49,49 +50,6 @@ def is_prime(p: int) -> bool:
     return prime_power(p) == (p, 1)
 
 
-def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Division of coefficient lists (constant first) over GF(p); den monic."""
-    num = list(num)
-    quot = [0] * max(len(num) - len(den) + 1, 0)
-    for shift in range(len(num) - len(den), -1, -1):
-        coef = num[shift + len(den) - 1]
-        if coef == 0:
-            continue
-        quot[shift] = coef
-        for i, d in enumerate(den):
-            num[shift + i] = (num[shift + i] - coef * d) % p
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _monic_polys(degree: int, p: int):
-    for low in range(p**degree):
-        coeffs = []
-        v = low
-        for _ in range(degree):
-            coeffs.append(v % p)
-            v //= p
-        yield coeffs + [1]
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    degree = len(poly) - 1
-    for deg in range(1, degree // 2 + 1):
-        for den in _monic_polys(deg, p):
-            _, rem = _poly_divmod(poly, den, p)
-            if rem == [0]:
-                return False
-    return True
-
-
-def _find_irreducible(p: int, m: int) -> list[int]:
-    for poly in _monic_polys(m, p):
-        if _is_irreducible(poly, p):
-            return poly
-    raise AssertionError(f"no irreducible of degree {m} over GF({p})")
-
-
 class FieldSpec:
     """Arithmetic context for GF(p^m).  Immutable after construction."""
 
@@ -106,12 +64,11 @@ class FieldSpec:
         self.p = p
         self.m = m
         self.s = s
-        self.irreducible = _find_irreducible(p, m)
-        self.add_table, self.mul_table = self._build_tables()
+        self.irreducible, self.add_table, self.mul_table = self._build_tables()
         self.add_table.flags.writeable = False
         self.mul_table.flags.writeable = False
 
-    def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
+    def _build_tables(self) -> tuple[list[int], np.ndarray, np.ndarray]:
         s, p, m = self.s, self.p, self.m
         weights = p ** np.arange(m)
         digits = np.arange(s)[:, None] // weights % p  # row a: the digits of a
@@ -122,42 +79,34 @@ class FieldSpec:
         add = base
         for q in weights[1:].tolist():
             add = (base[:, None, :, None] * q + add[None, :, None, :]).reshape(p * q, p * q)
-        # log/antilog tables over a primitive element; log 0 points past the
-        # doubled antilog table into zeros, so a row or column of 0 gives 0
-        exp = self._primitive_powers(digits, add)
+        # the modulus is the first monic x^m + (digits of low) whose root
+        # alpha has order s - 1; its powers are then the antilog table.
+        # a*alpha shifts the digits of a up one place and adds
+        # alpha^m = -(digits of low) times the digit shifted out.  A zero
+        # constant term makes x a factor, and then alpha is not a unit; a
+        # unit's powers always come back to 1
+        shifted = np.arange(s) % (s // p) * p
+        for low in range(1, s):
+            if low % p == 0:
+                continue
+            times_alpha = add[shifted, -digits[:, -1:] * digits[low] % p @ weights].tolist()
+            powers, x = [1], times_alpha[1]
+            while x != 1:
+                powers.append(x)
+                x = times_alpha[x]
+            if len(powers) == s - 1:
+                break
+        else:
+            raise AssertionError(f"GF({s}) has no primitive polynomial")
+        # log 0 points past the doubled antilog table into zeros, so a row
+        # or column of 0 gives 0
+        exp = np.array(powers, dtype=np.int64)
         log = np.empty(s, dtype=np.int64)
         log[exp] = np.arange(s - 1)
         log[0] = 2 * (s - 1)
         antilog = np.concatenate([exp, exp, np.zeros(2 * s, dtype=np.int64)])
         mul = antilog[np.add.outer(log, log)]
-        return add, mul
-
-    def _primitive_powers(self, digits: np.ndarray, add: np.ndarray) -> np.ndarray:
-        """g^0, ..., g^(s-2) for the smallest primitive element g.
-
-        The root alpha of the irreducible need not generate the
-        multiplicative group, as the irreducible need not be primitive, so
-        candidates g are tried in order.  a*g is linear in the digits of a,
-        with the digits of g*alpha^k as rows; a*alpha shifts the digits of a
-        up one place and adds alpha^m = -(lower irreducible coefficients)
-        times the digit shifted out.
-        """
-        s, p, m = self.s, self.p, self.m
-        weights = p ** np.arange(m)
-        lower = np.array(self.irreducible[:-1])
-        times_alpha = add[np.arange(s) % (s // p) * p, -digits[:, -1:] * lower % p @ weights]
-        for g in range(1, s):
-            rows = [g]  # g * alpha^k for k < m
-            for _ in range(m - 1):
-                rows.append(times_alpha[rows[-1]])
-            times_g = (digits @ digits[rows] % p @ weights).tolist()
-            powers, x = [1], g
-            while x != 1:
-                powers.append(x)
-                x = times_g[x]
-            if len(powers) == s - 1:
-                return np.array(powers, dtype=np.int64)
-        raise AssertionError(f"GF({s}) has no primitive element")
+        return digits[low].tolist() + [1], add, mul
 
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, m={self.m})"

@@ -615,6 +615,9 @@ def test_design_validation():
         Design(np.array([[0, 2]]), s=2)
     with pytest.raises(ValueError):
         Design(np.array([[-1]]), s=2)
+    # save_design would write s=2.0, which load_design refuses
+    with pytest.raises(ValueError, match="level count s=2.0 must be an integer"):
+        Design(np.array([[0, 1]]), s=2.0)
 
 
 @pytest.mark.parametrize(
@@ -650,7 +653,7 @@ def test_design_checks_range_before_the_cast(s):
             Design(np.array([[0, 1], [bad, 1]], dtype=np.int64), s=s)
     with pytest.raises(ValueError):
         Design(np.array([[s]], dtype=np.uint64), s=s)
-    for bad in (np.nan, -0.5):  # nothing is cast before the check
+    for bad in (np.nan, -0.5, 0.5):  # nothing is cast before the check
         with pytest.raises(ValueError):
             Design(np.array([[0.0], [bad]]), s=s)
 

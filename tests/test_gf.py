@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from noa.errors import FieldOverflowError, NotPrimeError
-from noa.gf import FieldSpec, _poly_divmod, field_new, field_of_order, prime_power
+from noa.gf import FieldSpec, field_new, field_of_order, prime_power
 
 PRIME_POWERS_64 = [s for s in range(2, 65) if prime_power(s) is not None]
 
 
 def test_gf2_irreducible_is_x():
-    assert field_new(2, 1).irreducible == [0, 1]
+    # x has root 0, which is not a unit; x + 1 has root 1, which generates GF(2)*
+    assert field_new(2, 1).irreducible == [1, 1]
 
 
 def test_gf4_irreducible_unique():
@@ -92,8 +93,12 @@ def schoolbook_mul(f, a, b):
     for i, ca in enumerate(da):
         for j, cb in enumerate(db):
             prod[i + j] = (prod[i + j] + ca * cb) % f.p
-    _, rem = _poly_divmod(prod, f.irreducible, f.p)
-    return sum(c * f.p**k for k, c in enumerate(rem))
+    # the modulus is monic: subtract lead * x^(k - m) * modulus, top term first
+    for k in range(2 * f.m - 2, f.m - 1, -1):
+        lead = prod[k]
+        for i, c in enumerate(f.irreducible):
+            prod[k - f.m + i] = (prod[k - f.m + i] - lead * c) % f.p
+    return sum(c * f.p**k for k, c in enumerate(prod[: f.m]))
 
 
 @pytest.mark.parametrize("s", PRIME_POWERS_64)
@@ -124,17 +129,45 @@ def test_add_table_is_digitwise(s):
     assert np.array_equal(f.add_table, digitwise_sum(f.p, f.m))
 
 
-def test_non_primitive_irreducible():
-    # x^8+x^4+x^3+x+1 is irreducible but x has order 51, not 255, so the
-    # log tables must be built over another generator
+def test_gf256_modulus_is_primitive():
+    # the smaller irreducible x^8+x^4+x^3+x+1 (the AES modulus) is passed
+    # over: its root has order 51, not 255
     f = field_new(2, 8)
-    assert f.irreducible == [1, 1, 0, 1, 1, 0, 0, 0, 1]
+    assert f.irreducible == [1, 0, 1, 1, 1, 0, 0, 0, 1]
     x, order = 2, 1
     while x != 1:
         x, order = f.mul_table[x, 2], order + 1
-    assert order == 51
-    assert ((f.mul_table[1:, 1:] == 1).sum(axis=1) == 1).all()
-    assert f.mul_table[0x53, 0xCA] == 1  # the AES inverse pair
+    assert order == 255
+
+
+def root_order(poly, p):
+    """Order of x in GF(p)[x]/poly for a monic poly with nonzero constant term.
+
+    Plain arithmetic on coefficient lists (constant first): multiplying by x
+    shifts the coefficients up and reduces x^m by the monic poly.
+    """
+    m = len(poly) - 1
+    one = [1] + [0] * (m - 1)
+    power, order = one, 0
+    while True:
+        top = power[-1]
+        power = [(lo - top * c) % p for lo, c in zip([0] + power[:-1], poly)]
+        order += 1
+        if power == one:
+            return order
+
+
+def monic_polys(p, m):
+    """x^m + c_(m-1) x^(m-1) + ... + c_0 with the base-p integer c_0 + c_1 p + ... rising."""
+    for low in range(p**m):
+        yield [low // p**k % p for k in range(m)] + [1]
+
+
+@pytest.mark.parametrize("s", PRIME_POWERS_64 + [256])
+def test_modulus_is_the_first_primitive_polynomial(s):
+    p, m = prime_power(s)
+    first = next(c for c in monic_polys(p, m) if c[0] and root_order(c, p) == s - 1)
+    assert field_of_order(s).irreducible == first
 
 
 @pytest.mark.parametrize("s", PRIME_POWERS_64)

@@ -38,6 +38,8 @@ OUTPUTS = {
     "lhs-300-2": lambda: format_design(construct(plan("lhs", 300, 2), 8)),
     "oa-8-2-9": lambda: format_design(construct_oa(8, 2, 9, 7)),
     "oa-5-3-4": lambda: format_design(construct_oa(5, 3, 4, 8)),
+    # GF(9): an odd characteristic with m > 1, whose smallest irreducible is not primitive
+    "oa-9-2-4": lambda: format_design(construct(plan("oa2", 81, 4), 7)),
     "expand-oa-4-2-3": lambda: format_design(expand_to_lhs(construct_oa(4, 2, 3, 7), 9)),
     # 1000 fine levels per level: the ranks are shuffled in more than one block
     "expand-100000-100": lambda: format_design(
@@ -83,6 +85,7 @@ DIGESTS = {
     "noa3-131072-5": "ced656565ca6d23b89d6a174afcfcc4fb82b583793034ddf20369d5829d5d470",
     "oa-5-3-4": "d89dac470f25d2140eaf48aad491616af342a255774c8aafff1d78a2218e5169",
     "oa-8-2-9": "93c2bb9c95212b09715b25e406282de7f5c075bf5a0356b01d2cfc907f33662d",
+    "oa-9-2-4": "50bc7ce57b239afed5aacffe28e1936a4aa67ef101bc5a1bd4a22a902dae9db0",
     "points-lhs-300-2": "5da8ff2170953e2cf6fa0cba47415719eb3fec6c97ce0ca2067607af97aef252",
     "points-noa3-64-3": "9bd3ece67fef0fffaa77e4f098330dd9f2fb23773a5c04b39a3247dbc1ef7f2f",
     "points-noa3-131072-5": "8620ab7be82f1254c4f53775451400316bf3944f2f16990e63b46c46206428bf",
@@ -93,15 +96,16 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(OUTPUTS))
-def test_output_stream_is_pinned(name):
-    assert hashlib.sha256(OUTPUTS[name]().encode()).hexdigest() == DIGESTS[name]
-
-
 # the outputs past one block, where the process's CPU count picks one lane or two
 TWO_LANE_OUTPUTS = [
     "expand-100000-100", "noa3-131072-5", "points-noa3-131072-5", "points-noa3-131072-5-mid"
 ]
+
+
+# the default lane count is 1 or 2, so the two-lane outputs are hashed below
+@pytest.mark.parametrize("name", sorted(set(OUTPUTS) - set(TWO_LANE_OUTPUTS)))
+def test_output_stream_is_pinned(name):
+    assert hashlib.sha256(OUTPUTS[name]().encode()).hexdigest() == DIGESTS[name]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
