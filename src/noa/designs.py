@@ -107,6 +107,8 @@ class Design:
             raise ValueError("matrix must be 2-d and nonempty")
         if not isinstance(self.s, numbers.Integral):
             raise ValueError(f"level count s={self.s!r} must be an integer")
+        # stored as int: a numpy integer s cannot index level_dtype's table
+        object.__setattr__(self, "s", int(self.s))
         if self.s < 1:
             raise ValueError("level count s must be >= 1")
         # unsigned entries need only the upper bound, one scan; written so

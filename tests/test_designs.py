@@ -618,6 +618,7 @@ def test_design_validation():
     # save_design would write s=2.0, which load_design refuses
     with pytest.raises(ValueError, match="level count s=2.0 must be an integer"):
         Design(np.array([[0, 1]]), s=2.0)
+    assert type(Design(np.array([[0, 1]]), s=np.int64(2)).s) is int
 
 
 @pytest.mark.parametrize(

@@ -138,6 +138,7 @@ def test_gf256_modulus_is_primitive():
     while x != 1:
         x, order = f.mul_table[x, 2], order + 1
     assert order == 255
+    assert ((f.mul_table[1:, 1:] == 1).sum(axis=1) == 1).all()
 
 
 def root_order(poly, p):
