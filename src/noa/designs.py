@@ -88,6 +88,21 @@ def check_size(n: int, d: int) -> None:
         raise FieldOverflowError(f"design of {n} rows x {d} columns exceeds {MAX_ENTRIES} entries")
 
 
+def real_array(values, what: str) -> np.ndarray:
+    """values as an array of real numbers, or ValueError naming what must be.
+
+    Strings, complex numbers, None and other objects would otherwise meet
+    numpy's own exceptions in the checks that follow (or its string parser
+    in a cast to float); an object array of real numbers passes.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biufO" or (
+        arr.dtype.kind == "O" and not all(isinstance(v, numbers.Real) for v in arr.flat)
+    ):
+        raise ValueError(f"{what} must be real numbers, got dtype {arr.dtype}")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Design:
     """An n x d matrix whose entries are levels in [0, s).
@@ -102,7 +117,7 @@ class Design:
     s: int
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix)
+        mat = real_array(self.matrix, "entries")
         if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
             raise ValueError("matrix must be 2-d and nonempty")
         if not isinstance(self.s, numbers.Integral):

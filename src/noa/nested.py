@@ -15,9 +15,13 @@ strength-2 Bush array at q = p^c levels, one row per block: out = coarse *
 q + fine.  The result
 has s2 = q * s3 levels, keeps strength 3 under the coarse strata, gains
 strength 2 at s2, and is then expanded to n distinct levels per column to
-add the Latin hypercube rung: each column's rows are ordered by level with
-one in-place sort of distinct keys, level << shift | row, and the rows of
-each level take a random arrangement of its n/s2 fine levels.
+add the Latin hypercube rung.  The expansion takes a per-column builder,
+not a finished matrix: every random draw of the relabelling is made first,
+and column j is then built at s2 levels in the calling lane just before its
+rows are ordered by level with one in-place sort of distinct keys,
+level << shift | row, while the helper lane draws column j + 1's fine
+levels; the rows of each level take a random arrangement of its n/s2 fine
+levels.
 
 The noa3 planner enumerates every pair of field orders (s3, q) that this
 construction can build for (n, d) and takes the one with the largest s3,
@@ -139,57 +143,76 @@ def plan_noa(n: int, d: int) -> Plan:
     return plan("noa3", n, d)
 
 
-def _oa(field, t: int, d: int, k: int, rng: np.random.Generator, dtype) -> np.ndarray:
-    """k stacked copies of d Bush columns, each copy's levels relabelled per column.
+def _oa(field, t: int, d: int, k: int, rng: np.random.Generator, labels: np.ndarray):
+    """take(j, out): column j of k stacked copies of d Bush columns, each copy relabelled.
 
     Only the kept columns are built: the evaluation columns 1..d, or all
     s + 1 when d = s + 1 forces column 0, which the coarse strength-3 array
     never allows.  One draw of d * k independent permutations of the s
-    levels relabels copy r's column j by the (j, r) permutation, which keeps
-    strength t.  The matrix is written in dtype, which must hold s - 1: a
-    caller that goes on to larger levels in place passes their dtype.
+    labels (distinct, in the dtype out is written in), made here, relabels
+    copy r's column j by the (j, r) permutation, which keeps strength t.
+    take(j, out) writes column j of the k * s^t rows into out, a contiguous
+    array of labels' dtype: a caller that goes on to larger levels in place
+    passes labels in their dtype.  take draws nothing, so its columns may be
+    taken in any order, in any lane.
     """
     base = bush_columns(field, t, int(d <= field.s), d)
     n0 = base.shape[0]
-    levels = np.broadcast_to(np.arange(field.s, dtype=dtype), (d, k, field.s))
-    perms = rng.permuted(levels, axis=2)  # in dtype, so the gather below writes dtype
-    out = np.empty((k * n0, d), dtype=dtype, order="F")
-    for j in range(d):
+    # in labels' dtype, so the gather below writes it; shuffled in place (no
+    # broadcast view to copy), and as the draw permutes positions alone, any
+    # s labels give the stream of 0..s-1
+    perms = np.empty((d, k, field.s), dtype=labels.dtype)
+    perms[...] = labels
+    rng.permuted(perms, axis=2, out=perms)
+
+    def take(j, out):
         # column j of the stack, as k rows of n0: row r is copy r's relabel
         # of base[:, j]; every index is a level, so "clip" changes none and
         # lets take write out directly instead of through a buffer
-        np.take(perms[j], base[:, j], axis=1, out=out[:, j].reshape(k, n0), mode="clip")
-    return out
+        np.take(perms[j], base[:, j], axis=1, out=out.reshape(k, n0), mode="clip")
+
+    return take
+
+
+def _stack(take, rows: int, d: int, dtype) -> np.ndarray:
+    """The rows x d column-major matrix in dtype whose column j is take(j, out)'s."""
+    mat = np.empty((rows, d), dtype=dtype, order="F")
+    for j, col in enumerate(mat.T):
+        take(j, col)
+    return mat
 
 
 _RANK_BLOCK = 1 << 16  # fine levels shuffled per call in _expand_levels: 512 KiB of intp
 _SCATTER_BLOCK = 1 << 14  # rows scattered per call in _expand_levels: 128 KiB of intp
 
 
-def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndarray:
-    """Map each level's n/s occurrences to distinct fine levels, per column, in place.
+def _expand_levels(column, n: int, d: int, s: int, rng: np.random.Generator) -> np.ndarray:
+    """The n x d matrix of column(j, out)'s columns, each level's n/s occurrences made distinct.
 
-    Occurrences of level i in column j become a random arrangement of
-    [i*n/s, (i+1)*n/s), so every column ends up a permutation of 0..n-1 and
-    integer-dividing by n/s recovers the input.  The matrix's dtype must
-    hold n - 1, i.e. be level_dtype(n) or wider.
+    column(j, out) writes column j at s levels into out, the result's
+    contiguous column j in level_dtype(n).  Occurrences of level i in
+    column j then become a random arrangement of [i*n/s, (i+1)*n/s), in
+    place, so every column ends up a permutation of 0..n-1 and
+    integer-dividing by n/s recovers the built column.
 
     The columns run on designs.pipeline: the producer draws a column's
     fine levels, in order, into one of two column buffers allocated here,
-    and the consumer orders the column's rows by level and scatters the
-    drawn levels.  It orders them by sorting, in place, one key per row,
+    and the consumer builds the column with column(j, out), orders its rows
+    by level and scatters the drawn levels, so the builder runs only in the
+    calling lane.  It orders them by sorting, in place, one key per row,
     level << shift | row: the keys are distinct, so any sort lists the rows
     of each level in row order, as a stable sort by level would.  The rows
     of level lev then sit at positions lev*m .. (lev+1)*m - 1, and as the
     sorted levels never decrease, the column is balanced exactly when the
     first and last key of every such block hold its level.  Only the
     producer reads rng, so the draws, and the result, are the same with one
-    lane or two; with two, column j + 1 is drawn while column j is sorted.
+    lane or two; with two, column j + 1 is drawn while column j is built
+    and sorted.
     """
-    n, d = mat.shape
     if n % s != 0:
         raise UnbalancedColumnError(f"n={n} not divisible by s={s}")
     m = n // s
+    mat = np.empty((n, d), dtype=level_dtype(n), order="F")
     # the fine levels of level lev are [lev*m, (lev+1)*m); they are shuffled
     # a block of levels at a time, as rows of intp ranks (the dtype numpy
     # shuffles fastest) offset by the block's first fine level
@@ -224,6 +247,7 @@ def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
 
     def consume(j, fine):  # one column at a time: an all-column sort costs peak memory
         col = mat[:, j]
+        column(j, col)
         # copied into the keys first, so every step runs on key's dtype alone:
         # numpy 1 would shift a narrower column in its own dtype, and wrap
         keys[...] = col
@@ -244,23 +268,6 @@ def _expand_levels(mat: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
     return mat
 
 
-def _noa_levels(plan: Plan, rng: np.random.Generator) -> np.ndarray:
-    """The n x d matrix at s2 levels: coarse strength-3 rows plus fine rows."""
-    n, d, s2, s3 = plan.n, plan.d, plan.s2, plan.s3
-    q = s2 // s3  # the fine field's order
-    # coarse is written at n levels' dtype, so the s2 levels and then the
-    # expansion to n levels stay in place; k3 = n / s3^3 copies, d <= s3
-    coarse = _oa(field_of_order(s3), 3, d, n // s3**3, rng, level_dtype(n))
-    fine = _oa(field_of_order(q), 2, d, n // s2**2, rng, level_dtype(q))  # b = n / s2^2 copies
-    fine = fine[rng.permutation(fine.shape[0])]
-    # one fine row per contiguous block of s3^2 coarse rows, added in place
-    # through the column-major matrix's (d, blocks, s3^2) view
-    blocks = coarse.T.reshape(d, -1, s3 * s3)
-    blocks *= q
-    blocks += fine.T[:, :, None]
-    return coarse
-
-
 def _build(plan: Plan, rng: np.random.Generator) -> Design:
     """The design of an lhs, tang or noa3 plan, drawn from rng and not yet verified."""
     n, d = plan.n, plan.d
@@ -269,13 +276,29 @@ def _build(plan: Plan, rng: np.random.Generator) -> Design:
         for col in mat.T:  # drawn in intp, which numpy shuffles fastest, a column at a time
             col[:] = rng.permutation(n)
         return Design(mat, s=n)
+    s2, wide = plan.s2, level_dtype(n)
+    # each column is taken at n levels' dtype, so it expands in place
     if plan.kind == "tang":
-        s2 = plan.s2
-        levels = _oa(field_of_order(s2), 2, d, n // (s2 * s2), rng, level_dtype(n))
-    else:
-        levels = _noa_levels(plan, rng)
-    # both are written at n levels' dtype, so they expand in place
-    return Design(_expand_levels(levels, plan.s2, rng), s=n)
+        column = _oa(field_of_order(s2), 2, d, n // (s2 * s2), rng, np.arange(s2, dtype=wide))
+    else:  # coarse strength-3 rows plus fine rows, at s2 levels
+        s3 = plan.s3
+        q = s2 // s3  # the fine field's order
+        # k3 = n / s3^3 copies, d <= s3, relabelled onto the multiples of q below s2
+        coarse = _oa(field_of_order(s3), 3, d, n // s3**3, rng, np.arange(0, s2, q, dtype=wide))
+        # b = n / s2^2 copies, all taken now: the row shuffle draws next
+        labels = np.arange(q, dtype=level_dtype(q))
+        fine = _oa(field_of_order(q), 2, d, n // s2**2, rng, labels)
+        fine = _stack(fine, n // s3**2, d, labels.dtype)
+        fine = fine[rng.permutation(fine.shape[0])]
+
+        def column(j, out):
+            # one fine row per contiguous block of s3^2 coarse rows, added in
+            # place through the column's (blocks, s3^2) view
+            coarse(j, out)
+            blocks = out.reshape(-1, s3 * s3)
+            blocks += fine[:, j, None]
+
+    return Design(_expand_levels(column, n, d, s2, rng), s=n)
 
 
 def construct(plan: Plan, seed: int) -> Design:
@@ -311,7 +334,9 @@ def construct_oa(s: int, t: int, d: int, seed: int) -> Design:
     """
     ladder = bush_ladder(s, t, d)
     rng = stream(seed, STAGE_DESIGN)
-    design = Design(_oa(field_of_order(s), t, d, 1, rng, level_dtype(s)), s=s)
+    labels = np.arange(s, dtype=level_dtype(s))
+    take = _oa(field_of_order(s), t, d, 1, rng, labels)
+    design = Design(_stack(take, s**t, d, labels.dtype), s=s)
     verify_ladder(design, ladder)
     return design
 
@@ -323,5 +348,8 @@ def expand_to_lhs(design: Design, seed: int) -> Design:
     a strength-2 input this is the orthogonal-array-based Latin hypercube.
     """
     rng = stream(seed, STAGE_DESIGN)
-    levels = design.matrix.astype(level_dtype(design.n), order="F")  # widened for n levels
-    return Design(_expand_levels(levels, design.s, rng), s=design.n)
+
+    def column(j, out):  # widened for n levels
+        out[...] = design.matrix[:, j]
+
+    return Design(_expand_levels(column, design.n, design.d, design.s, rng), s=design.n)

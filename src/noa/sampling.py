@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Design, format_table, parse_table, pipeline, read_text
+from .designs import Design, format_table, parse_table, pipeline, read_text, real_array
 from .errors import FormatError
 from .rng import STAGE_JITTER, stream
 
@@ -23,7 +23,7 @@ class PointSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
+        pts = np.ascontiguousarray(real_array(self.points, "coordinates"), dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] < 1:  # 0 rows is valid, 0 columns does not load back
             raise ValueError("points must be 2-d with at least one column")
         # written so that NaN (which min() propagates) fails the test too

@@ -619,6 +619,15 @@ def test_design_validation():
     with pytest.raises(ValueError, match="level count s=2.0 must be an integer"):
         Design(np.array([[0, 1]]), s=2.0)
     assert type(Design(np.array([[0, 1]]), s=np.int64(2)).s) is int
+    # numpy's own exceptions would name no rule
+    for bad in ([["1"]], [[1 + 0j]], [[None]], np.array([[1, None]], dtype=object)):
+        with pytest.raises(ValueError, match="entries must be real numbers"):
+            Design(bad, s=2)
+    assert Design(np.array([[1]], dtype=object), s=2).matrix.dtype == np.uint8
+
+
+def test_design_repr_names_its_shape_and_levels():
+    assert repr(Design(np.zeros((2, 2), int), s=2)) == "Design(n=2, d=2, s=2)"
 
 
 @pytest.mark.parametrize(

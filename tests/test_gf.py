@@ -12,6 +12,10 @@ def test_gf2_irreducible_is_x():
     assert field_new(2, 1).irreducible == [1, 1]
 
 
+def test_field_repr_names_its_characteristic_and_degree():
+    assert repr(field_new(2, 3)) == "FieldSpec(p=2, m=3)"
+
+
 def test_gf4_irreducible_unique():
     # independent oracle: a monic quadratic over GF(2) is irreducible iff it
     # has no root; x^2, x^2+1, x^2+x all have one, x^2+x+1 does not

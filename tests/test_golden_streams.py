@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from noa.bench import KINDS, run_bench
+from noa.bench import KINDS, estimate, make_integrand, run_bench
 from noa import designs
 from noa.cli import main
 from noa.designs import Design, collapse, format_design
@@ -62,6 +62,13 @@ OUTPUTS = {
     "points-noa3-131072-5-mid": lambda: format_points(
         to_points(construct(plan("noa3", 131072, 5), 5), "midpoint")
     ),
+    # a tang design past one block: its expansion on two lanes
+    "tang-131072-3": lambda: format_design(construct(plan("tang", 131072, 3), 5)),
+    # the estimate's repr, every digit of its float
+    "estimate-noa3-131072-5": lambda: repr(estimate(
+        to_points(construct(plan("noa3", 131072, 5), 5), "uniform", 13),
+        make_integrand("PROD-EXP", 5),
+    )),
     "bench-64-3-s5": lambda: run_bench(64, 3, KINDS, "ADD-EXP", 50, 5).to_json(),
     "bench-64-3-s6": lambda: run_bench(64, 3, KINDS, "ADD-EXP", 50, 6).to_json(),
     # four kinds, one named twice, each fitted once over three run counts
@@ -75,6 +82,7 @@ DIGESTS = {
     "bench-64-3-s5": "a94b3cc5d07aa7313f8041d97850eef8b4e479b39d02c8bb3f85c56ac6f14776",
     "bench-64-3-s6": "b31a09616c1cc2c476e78247e76bf33486fb877a21c7ab76912f7806830867b3",
     "bench-rate-s5": "f56de72677c4c0e254b07c0548597cd663ede4b7f74aad0b5548feb845e404e3",
+    "estimate-noa3-131072-5": "95914549253b2023c1f43bf2a49ccdf43f609dfe4ed0a9c4338877ea2ad981ed",
     "expand-100000-100": "913d0e05921e61115fa10dc30d34c4317e82add74e29ecdac885a476d4d651a8",
     "expand-oa-4-2-3": "389fd3bcbfcfdf5e3ad22806f72c15c30222fab612a1ec5da7587c913e32ae9f",
     "lhs-16-3": "0cc6ce235c2ac47cc6a3b2326d52651f252c8a1f45d101d18a9d1182190b5ee3",
@@ -92,13 +100,15 @@ DIGESTS = {
     "points-noa3-131072-5-mid": "df50b36bb7a6b4263a799c35dea8fe684ca052f3c05f12a159c96b48e171094e",
     "points-tang-64-3-mid": "5e87371721bf4fd8bccb1514c453eba450d2b349a083d020fe6a8f73819c0f9b",
     "tang-1024-5": "a8eb217410f4bd608fd1c82648c56d01758721cf92533a72b705d69b827040c8",
+    "tang-131072-3": "95ba2d6573ca25651c53b448e7e353fbbea79f8e052767ca39cd733e0ddae618",
     "tang-64-3": "d33b4ef785eda07a7c32dc8b77c8691519ce967f958673cc72de3459802cfe03",
 }
 
 
 # the outputs past one block, where the process's CPU count picks one lane or two
 TWO_LANE_OUTPUTS = [
-    "expand-100000-100", "noa3-131072-5", "points-noa3-131072-5", "points-noa3-131072-5-mid"
+    "expand-100000-100", "noa3-131072-5", "points-noa3-131072-5", "points-noa3-131072-5-mid",
+    "tang-131072-3", "estimate-noa3-131072-5",
 ]
 
 

@@ -2,6 +2,7 @@ import itertools
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 
 import numpy as np
@@ -340,26 +341,56 @@ def test_expand_to_lhs_refines_and_permutes(n, s):
     assert (expand_to_lhs(base, 4).matrix != out.matrix).any()
 
 
+def expand_columns(mat, s, rng):
+    """nested._expand_levels with a builder that copies mat's column j."""
+    def column(j, out):
+        out[...] = mat[:, j]
+
+    return nested._expand_levels(column, *mat.shape, s, rng)
+
+
 def test_expand_levels_overwrites_its_input():
-    # the expansion writes the fine levels over the coarse matrix: no second
-    # n x d buffer and no n-sized intp array, only two columns of drawn levels
-    # (uint32 here), one of sort keys and one of row numbers (uint32 here),
-    # 2^16-entry rank blocks and a 2^14-entry intp scatter block, under 2.75
-    # intp buffers of n
+    # each column is built into the result and the fine levels are written
+    # over it: beside the n x d result, no second n x d buffer and no n-sized
+    # intp array, only two columns of drawn levels (uint32 here), one of sort
+    # keys and one of row numbers (uint32 here), 2^16-entry rank blocks and a
+    # 2^14-entry intp scatter block, under 2.75 intp buffers of n
     n = 2**18
     fine = nested.construct(nested.plan("lhs", n, 8), 0).matrix
     coarse = fine // 512
+    built = []
+
+    def column(j, out):
+        out[...] = coarse[:, j]
+        built.append(out)
+
     tracemalloc.start()
     try:
-        out = nested._expand_levels(coarse, 512, np.random.default_rng(0))
+        out = nested._expand_levels(column, n, 8, 512, np.random.default_rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out is coarse
-    assert peak <= 2.75 * np.dtype(np.intp).itemsize * n
+    assert all(np.shares_memory(col, out[:, j]) for j, col in enumerate(built))
+    assert peak <= out.nbytes + 2.75 * np.dtype(np.intp).itemsize * n
     assert (out // 512 == fine // 512).all()
     for j in range(out.shape[1]):
         assert (np.sort(out[:, j]) == np.arange(2**18)).all()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_expand_levels_builds_every_column_in_the_calling_lane(monkeypatch, cpus):
+    # past one block, two CPUs give the expansion a helper lane, which only draws
+    monkeypatch.setattr(designs, "_cpus", lambda: cpus)
+    mat = balanced_levels(2**17, 64, 4, 0)
+    lanes = []
+
+    def column(j, out):
+        lanes.append((j, threading.get_ident()))
+        out[...] = mat[:, j]
+
+    got = nested._expand_levels(column, *mat.shape, 64, np.random.default_rng(3))
+    assert lanes == [(j, threading.get_ident()) for j in range(4)]
+    assert np.array_equal(got, expand_columns(mat, 64, np.random.default_rng(3)))
 
 
 def stable_argsort_expand(mat, s, rng):
@@ -409,7 +440,7 @@ def test_expand_levels_matches_a_stable_argsort(n, s, key):
     assert level_dtype(s << (n - 1).bit_length()) == key
     mat = balanced_levels(n, s, 2, n)
     want = stable_argsort_expand(mat, s, np.random.default_rng(1))
-    got = nested._expand_levels(mat.copy(order="F"), s, np.random.default_rng(1))
+    got = expand_columns(mat, s, np.random.default_rng(1))
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
@@ -431,10 +462,10 @@ def test_small_columns_expand_or_refuse_as_the_reference_does(s, m, data):
         want = stable_argsort_expand(mat, s, np.random.default_rng(2))
     except UnbalancedColumnError as exc:
         with pytest.raises(UnbalancedColumnError) as excinfo:
-            nested._expand_levels(mat.copy(order="F"), s, np.random.default_rng(2))
+            expand_columns(mat, s, np.random.default_rng(2))
         assert str(excinfo.value) == str(exc)
     else:
-        got = nested._expand_levels(mat.copy(order="F"), s, np.random.default_rng(2))
+        got = expand_columns(mat, s, np.random.default_rng(2))
         assert np.array_equal(got, want)
 
 
@@ -451,7 +482,7 @@ def test_unbalanced_column_messages(old, new, moved, message):
     mat = balanced_levels(108, 6, 2, 0)
     mat[np.flatnonzero(mat[:, 1] == old)[:moved], 1] = new
     with pytest.raises(UnbalancedColumnError) as excinfo:
-        nested._expand_levels(mat, 6, np.random.default_rng(0))
+        expand_columns(mat, 6, np.random.default_rng(0))
     assert str(excinfo.value) == message
 
 
@@ -500,8 +531,8 @@ def test_a_construction_that_breaks_a_rung_is_refused(monkeypatch, capsys):
     # levels repeat must not leave the library or the CLI
     expand = nested._expand_levels
 
-    def expand_then_repeat_a_level(mat, s, rng):
-        out = expand(mat, s, rng)
+    def expand_then_repeat_a_level(column, n, d, s, rng):
+        out = expand(column, n, d, s, rng)
         out[1, 0] = out[0, 0]
         return out
 
@@ -554,15 +585,20 @@ def test_tang_deterministic():
 def test_oa_relabelling_matches_loop():
     # reference loop over copies r and columns j, fed the same (d, k, s) draw
     field, d, k = field_of_order(4), 3, 2
-    got = nested._oa(field, 2, d, k, np.random.default_rng(5), np.dtype(np.uint16))
+    labels = np.arange(4, dtype=np.uint16)
+    take = nested._oa(field, 2, d, k, np.random.default_rng(5), labels)
+    got = nested._stack(take, k * 16, d, labels.dtype)
     perms = np.random.default_rng(5).permuted(np.broadcast_to(np.arange(4), (d, k, 4)), axis=2)
     base = bush_construct(field, 2, d + 1).matrix[:, 1:]
     want = np.vstack(
         [np.column_stack([perms[j, r][base[:, j]] for j in range(d)]) for r in range(k)]
     )
     assert got.flags.f_contiguous
-    assert got.dtype == np.uint16  # written in the dtype asked for, not the field's
+    assert got.dtype == np.uint16  # written in the labels' dtype, not the field's
     assert (got == want).all()
+    # the draw permutes positions, so other labels take the same permutations
+    take = nested._oa(field, 2, d, k, np.random.default_rng(5), np.arange(0, 8, 2))
+    assert (nested._stack(take, k * 16, d, np.int64) == 2 * want).all()
 
 
 def test_relabelling_independent_across_copies():

@@ -70,3 +70,39 @@ def test_record_appends_runs_and_summarises_each_metric(tmp_path):
     assert saved["summary"]["design-n262144 trace=0"]["op_p50_ms"] == {
         "unit": "ms", "values": [310.0, 290.0, 300.0], "median": 300.0
     }
+
+
+def synthetic_run(**values):
+    """A recorded run whose result holds the given metric values."""
+    return {"result": {"metrics": {k: {"value": v, "unit": "ms"} for k, v in values.items()}}}
+
+
+def test_directions_read_every_metric_of_benchmark_json():
+    benchmark = json.loads((PATH.parents[1] / "BENCHMARK.json").read_text())
+    better = record_bench.directions(benchmark)
+    assert better["op_p50_ms"] == "lower" and better["ops_per_s"] == "higher"
+    assert len(better) == len(benchmark["end_to_end"]) + len(benchmark["per_layer"])
+
+
+def test_compare_gives_medians_first_quartiles_and_pairs_won():
+    # op_p50_ms: lower in four pairs, tied in the fifth; ops_per_s: higher in three
+    first = [synthetic_run(op_p50_ms=p50, ops_per_s=ops, other=1.0)
+             for p50, ops in zip((258.2, 261.1, 263.6, 266.8, 271.0), (1, 2, 3, 4, 5))]
+    second = [synthetic_run(op_p50_ms=p50, ops_per_s=ops, other=2.0)
+              for p50, ops in zip((250.0, 255.0, 263.6, 259.0, 262.0), (2, 3, 3, 5, 4))]
+    lines = record_bench.compare(first, second, {"op_p50_ms": "lower", "ops_per_s": "higher"})
+    assert lines == [
+        "op_p50_ms (lower is better): median 263.6 -> 259; first's quartiles 259.65, 268.9; "
+        "second better in 4 of 5 pairs",
+        "ops_per_s (higher is better): median 3 -> 3; first's quartiles 1.5, 4.5; "
+        "second better in 3 of 5 pairs",
+    ]  # the metric with no direction is left out
+
+
+def test_compare_counts_only_pairs_that_report_the_metric():
+    first = [synthetic_run(op_p50_ms=300.0), synthetic_run(), synthetic_run(op_p50_ms=310.0)]
+    second = [synthetic_run(op_p50_ms=320.0), synthetic_run(op_p50_ms=1.0), synthetic_run()]
+    assert record_bench.compare(first, second, {"op_p50_ms": "lower"}) == [
+        "op_p50_ms (lower is better): median 300 -> 320; first's quartiles 300, 300; "
+        "second better in 0 of 1 pairs"
+    ]

@@ -144,11 +144,16 @@ def test_undecodable_file_is_format_error(tmp_path, load):
     "points",
     [pytest.param([[0.5, v]], id=str(v)) for v in (np.nan, np.inf, -np.inf, 1.0, -0.25)]
     # a 1-d array, and no columns, which a points file cannot hold (its header needs d >= 1)
-    + [pytest.param(np.zeros(3), id="1-d"), pytest.param(np.empty((3, 0)), id="0-columns")],
+    + [pytest.param(np.zeros(3), id="1-d"), pytest.param(np.empty((3, 0)), id="0-columns")]
+    # not real numbers: numpy's own exceptions, or its string parser, without the check
+    + [pytest.param(v, id=f"{type(v[0][0]).__name__}") for v in ([[0.5 + 0.5j]], [["0.5"]])],
 )
 def test_pointset_rejects_non_finite_and_out_of_range(points):
     with pytest.raises(ValueError):
         PointSet(np.asarray(points))
+    if not isinstance(points, np.ndarray):  # and as the list itself
+        with pytest.raises(ValueError):
+            PointSet(points)
 
 
 @pytest.mark.parametrize("s", [3, 49, 2**18])

@@ -12,6 +12,11 @@ the factor that scaled its times, and the kernel and unscaled op times it
 came from.  Runs are added to a file that already exists.  Nothing under
 ``benchmarks/`` is edited.
 
+Given two checkouts, it then prints one line per metric that the first
+checkout's ``BENCHMARK.json`` (read, never written) gives a ``better``
+direction: each side's median over these runs, the first side's quartiles,
+and in how many pairs the second side was better.
+
     python3 tools/record_bench.py --workload design-n262144 --seeds 1,2,3 \\
         --seconds 40 --out-dir . PARENT_CHECKOUT CHANGE_CHECKOUT
 
@@ -102,6 +107,43 @@ def record(path: Path, rev: str, runs: list[dict]) -> None:
     ) + "\n")
 
 
+def directions(benchmark: dict) -> dict[str, str]:
+    """Each metric's better direction, "lower" or "higher", from a BENCHMARK.json object."""
+    return {m["name"]: m["better"]
+            for group in ("end_to_end", "per_layer") for m in benchmark.get(group, [])}
+
+
+def compare(first: list[dict], second: list[dict], better: dict[str, str]) -> list[str]:
+    """One line per metric with a better direction, over runs paired in order.
+
+    Each line gives both sides' medians, the first side's quartiles
+    (statistics.quantiles' default, exclusive method; a single run is its
+    own quartiles) and how many pairs the second side won: a pair is won
+    when its value is lower, or higher, as the metric's direction says, so
+    a tie wins nothing.  A pair counts only when both of its runs report
+    the metric.
+    """
+    def values(run):
+        return {name: m["value"] for name, m in run["result"]["metrics"].items()}
+
+    pairs = [(values(a), values(b)) for a, b in zip(first, second)]
+    names = dict.fromkeys(name for a, _ in pairs for name in a)  # first seen, first listed
+    lines = []
+    for name in names:
+        if name not in better:
+            continue
+        both = [(a[name], b[name]) for a, b in pairs if name in a and name in b]
+        if not both:
+            continue
+        xs, ys = [x for x, _ in both], [y for _, y in both]
+        q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+        won = sum(y < x if better[name] == "lower" else y > x for x, y in both)
+        lines.append(f"{name} ({better[name]} is better): median {statistics.median(xs):.6g} "
+                     f"-> {statistics.median(ys):.6g}; first's quartiles {q1:.6g}, {q3:.6g}; "
+                     f"second better in {won} of {len(both)} pairs")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("checkouts", nargs="+", type=Path)
@@ -122,6 +164,11 @@ def main(argv=None) -> int:
             print(f"{rev} seed {seed}: op_p50_ms {p50}", flush=True)
     for rev, rev_runs in runs.items():
         record(args.out_dir / f"BENCH_{rev}.json", rev, rev_runs)
+    if len(runs) == 2:  # two checkouts at two revisions
+        benchmark = json.loads((args.checkouts[0] / "BENCHMARK.json").read_text())
+        print(f"# {revs[0]} -> {revs[1]}, {args.workload}, {len(args.seeds.split(','))} pairs")
+        for line in compare(runs[revs[0]], runs[revs[1]], directions(benchmark)):
+            print(line)
     return 0
 
 
