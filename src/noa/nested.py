@@ -287,8 +287,8 @@ def _build(plan: Plan, rng: np.random.Generator) -> Design:
         coarse = _oa(field_of_order(s3), 3, d, n // s3**3, rng, np.arange(0, s2, q, dtype=wide))
         # b = n / s2^2 copies, all taken now: the row shuffle draws next
         labels = np.arange(q, dtype=level_dtype(q))
-        fine = _oa(field_of_order(q), 2, d, n // s2**2, rng, labels)
-        fine = _stack(fine, n // s3**2, d, labels.dtype)
+        take = _oa(field_of_order(q), 2, d, n // s2**2, rng, labels)
+        fine = _stack(take, n // s3**2, d, labels.dtype)
         fine = fine[rng.permutation(fine.shape[0])]
 
         def column(j, out):

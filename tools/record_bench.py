@@ -120,27 +120,19 @@ def compare(first: list[dict], second: list[dict], better: dict[str, str]) -> li
     (statistics.quantiles' default, exclusive method; a single run is its
     own quartiles) and how many pairs the second side won: a pair is won
     when its value is lower, or higher, as the metric's direction says, so
-    a tie wins nothing.  A pair counts only when both of its runs report
-    the metric.
+    a tie wins nothing.
     """
-    def values(run):
-        return {name: m["value"] for name, m in run["result"]["metrics"].items()}
-
-    pairs = [(values(a), values(b)) for a, b in zip(first, second)]
-    names = dict.fromkeys(name for a, _ in pairs for name in a)  # first seen, first listed
     lines = []
-    for name in names:
+    for name in first[0]["result"]["metrics"]:
         if name not in better:
             continue
-        both = [(a[name], b[name]) for a, b in pairs if name in a and name in b]
-        if not both:
-            continue
-        xs, ys = [x for x, _ in both], [y for _, y in both]
+        xs, ys = ([run["result"]["metrics"][name]["value"] for run in side]
+                  for side in (first, second))
         q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
-        won = sum(y < x if better[name] == "lower" else y > x for x, y in both)
+        won = sum(y < x if better[name] == "lower" else y > x for x, y in zip(xs, ys))
         lines.append(f"{name} ({better[name]} is better): median {statistics.median(xs):.6g} "
                      f"-> {statistics.median(ys):.6g}; first's quartiles {q1:.6g}, {q3:.6g}; "
-                     f"second better in {won} of {len(both)} pairs")
+                     f"second better in {won} of {len(xs)} pairs")
     return lines
 
 
