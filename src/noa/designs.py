@@ -266,15 +266,14 @@ def _index(part: np.ndarray, cols: tuple[int, ...], radix, narrow: np.ndarray, o
     """The cell indices of the column tuple cols over one row block, written into out.
 
     Every partial index is below s^t, so the Horner steps run in narrow,
-    whose dtype holds s^t - 1, as does radix, the level count s; only the
-    last step writes int64, the index dtype a scatter reads fastest.
+    whose dtype holds s^t - 1; radix, the level count s, has that dtype, so
+    numpy forms each product in it.  Only the last step writes int64, the
+    index dtype a scatter reads fastest.
     """
     if len(cols) == 1:  # a narrow index would scatter more slowly than this copy
         out[...] = part[cols[0]]
         return out
-    # the loop dtype is named: numpy 1 would pick a narrower column's own
-    # dtype from radix's value, and wrap
-    np.multiply(part[cols[0]], radix, out=narrow, dtype=narrow.dtype)
+    np.multiply(part[cols[0]], radix, out=narrow)
     for col in cols[1:-1]:
         narrow += part[col]
         narrow *= radix

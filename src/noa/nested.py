@@ -224,8 +224,8 @@ def _expand_levels(column, n: int, d: int, s: int, rng: np.random.Generator) -> 
     drawn = np.empty((2, n), dtype=mat.dtype)
     shift = (n - 1).bit_length()
     key = level_dtype(s << shift)  # uint32 up to 2^32 keys, which sort fastest, else uint64
-    # typed scalars: every step below is a loop of one dtype, which numpy
-    # runs faster than one with a Python int
+    # typed scalars: every step below is a loop of key's dtype, a narrower
+    # column's shift too, which numpy runs faster than one with a Python int
     shift, mask = key.type(shift), key.type((1 << shift) - 1)
     rows = np.arange(n, dtype=key)
     keys = np.empty(n, dtype=key)
@@ -248,10 +248,7 @@ def _expand_levels(column, n: int, d: int, s: int, rng: np.random.Generator) -> 
     def consume(j, fine):  # one column at a time: an all-column sort costs peak memory
         col = mat[:, j]
         column(j, col)
-        # copied into the keys first, so every step runs on key's dtype alone:
-        # numpy 1 would shift a narrower column in its own dtype, and wrap
-        keys[...] = col
-        np.left_shift(keys, shift, out=keys)
+        np.left_shift(col, shift, out=keys)
         np.bitwise_or(keys, rows, out=keys)
         keys.sort()
         if (ends >> shift).tobytes() != want:  # only now count, for the message

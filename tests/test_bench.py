@@ -43,6 +43,21 @@ def test_integrand_true_values():
         make_integrand("BILIN", 1)
 
 
+@pytest.mark.parametrize("name, row, value", [
+    ("ADD-LIN", [0.25], -0.25),
+    ("ADD-EXP", [0.25], math.exp(0.25)),
+    ("BILIN", [0.25, 0.75], -0.0625),
+    # a third column that would zero the product if BILIN read it in place of the second
+    ("BILIN", [0.25, 0.75, 0.5], -0.0625),
+    ("TRILIN", [0.25, 0.75, 0.125], 0.0234375),
+    ("PROD-EXP", [0.25], math.exp(0.25)),
+])
+def test_integrand_value_at_a_fixed_point(name, row, value):
+    # each at its smallest d, BILIN also at d = 3; the points are exact in binary
+    f = make_integrand(name, len(row))
+    assert f.fn(np.array([row]))[0] == pytest.approx(value, rel=1e-15, abs=0)
+
+
 def test_estimate_lhs_midpoint_add_lin_exact():
     design = nested.construct(nested.plan("lhs", 16, 3), 4)
     pts = to_points(design, "midpoint")
@@ -126,6 +141,21 @@ def test_run_bench_degenerate_single_rep():
     rep = run_bench(16, 3, ["iid"], "ADD-LIN", 1, 0)
     assert rep.degenerate_reps
     assert rep.results["iid"].var == 0.0
+
+
+def test_run_bench_runs_at_one_run():
+    # iid and lhs have a design of a single run
+    rep = run_bench(1, 2, ["iid", "lhs"], "ADD-LIN", 3, 0)
+    assert list(rep.results) == ["iid", "lhs"]
+    assert all(st.estimates.shape == (3,) for st in rep.results.values())
+
+
+def test_check_inputs_accepts_exactly_max_drawn_coordinates():
+    # 2^23 replications of 16 x 16 points draw 2^31 coordinates; checked, none run
+    assert 2**23 * 16 * 16 == bench.MAX_DRAWN
+    check_inputs((16,), 16, ["iid"], 2**23, "ADD-LIN", 0)
+    with pytest.raises(FieldOverflowError, match=f"exceed {bench.MAX_DRAWN} drawn coordinates"):
+        check_inputs((16,), 16, ["iid"], 2**23 + 1, "ADD-LIN", 0)
 
 
 def test_run_bench_labels_failing_kind():

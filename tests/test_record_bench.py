@@ -79,9 +79,10 @@ def synthetic_run(**values):
 
 def test_directions_read_every_metric_of_benchmark_json():
     benchmark = json.loads((PATH.parents[1] / "BENCHMARK.json").read_text())
-    better = record_bench.directions(benchmark)
-    assert better["op_p50_ms"] == "lower" and better["ops_per_s"] == "higher"
-    assert len(better) == len(benchmark["end_to_end"]) + len(benchmark["per_layer"])
+    entries = record_bench.metrics(benchmark)
+    assert entries["op_p50_ms"]["better"] == "lower" and entries["ops_per_s"]["better"] == "higher"
+    assert entries["op_p50_ms"]["bound"] == 0.25 and "bound" not in entries["bench.estimate_us"]
+    assert len(entries) == len(benchmark["end_to_end"]) + len(benchmark["per_layer"])
 
 
 def test_compare_gives_medians_first_quartiles_and_pairs_won():
@@ -90,18 +91,88 @@ def test_compare_gives_medians_first_quartiles_and_pairs_won():
              for p50, ops in zip((258.2, 261.1, 263.6, 266.8, 271.0), (1, 2, 3, 4, 5))]
     second = [synthetic_run(op_p50_ms=p50, ops_per_s=ops, other=2.0)
               for p50, ops in zip((250.0, 255.0, 263.6, 259.0, 262.0), (2, 3, 3, 5, 4))]
-    lines = record_bench.compare(first, second, {"op_p50_ms": "lower", "ops_per_s": "higher"})
-    assert lines == [
+    entries = {"op_p50_ms": {"better": "lower", "bound": 0.25}, "ops_per_s": {"better": "higher"}}
+    assert record_bench.compare(first, second, entries) == [
         "op_p50_ms (lower is better): median 263.6 -> 259; first's quartiles 259.65, 268.9; "
-        "second better in 4 of 5 pairs",
+        "second better in 4 of 5 pairs; claim not met; within bound 0.25",
         "ops_per_s (higher is better): median 3 -> 3; first's quartiles 1.5, 4.5; "
-        "second better in 3 of 5 pairs",
+        "second better in 3 of 5 pairs; claim not met",
     ]  # the metric with no direction is left out
 
 
 def test_compare_takes_one_pair_as_its_own_quartiles():
     first, second = [synthetic_run(op_p50_ms=300.0)], [synthetic_run(op_p50_ms=320.0)]
-    assert record_bench.compare(first, second, {"op_p50_ms": "lower"}) == [
+    entries = {"op_p50_ms": {"better": "lower", "bound": 0.05}}
+    assert record_bench.compare(first, second, entries) == [
         "op_p50_ms (lower is better): median 300 -> 320; first's quartiles 300, 300; "
-        "second better in 0 of 1 pairs"
+        "second better in 0 of 1 pairs; claim not met; worse than bound 0.05"
+    ]
+
+
+def verdict(xs, ys, better="lower", **bound):
+    """compare's verdicts for one metric over the pairs (xs[i], ys[i])."""
+    first, second = ([synthetic_run(m=v) for v in vs] for vs in (xs, ys))
+    (line,) = record_bench.compare(first, second, {"m": {"better": better, **bound}})
+    return line.split("pairs; ")[1]
+
+
+def test_compare_meets_a_claim_only_with_nine_in_ten_pairs_and_a_gain_past_the_spread():
+    # the first side's quartiles are 101.75 and 107.25 (spread 5.5) around a median of 104.5
+    xs = [100.0 + i for i in range(10)]
+    # nine pairs won, the tenth tied, medians 104.5 -> 98.5: a gain of 6
+    assert verdict(xs, [x - 6 for x in xs[:9]] + xs[9:]) == "claim met"
+    # a gain of 5, inside the spread
+    assert verdict(xs, [x - 5 for x in xs[:9]] + xs[9:]) == "claim not met"
+    # a gain of 6, but two ties leave eight pairs won
+    assert verdict(xs, [x - 6 for x in xs[:8]] + xs[8:]) == "claim not met"
+    # the same gain in the other direction is a loss
+    assert verdict(xs, [x - 6 for x in xs[:9]] + xs[9:], "higher") == "claim not met"
+    assert verdict([-x for x in xs], [6 - x for x in xs[:9]] + [-xs[9]], "higher") == "claim met"
+
+
+def test_compare_calls_a_metric_worse_only_past_its_bound_of_the_first_median():
+    # higher is better: a quarter of 4.0 may be lost, no more
+    assert verdict([4.0], [3.0], "higher", bound=0.25) == "claim not met; within bound 0.25"
+    assert verdict([4.0], [2.9], "higher", bound=0.25) == "claim not met; worse than bound 0.25"
+    # lower is better: 20% of 300 ms is 60 ms
+    assert verdict([300.0], [360.0], bound=0.2).endswith("; within bound 0.2")
+    assert verdict([300.0], [361.0], bound=0.2).endswith("; worse than bound 0.2")
+
+
+def test_file_stems_number_the_checkouts_of_one_revision():
+    assert record_bench.file_stems(["abc", "def"]) == ["abc", "def"]
+    assert record_bench.file_stems(["abc", "abc"]) == ["abc-1", "abc-2"]
+    assert record_bench.file_stems(["abc", "def", "abc-dirty", "def"]) == [
+        "abc", "def-2", "abc-dirty", "def-4"
+    ]
+
+
+def test_main_records_and_compares_two_checkouts_of_one_revision(tmp_path, monkeypatch, capsys):
+    # an A/A run: both checkouts are at revision abc, and each gets its own file
+    checkouts = [tmp_path / "a", tmp_path / "b"]
+    for checkout in checkouts:
+        checkout.mkdir()
+    (checkouts[0] / "BENCHMARK.json").write_text((PATH.parents[1] / "BENCHMARK.json").read_text())
+    order = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        order.append((checkout.name, seed))
+        run = synthetic_run(op_p50_ms=300.0 + seed + (checkout.name == "b"))
+        return {"workload": workload, "seed": seed, "seconds": seconds, "trace": trace, **run}
+
+    monkeypatch.setattr(record_bench, "short_rev", lambda checkout: "abc")
+    monkeypatch.setattr(record_bench, "run_once", run_once)
+    argv = ["--workload", "design-n262144", "--seeds", "1,2", "--seconds", "1",
+            "--out-dir", str(tmp_path), *map(str, checkouts)]
+    assert record_bench.main(argv) == 0
+    assert order == [("a", 1), ("b", 1), ("b", 2), ("a", 2)]  # each side first in turn
+    for stem, values in (("abc-1", [301.0, 302.0]), ("abc-2", [302.0, 303.0])):
+        saved = json.loads((tmp_path / f"BENCH_{stem}.json").read_text())
+        assert saved["revision"] == "abc"
+        assert saved["summary"]["design-n262144 trace=0"]["op_p50_ms"]["values"] == values
+    assert not (tmp_path / "BENCH_abc.json").exists()
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "# abc-1 -> abc-2, design-n262144, 2 pairs",
+        "op_p50_ms (lower is better): median 301.5 -> 302.5; first's quartiles 300.75, 302.25; "
+        "second better in 0 of 2 pairs; claim not met; within bound 0.25",
     ]

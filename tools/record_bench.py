@@ -4,9 +4,10 @@ Runs each checkout's ``benchmarks/run.py`` as a child process, once per
 seed, taking the checkouts in turn for every seed and reversing their
 order from one seed to the next (so a parent and a change are measured in
 pairs that alternate which side runs first), and writes one
-``BENCH_<short-rev>.json`` per checkout into ``--out-dir``.  Each run keeps the child's ``# meta`` line
-and its final JSON line as printed; the file also holds, per workload and
-metric, every run's value and their median.  A run also keeps, under
+``BENCH_<short-rev>.json`` per checkout into ``--out-dir``.  Each run
+keeps the child's ``# meta`` line and its final JSON line as printed; the
+file also holds, per workload and metric, every run's value and their
+median.  A run also keeps, under
 ``calibration``, the numbers of the child's ``# calibration kernel`` line:
 the factor that scaled its times, and the kernel and unscaled op times it
 came from.  Runs are added to a file that already exists.  Nothing under
@@ -15,12 +16,16 @@ came from.  Runs are added to a file that already exists.  Nothing under
 Given two checkouts, it then prints one line per metric that the first
 checkout's ``BENCHMARK.json`` (read, never written) gives a ``better``
 direction: each side's median over these runs, the first side's quartiles,
-and in how many pairs the second side was better.
+in how many pairs the second side was better, and the verdict of the gain
+rule and, where the metric has one, of its bound (see ``compare``).
 
     python3 tools/record_bench.py --workload design-n262144 --seeds 1,2,3 \\
         --seconds 40 --out-dir . PARENT_CHECKOUT CHANGE_CHECKOUT
 
 A checkout with uncommitted changes is recorded as ``<short-rev>-dirty``.
+Runs are kept by checkout, not by revision: checkouts of one revision (an
+A/A run, which measures the noise) write ``BENCH_<short-rev>-<position>.json``,
+position counted from 1, and two of them are compared as any two are.
 """
 
 from __future__ import annotations
@@ -107,33 +112,53 @@ def record(path: Path, rev: str, runs: list[dict]) -> None:
     ) + "\n")
 
 
-def directions(benchmark: dict) -> dict[str, str]:
-    """Each metric's better direction, "lower" or "higher", from a BENCHMARK.json object."""
-    return {m["name"]: m["better"]
-            for group in ("end_to_end", "per_layer") for m in benchmark.get(group, [])}
+def metrics(benchmark: dict) -> dict[str, dict]:
+    """Each metric's BENCHMARK.json entry, by name: its better direction, "lower"
+    or "higher", and for an end-to-end metric its bound."""
+    return {m["name"]: m for group in ("end_to_end", "per_layer") for m in benchmark.get(group, [])}
 
 
-def compare(first: list[dict], second: list[dict], better: dict[str, str]) -> list[str]:
+def compare(first: list[dict], second: list[dict], entries: dict[str, dict]) -> list[str]:
     """One line per metric with a better direction, over runs paired in order.
 
     Each line gives both sides' medians, the first side's quartiles
     (statistics.quantiles' default, exclusive method; a single run is its
     own quartiles) and how many pairs the second side won: a pair is won
     when its value is lower, or higher, as the metric's direction says, so
-    a tie wins nothing.
+    a tie wins nothing.  Then the verdicts: "claim met" when the second
+    side won at least 9 in 10 pairs and its median is better than the
+    first's by more than the first's interquartile range, else "claim not
+    met"; and for a metric with a bound, "worse than bound" when the second
+    median is worse than the first by more than that fraction of the first,
+    else "within bound".
     """
     lines = []
     for name in first[0]["result"]["metrics"]:
-        if name not in better:
+        if name not in entries:
             continue
+        entry = entries[name]
+        lower = entry["better"] == "lower"
         xs, ys = ([run["result"]["metrics"][name]["value"] for run in side]
                   for side in (first, second))
         q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
-        won = sum(y < x if better[name] == "lower" else y > x for x, y in zip(xs, ys))
-        lines.append(f"{name} ({better[name]} is better): median {statistics.median(xs):.6g} "
-                     f"-> {statistics.median(ys):.6g}; first's quartiles {q1:.6g}, {q3:.6g}; "
-                     f"second better in {won} of {len(xs)} pairs")
+        won = sum(y < x if lower else y > x for x, y in zip(xs, ys))
+        mx, my = statistics.median(xs), statistics.median(ys)
+        gain = mx - my if lower else my - mx
+        met = 10 * won >= 9 * len(xs) and gain > q3 - q1
+        line = (f"{name} ({entry['better']} is better): median {mx:.6g} -> {my:.6g}; "
+                f"first's quartiles {q1:.6g}, {q3:.6g}; second better in {won} of {len(xs)} "
+                f"pairs; claim {'met' if met else 'not met'}")
+        if "bound" in entry:
+            worse = -gain > entry["bound"] * abs(mx)
+            line += f"; {'worse than' if worse else 'within'} bound {entry['bound']:g}"
+        lines.append(line)
     return lines
+
+
+def file_stems(revs: list[str]) -> list[str]:
+    """Each checkout's record name: its revision, with its position from 1
+    appended when another checkout has the same revision."""
+    return [rev if revs.count(rev) == 1 else f"{rev}-{i}" for i, rev in enumerate(revs, 1)]
 
 
 def main(argv=None) -> int:
@@ -146,20 +171,21 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args(argv)
     revs = [short_rev(c) for c in args.checkouts]
-    runs: dict[str, list[dict]] = {rev: [] for rev in revs}
-    pairs = list(zip(args.checkouts, revs))
+    stems = file_stems(revs)
+    runs: list[list[dict]] = [[] for _ in revs]
+    order = list(range(len(revs)))
     for k, seed in enumerate(int(v) for v in args.seeds.split(",")):
-        for checkout, rev in pairs if k % 2 == 0 else pairs[::-1]:  # each side first in turn
-            run = run_once(checkout, args.workload, seed, args.seconds, args.trace)
-            runs[rev].append(run)
+        for i in order if k % 2 == 0 else order[::-1]:  # each side first in turn
+            run = run_once(args.checkouts[i], args.workload, seed, args.seconds, args.trace)
+            runs[i].append(run)
             p50 = run["result"]["metrics"].get("op_p50_ms", {}).get("value")
-            print(f"{rev} seed {seed}: op_p50_ms {p50}", flush=True)
-    for rev, rev_runs in runs.items():
-        record(args.out_dir / f"BENCH_{rev}.json", rev, rev_runs)
-    if len(runs) == 2:  # two checkouts at two revisions
+            print(f"{stems[i]} seed {seed}: op_p50_ms {p50}", flush=True)
+    for rev, stem, side in zip(revs, stems, runs):
+        record(args.out_dir / f"BENCH_{stem}.json", rev, side)
+    if len(runs) == 2:
         benchmark = json.loads((args.checkouts[0] / "BENCHMARK.json").read_text())
-        print(f"# {revs[0]} -> {revs[1]}, {args.workload}, {len(args.seeds.split(','))} pairs")
-        for line in compare(runs[revs[0]], runs[revs[1]], directions(benchmark)):
+        print(f"# {stems[0]} -> {stems[1]}, {args.workload}, {len(runs[0])} pairs")
+        for line in compare(runs[0], runs[1], metrics(benchmark)):
             print(line)
     return 0
 
