@@ -116,7 +116,7 @@ def verdict(xs, ys, better="lower", **bound):
     return line.split("pairs; ")[1]
 
 
-def test_compare_meets_a_claim_only_with_nine_in_ten_pairs_and_a_gain_past_the_spread():
+def test_compare_meets_a_claim_only_with_nine_in_ten_of_ten_pairs_and_a_gain_past_the_spread():
     # the first side's quartiles are 101.75 and 107.25 (spread 5.5) around a median of 104.5
     xs = [100.0 + i for i in range(10)]
     # nine pairs won, the tenth tied, medians 104.5 -> 98.5: a gain of 6
@@ -128,6 +128,8 @@ def test_compare_meets_a_claim_only_with_nine_in_ten_pairs_and_a_gain_past_the_s
     # the same gain in the other direction is a loss
     assert verdict(xs, [x - 6 for x in xs[:9]] + xs[9:], "higher") == "claim not met"
     assert verdict([-x for x in xs], [6 - x for x in xs[:9]] + [-xs[9]], "higher") == "claim met"
+    # every pair won by far, but five pairs are too few
+    assert verdict(xs[:5], [x - 50 for x in xs[:5]]) == "claim not met"
 
 
 def test_compare_calls_a_metric_worse_only_past_its_bound_of_the_first_median():

@@ -7,11 +7,10 @@ pairs that alternate which side runs first), and writes one
 ``BENCH_<short-rev>.json`` per checkout into ``--out-dir``.  Each run
 keeps the child's ``# meta`` line and its final JSON line as printed; the
 file also holds, per workload and metric, every run's value and their
-median.  A run also keeps, under
-``calibration``, the numbers of the child's ``# calibration kernel`` line:
-the factor that scaled its times, and the kernel and unscaled op times it
-came from.  Runs are added to a file that already exists.  Nothing under
-``benchmarks/`` is edited.
+median.  A run also keeps, under ``calibration``, the numbers of the
+child's ``# calibration kernel`` line: the factor that scaled its times,
+and the kernel and unscaled op times it came from.  Runs are added to a
+file that already exists.  Nothing under ``benchmarks/`` is edited.
 
 Given two checkouts, it then prints one line per metric that the first
 checkout's ``BENCHMARK.json`` (read, never written) gives a ``better``
@@ -125,12 +124,12 @@ def compare(first: list[dict], second: list[dict], entries: dict[str, dict]) -> 
     (statistics.quantiles' default, exclusive method; a single run is its
     own quartiles) and how many pairs the second side won: a pair is won
     when its value is lower, or higher, as the metric's direction says, so
-    a tie wins nothing.  Then the verdicts: "claim met" when the second
-    side won at least 9 in 10 pairs and its median is better than the
-    first's by more than the first's interquartile range, else "claim not
-    met"; and for a metric with a bound, "worse than bound" when the second
-    median is worse than the first by more than that fraction of the first,
-    else "within bound".
+    a tie wins nothing.  Then the verdicts: "claim met" when there are at
+    least 10 pairs, the second side won at least 9 in 10 of them and its
+    median is better than the first's by more than the first's
+    interquartile range, else "claim not met"; and for a metric with a
+    bound, "worse than bound" when the second median is worse than the
+    first by more than that fraction of the first, else "within bound".
     """
     lines = []
     for name in first[0]["result"]["metrics"]:
@@ -144,7 +143,7 @@ def compare(first: list[dict], second: list[dict], entries: dict[str, dict]) -> 
         won = sum(y < x if lower else y > x for x, y in zip(xs, ys))
         mx, my = statistics.median(xs), statistics.median(ys)
         gain = mx - my if lower else my - mx
-        met = 10 * won >= 9 * len(xs) and gain > q3 - q1
+        met = len(xs) >= 10 and 10 * won >= 9 * len(xs) and gain > q3 - q1
         line = (f"{name} ({entry['better']} is better): median {mx:.6g} -> {my:.6g}; "
                 f"first's quartiles {q1:.6g}, {q3:.6g}; second better in {won} of {len(xs)} "
                 f"pairs; claim {'met' if met else 'not met'}")
