@@ -21,7 +21,7 @@ _MODULE_NAMES = {
         "Design", "StrengthReport", "Violation", "check_strength", "collapse", "load_design",
         "parse_design", "save_design",
     ),
-    "gf": ("FieldSpec", "field_new", "field_of_order", "is_prime", "prime_power"),
+    "gf": ("FieldSpec", "field_of_order", "prime_power"),
     "nested": (
         "Plan", "construct", "construct_lhs", "construct_noa", "construct_oa", "construct_tang",
         "expand_to_lhs", "plan", "plan_noa",

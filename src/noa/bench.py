@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import nested
-from .designs import MAX_ENTRIES, check_size
+from .designs import MAX_ENTRIES, check_int, check_size
 from .errors import (
     ConstructionError, DesignError, DimensionMismatchError, FieldOverflowError
 )
@@ -122,15 +122,18 @@ def kind_points(kind: str, n: int, d: int, seed: int, plan: nested.Plan | None) 
 def check_inputs(ns, d: int, kinds, reps: int, integrand: str, seed: int) -> tuple[dict, Integrand]:
     """Refuse a bad integrand, run count, size, seed, kind list or plan before any replication.
 
-    A run of more than MAX_ENTRIES replications, or of more than MAX_DRAWN
-    point coordinates (reps * n * d) per kind, is refused with
-    FieldOverflowError; a kind with no plan for an n, with a
-    ConstructionError that names it.
+    Each n, d and reps must be an integer (check_int: a numpy integer
+    passes, a float is a ValueError).  A run of more than MAX_ENTRIES
+    replications, or of more than MAX_DRAWN point coordinates (reps * n * d)
+    per kind, is refused with FieldOverflowError; a kind with no plan for an
+    n, with a ConstructionError that names it.
 
     Returns (plans, f): plans[kind][n] is nested.plan(kind, n, d) (None for
     iid), with each kind once, in the order first named, and f is the
     integrand.
     """
+    ns = [check_int(n, "n") for n in ns]
+    d, reps = check_int(d, "d"), check_int(reps, "reps")
     f = make_integrand(integrand, d)
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -229,13 +232,15 @@ def run_bench(
 
     A kind named more than once is run once.
     """
+    # as ints, so the report holds no numpy integer that json cannot take
+    n, d, reps = check_int(n, "n"), check_int(d, "d"), check_int(reps, "reps")
     plans, f = check_inputs((n,), d, kinds, reps, integrand, seed)
     results = {kind: _kind_stats(kind, n, d, plans[kind][n], f, reps, seed) for kind in plans}
     return BenchReport(
         n=n,
         d=d,
         reps=reps,
-        seed=seed,
+        seed=check_seed(seed),
         integrand=f.name,
         true_integral=f.true_integral,
         results=results,
@@ -256,7 +261,7 @@ def fit_rate(ns, d: int, kinds, integrand: str, reps: int, seed: int) -> dict[st
 
     A kind or a run count named more than once is fitted, or run, once.
     """
-    ns = tuple(int(v) for v in ns)
+    ns = tuple(check_int(v, "n") for v in ns)
     plans, f = check_inputs(ns, d, kinds, reps, integrand, seed)
     if len(set(ns)) < 3:
         raise ValueError(f"need at least 3 distinct run counts, got {ns}")

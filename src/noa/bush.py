@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .designs import MAX_ENTRIES, Design, level_dtype
+from .designs import MAX_ENTRIES, Design, check_int, level_dtype
 from .errors import FieldOverflowError, StrengthError
 from .gf import FieldSpec
 
@@ -33,8 +33,10 @@ def bush_ladder(s: int, t: int, d: int) -> tuple[tuple[int, int], ...]:
     Raises ValueError unless 1 <= d <= s + 1, the array's column count,
     StrengthError unless 1 <= t <= 3, and FieldOverflowError when the array
     would exceed MAX_ENTRIES entries; none of it needs the field, so every
-    caller checks before the field's tables are built.
+    caller checks before the field's tables are built.  s, t and d must be
+    integers (check_int), and the rung holds them as ints.
     """
+    s, t, d = check_int(s, "level count s"), check_int(t, "strength t"), check_int(d, "d")
     if not 1 <= d <= s + 1:
         raise ValueError(f"need 1 <= d <= s + 1 = {s + 1} columns at s={s} levels, got d={d}")
     if not 1 <= t <= 3:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -82,6 +83,19 @@ def level_dtype(s: int) -> np.dtype:
     return _LEVEL_DTYPES[(s > 1 << 8) + (s > 1 << 16) + (s > 1 << 32)]
 
 
+def check_int(value, what: str) -> int:
+    """value as a Python int, or ValueError naming what must be an integer.
+
+    A Python or numpy integer passes; a float, even a whole one, does not,
+    so 1.5 is not truncated to 1, and a numpy integer becomes an int, which
+    level_dtype and json take.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what}={value!r} must be an integer") from None
+
+
 def check_size(n: int, d: int) -> None:
     """Refuse an n x d design of more than MAX_ENTRIES entries before building any of it."""
     if n * d > MAX_ENTRIES:
@@ -120,10 +134,8 @@ class Design:
         mat = real_array(self.matrix, "entries")
         if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
             raise ValueError("matrix must be 2-d and nonempty")
-        if not isinstance(self.s, numbers.Integral):
-            raise ValueError(f"level count s={self.s!r} must be an integer")
         # stored as int: a numpy integer s cannot index level_dtype's table
-        object.__setattr__(self, "s", int(self.s))
+        object.__setattr__(self, "s", check_int(self.s, "level count s"))
         if self.s < 1:
             raise ValueError("level count s must be >= 1")
         # unsigned entries need only the upper bound, one scan; written so
@@ -173,6 +185,7 @@ def check_strength(design: Design, t: int) -> StrengthReport:
     buffer exists, when the C(d, t) column tuples would take more than
     MAX_CHECK_WORK row visits.
     """
+    t = check_int(t, "strength t")
     if not 1 <= t <= design.d:
         raise StrengthError(f"strength t={t} outside [1, {design.d}]")
     n, s = design.n, design.s
@@ -359,6 +372,7 @@ def pipeline(rows: int, count: int, produce, consume) -> None:
 
 def collapse(design: Design, s_coarse: int) -> Design:
     """View the design at coarser resolution: level -> level // (s/s_coarse)."""
+    s_coarse = check_int(s_coarse, "level count s_coarse")
     if s_coarse < 1 or design.s % s_coarse != 0:
         raise NotDivisorError(f"{s_coarse} does not divide s={design.s}")
     step = design.s // s_coarse
@@ -401,7 +415,7 @@ def format_table(magic: str, header, matrix: np.ndarray, spec: str) -> Iterator[
     """
     yield " ".join([magic, *(f"{k}={v}" for k, v in header)]) + "\n"
     n, d = matrix.shape
-    step = max(1, _TABLE_ENTRIES // max(d, 1))
+    step = max(1, _TABLE_ENTRIES // d)
     row = ",".join([spec] * d) + "\n"
     for lo in range(0, n, step):
         block = matrix[lo : lo + step]

@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .designs import check_int
 from .errors import FieldOverflowError, NotPrimeError
 
 # the add and mul tables are s-by-s int64, 8*s^2 bytes each: 128 MiB at
@@ -35,34 +36,26 @@ def prime_power(s: int) -> tuple[int, int] | None:
         return None
     p = 2
     while p * p <= s:
-        if s % p == 0:
-            m = 0
-            q = s
-            while q % p == 0:
-                q //= p
+        if s % p == 0:  # s is a power of p iff the first power not below s is s
+            m = 1
+            while p**m < s:
                 m += 1
-            return (p, m) if q == 1 else None
+            return (p, m) if p**m == s else None
         p += 1
     return (s, 1)
 
 
-def is_prime(p: int) -> bool:
-    return prime_power(p) == (p, 1)
-
-
 class FieldSpec:
-    """Arithmetic context for GF(p^m).  Immutable after construction."""
+    """Arithmetic context for GF(s), s = p^m.  Immutable after construction."""
 
-    def __init__(self, p: int, m: int):
-        if not is_prime(p):
-            raise NotPrimeError(f"p={p} is not prime")
-        if m < 1:
-            raise ValueError(f"extension degree m={m} must be >= 1")
-        s = p**m
-        if s > MAX_ORDER:
-            raise FieldOverflowError(f"field order {p}^{m} exceeds {MAX_ORDER}")
-        self.p = p
-        self.m = m
+    def __init__(self, s: int):
+        s = check_int(s, "field order s")
+        if s > MAX_ORDER:  # before factoring: 2^61 - 1 would take minutes
+            raise FieldOverflowError(f"field order {s} exceeds {MAX_ORDER}")
+        pm = prime_power(s)
+        if pm is None:
+            raise NotPrimeError(f"{s} is not a prime power")
+        self.p, self.m = pm
         self.s = s
         self.irreducible, self.add_table, self.mul_table = self._build_tables()
         self.add_table.flags.writeable = False
@@ -114,13 +107,6 @@ class FieldSpec:
 
 # a GF(4096) context holds 256 MiB of tables, so only the latest few are kept
 @lru_cache(maxsize=8)
-def field_new(p: int, m: int) -> FieldSpec:
-    """Return the GF(p^m) context; cached since construction is deterministic."""
-    return FieldSpec(p, m)
-
-
 def field_of_order(s: int) -> FieldSpec:
-    pm = prime_power(s)
-    if pm is None:
-        raise NotPrimeError(f"{s} is not a prime power")
-    return field_new(*pm)
+    """Return the GF(s) context; cached since construction is deterministic."""
+    return FieldSpec(s)

@@ -36,7 +36,7 @@ from itertools import takewhile
 import numpy as np
 
 from .bush import bush_columns, bush_ladder
-from .designs import Design, check_size, level_dtype, pipeline, verify_ladder
+from .designs import Design, check_int, check_size, level_dtype, pipeline, verify_ladder
 from .errors import NoNontrivialPlanError, UnbalancedColumnError
 from .gf import MAX_ORDER, field_of_order, prime_power
 from .rng import STAGE_DESIGN, stream
@@ -96,6 +96,7 @@ def plan(kind: str, n: int, d: int) -> Plan:
     gf.MAX_ORDER, as _prime_power_roots finds them, so every plan builds
     when its n x d design fits in MAX_ENTRIES.
     """
+    n, d = check_int(n, "n"), check_int(d, "d")
     if kind == "lhs":
         if n < 1 or d < 1:
             raise ValueError("n and d must be >= 1")
@@ -330,6 +331,7 @@ def construct_oa(s: int, t: int, d: int, seed: int) -> Design:
     against bush_ladder(s, t, d), where callers find its ladder.
     """
     ladder = bush_ladder(s, t, d)
+    s = ladder[0][0]  # as an int: a numpy integer s cannot index level_dtype's table
     rng = stream(seed, STAGE_DESIGN)
     labels = np.arange(s, dtype=level_dtype(s))
     take = _oa(field_of_order(s), t, d, 1, rng, labels)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .designs import check_int
+
 STAGE_DESIGN = 1
 STAGE_JITTER = 6
 STAGE_BENCH = 7
@@ -18,7 +20,7 @@ STAGE_IID = 8
 
 def check_seed(seed: int) -> int:
     """The seed as an int; a seed outside [0, 2^64) is refused, not wrapped."""
-    seed = int(seed)
+    seed = check_int(seed, "seed")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     return seed

@@ -284,6 +284,36 @@ def test_check_inputs_builds_the_integrand_first(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "n,d,reps,seed",
+    [(np.int64(64), 3, 3, 0), (64, np.uint8(3), 3, 0), (64, 3, np.int64(3), 0), (64, 3, 3, np.uint64(0))],
+)
+def test_run_bench_report_holds_python_ints(n, d, reps, seed):
+    # a numpy integer passes, and the report's json is that of the int run
+    report = run_bench(n, d, ["lhs"], "ADD-LIN", reps, seed)
+    assert report.to_json() == run_bench(64, 3, ["lhs"], "ADD-LIN", 3, 0).to_json()
+    assert all(type(v) is int for v in (report.n, report.d, report.reps, report.seed))
+
+
+@pytest.mark.parametrize(
+    "call,bad",
+    [
+        (lambda: run_bench(64.0, 3, ["lhs"], "ADD-LIN", 2, 0), "n=64.0"),
+        (lambda: run_bench(64, 3, ["lhs"], "ADD-LIN", 2.5, 0), "reps=2.5"),
+        (lambda: run_bench(64, 3, ["lhs"], "ADD-LIN", 2, 1.5), "seed=1.5"),
+        (lambda: check_inputs((16,), 3.0, ["iid"], 2, "ADD-LIN", 0), "d=3.0"),
+        (lambda: check_inputs((16, "64"), 3, ["iid"], 2, "ADD-LIN", 0), "n='64'"),
+        (lambda: fit_rate([16.5, 64, 256], 3, ["iid"], "ADD-LIN", 2, 0), "n=16.5"),
+    ],
+)
+def test_bench_inputs_must_be_integers(monkeypatch, call, bad):
+    # refused before any replication: 1.5 is not truncated, nor 16.5 fitted as 16
+    calls = counting(monkeypatch, bench, "kind_points")
+    with pytest.raises(ValueError, match=f"{bad} must be an integer"):
+        call()
+    assert calls == []
+
+
 def test_fit_rate_variances_are_run_bench_variances(monkeypatch):
     # one fit per kind, each variance the one run_bench gives at that n, a run
     # count named twice run and listed once

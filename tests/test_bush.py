@@ -96,10 +96,30 @@ def test_size_refused_before_allocation(monkeypatch):
         bush_construct(field_of_order(4), 2, 3)
 
 
+@pytest.mark.parametrize(
+    "s,t,d", [(np.int64(4), 2, 3), (4, np.uint8(2), np.int64(3)), (4.0, 2, 3), (4, 2.0, 3), (4, 2, 3.0)]
+)
+def test_bush_sizes_must_be_integers(s, t, d):
+    bad = [f"{what}={v!r}" for what, v in (("level count s", s), ("strength t", t), ("d", d))
+           if not isinstance(v, (int, np.integer))]
+    if bad:  # a float is refused, not met by numpy's own TypeError
+        with pytest.raises(ValueError, match=f"{bad[0]} must be an integer"):
+            construct_oa(s, t, d, 0)
+        if isinstance(s, int):  # bush_construct takes s from its field
+            with pytest.raises(ValueError, match=f"{bad[0]} must be an integer"):
+                bush_construct(field_of_order(4), t, d)
+        return
+    design = construct_oa(s, t, d, 0)  # a numpy integer passes, and s is kept as an int
+    assert type(design.s) is int
+    assert np.array_equal(design.matrix, construct_oa(4, 2, 3, 0).matrix)
+    assert np.array_equal(bush_construct(field_of_order(4), t, d).matrix,
+                          bush_construct(field_of_order(4), 2, 3).matrix)
+
+
 def test_inputs_refused_before_the_field_is_built(monkeypatch):
     # GF(4096)'s tables take 256 MiB: a Bush array refused anyway is refused
     # before any field is built, so no field is needed to refuse it
-    monkeypatch.setattr(gf, "field_new", None)
+    monkeypatch.setattr(gf, "FieldSpec", None)
     with pytest.raises(FieldOverflowError, match="4096\\^3 rows x 3 columns exceeds"):
         construct_oa(4096, 3, 3, 0)
     with pytest.raises(StrengthError):

@@ -626,6 +626,28 @@ def test_design_validation():
     assert Design(np.array([[1]], dtype=object), s=2).matrix.dtype == np.uint8
 
 
+@pytest.mark.parametrize("levels", [np.int64(4), np.uint8(4), 4.0, "4"])
+def test_collapse_takes_an_integer_level_count(levels):
+    design = nested64_fixture()
+    if isinstance(levels, np.integer):  # passes, and the result's s is an int
+        coarse = collapse(design, levels)
+        assert type(coarse.s) is int
+        assert np.array_equal(coarse.matrix, collapse(design, 4).matrix)
+        return
+    with pytest.raises(ValueError, match=f"level count s_coarse={levels!r} must be an integer"):
+        collapse(design, levels)
+
+
+@pytest.mark.parametrize("t", [np.int64(2), np.uint8(3), 2.0, "2"])
+def test_check_strength_takes_an_integer_strength(t):
+    design = collapse(nested64_fixture(), 4)
+    if isinstance(t, np.integer):  # passes, and reports what an int strength does
+        assert check_strength(design, t) == check_strength(design, int(t))
+        return
+    with pytest.raises(ValueError, match=f"strength t={t!r} must be an integer"):
+        check_strength(design, t)
+
+
 def test_design_repr_names_its_shape_and_levels():
     assert repr(Design(np.zeros((2, 2), int), s=2)) == "Design(n=2, d=2, s=2)"
 

@@ -1,19 +1,22 @@
+import time
+
 import numpy as np
 import pytest
 
+from noa.designs import level_dtype
 from noa.errors import FieldOverflowError, NotPrimeError
-from noa.gf import FieldSpec, field_new, field_of_order, prime_power
+from noa.gf import FieldSpec, field_of_order, prime_power
 
 PRIME_POWERS_64 = [s for s in range(2, 65) if prime_power(s) is not None]
 
 
 def test_gf2_irreducible_is_x():
     # x has root 0, which is not a unit; x + 1 has root 1, which generates GF(2)*
-    assert field_new(2, 1).irreducible == [1, 1]
+    assert field_of_order(2).irreducible == [1, 1]
 
 
 def test_field_repr_names_its_characteristic_and_degree():
-    assert repr(field_new(2, 3)) == "FieldSpec(p=2, m=3)"
+    assert repr(field_of_order(8)) == "FieldSpec(p=2, m=3)"
 
 
 def test_gf4_irreducible_unique():
@@ -24,40 +27,49 @@ def test_gf4_irreducible_unique():
 
     assert has_root(0, 0) and has_root(1, 0) and has_root(0, 1)
     assert not has_root(1, 1)
-    assert field_new(2, 2).irreducible == [1, 1, 1]
+    assert field_of_order(4).irreducible == [1, 1, 1]
 
 
 def test_not_prime():
     with pytest.raises(NotPrimeError):
-        FieldSpec(6, 1)
+        FieldSpec(6)
 
 
 def test_extension_degree_must_be_positive():
-    with pytest.raises(ValueError, match="extension degree m=0 must be >= 1"):
-        field_new(2, 0)
+    # degree 0 is order p^0 = 1, which is no prime power
+    with pytest.raises(NotPrimeError, match="1 is not a prime power"):
+        field_of_order(1)
 
 
 def test_overflow():
     with pytest.raises(FieldOverflowError):
-        FieldSpec(2, 17)
+        FieldSpec(2**17)
     # 2^13 would need two 512 MiB tables; it is refused before any is built
-    with pytest.raises(FieldOverflowError):
-        FieldSpec(2, 13)
+    with pytest.raises(FieldOverflowError, match="field order 8192 exceeds 4096"):
+        FieldSpec(2**13)
+
+
+def test_overflow_is_refused_before_factoring():
+    # trial division of the prime 2^61 - 1 would take minutes
+    start = time.perf_counter()
+    with pytest.raises(FieldOverflowError, match=f"field order {2**61 - 1} exceeds 4096"):
+        field_of_order(2**61 - 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_gf4_add_paper_values():
-    add = field_new(2, 2).add_table
+    add = field_of_order(4).add_table
     assert add[2, 3] == 1  # a + (a+1) = 1
     for x in range(4):
         assert add[x, 0] == x
 
 
 def test_gf3_add():
-    assert field_new(3, 1).add_table[2, 2] == 1
+    assert field_of_order(3).add_table[2, 2] == 1
 
 
 def test_gf4_mul_paper_values():
-    mul = field_new(2, 2).mul_table
+    mul = field_of_order(4).mul_table
     assert mul[2, 2] == 3  # a*a = a+1
     assert mul[2, 3] == 1  # a*(a+1) = 1
     for x in range(4):
@@ -124,19 +136,19 @@ def digitwise_sum(p, m):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_binary_add_table_is_digitwise(m):
-    assert np.array_equal(field_new(2, m).add_table, digitwise_sum(2, m))
+    assert np.array_equal(field_of_order(2**m).add_table, digitwise_sum(2, m))
 
 
 @pytest.mark.parametrize("s", [s for s in PRIME_POWERS_64 if s % 2] + [3**7, 7**4])
 def test_add_table_is_digitwise(s):
-    f = FieldSpec(*prime_power(s))  # not field_of_order: the cache would keep 3^7 and 7^4
+    f = FieldSpec(s)  # not field_of_order: the cache would keep 3^7 and 7^4
     assert np.array_equal(f.add_table, digitwise_sum(f.p, f.m))
 
 
 def test_gf256_modulus_is_primitive():
     # the smaller irreducible x^8+x^4+x^3+x+1 (the AES modulus) is passed
     # over: its root has order 51, not 255
-    f = field_new(2, 8)
+    f = field_of_order(256)
     assert f.irreducible == [1, 0, 1, 1, 1, 0, 0, 0, 1]
     x, order = 2, 1
     while x != 1:
@@ -187,17 +199,17 @@ def test_characteristic(s):
 
 def test_field_cache_is_bounded():
     # a GF(4096) context holds 256 MiB of tables, so the cache keeps only a few
-    maxsize = field_new.cache_parameters()["maxsize"]
+    maxsize = field_of_order.cache_parameters()["maxsize"]
     assert maxsize is not None and maxsize < len(PRIME_POWERS_64)
-    field_new.cache_clear()
+    field_of_order.cache_clear()
     for s in PRIME_POWERS_64:
         field_of_order(s)
-    assert field_new.cache_info().currsize == maxsize
+    assert field_of_order.cache_info().currsize == maxsize
 
 
 def test_deterministic_construction():
-    a = FieldSpec(2, 3)
-    b = FieldSpec(2, 3)
+    a = FieldSpec(8)
+    b = FieldSpec(8)
     assert a.irreducible == b.irreducible
     assert (a.mul_table == b.mul_table).all()
 
@@ -213,3 +225,18 @@ def test_prime_power():
 def test_field_of_order_rejects_non_prime_power():
     with pytest.raises(NotPrimeError):
         field_of_order(12)
+
+
+@pytest.mark.parametrize("s", [np.int64(8), np.int64(7), np.uint16(9)])
+def test_field_of_a_numpy_integer_order_holds_python_ints(s):
+    field_of_order.cache_clear()  # so FieldSpec, not a cached field, answers
+    field = field_of_order(s)
+    assert (type(field.p), type(field.m), type(field.s)) == (int, int, int)
+    assert level_dtype(field.s) == np.uint8
+
+
+@pytest.mark.parametrize("s", [8.0, 7.5, "8"])
+def test_field_order_must_be_an_integer(s):
+    field_of_order(8)  # refused even when GF(8) is cached
+    with pytest.raises(ValueError, match=f"field order s={s!r} must be an integer"):
+        field_of_order(s)

@@ -10,7 +10,7 @@
   private, so the public names are the only coupling between modules;
 - no import that the module never references (``__init__.py`` imports to
   re-export, so it is exempt);
-- no ``functools.lru_cache``/``functools.cache`` except on ``gf.field_new``:
+- no ``functools.lru_cache``/``functools.cache`` except on ``gf.field_of_order``:
   a process-lifetime cache of arrays holds their memory until exit;
 - no ``stream(...)`` call inside a ``for``/``while`` loop or a comprehension:
   a construction opens one generator and draws whole arrays from it, so a
@@ -116,7 +116,7 @@ def unused_imports(path, tree):
 
 
 def caches(path, tree):
-    """Every use of a functools cache other than the decorator of gf.field_new."""
+    """Every use of a functools cache other than the decorator of gf.field_of_order."""
     names = {
         alias.asname or alias.name
         for node in ast.walk(tree)
@@ -126,7 +126,8 @@ def caches(path, tree):
     }
     allowed = set()
     for node in ast.walk(tree):
-        if path.name == "gf.py" and isinstance(node, ast.FunctionDef) and node.name == "field_new":
+        if (path.name == "gf.py" and isinstance(node, ast.FunctionDef)
+                and node.name == "field_of_order"):
             for dec in node.decorator_list:
                 allowed.update(map(id, ast.walk(dec)))
     for node in ast.walk(tree):
@@ -138,7 +139,7 @@ def caches(path, tree):
             and isinstance(node.value, ast.Name)
             and node.value.id == "functools"
         ):
-            yield f"{path.name}:{node.lineno}: cache outside gf.field_new"
+            yield f"{path.name}:{node.lineno}: cache outside gf.field_of_order"
 
 
 def streams_in_loops(path, tree):
@@ -453,7 +454,7 @@ def test_rules_catch_violations(tmp_path):
         "prime_power call outside nested._prime_power_roots",
     ]
     gf = tmp_path / "gf.py"
-    gf.write_text("def is_prime(p):\n    return prime_power(p) == (p, 1)\n")
+    gf.write_text("class FieldSpec:\n    def __init__(self, s):\n        self.pm = prime_power(s)\n")
     assert list(problems(gf)) == []
     # a seed becomes a generator in rng.py alone
     rng = tmp_path / "rng.py"
@@ -539,14 +540,14 @@ def test_rules_catch_unused_imports_and_caches(tmp_path):
     assert [p.split(": ", 1)[1] for p in problems(bad)] == [
         "unused import np",
         "unused import Design",
-        "cache outside gf.field_new",
-        "cache outside gf.field_new",
+        "cache outside gf.field_of_order",
+        "cache outside gf.field_of_order",
     ]
     allowed = tmp_path / "gf.py"
     allowed.write_text(
         "from functools import lru_cache\n"
         "@lru_cache(maxsize=None)\n"
-        "def field_new(p, m):\n"
-        "    return p\n"
+        "def field_of_order(s):\n"
+        "    return s\n"
     )
     assert list(problems(allowed)) == []

@@ -21,7 +21,8 @@ from noa.errors import (
     NotPrimeError,
     UnbalancedColumnError,
 )
-from noa.gf import MAX_ORDER, field_of_order, is_prime, prime_power
+from noa.gf import MAX_ORDER, field_of_order, prime_power
+from noa.rng import check_seed
 from noa.nested import (
     Plan,
     _prime_power_roots,
@@ -55,7 +56,7 @@ def brute_force_plan(n, d):
             continue
         k3 = n // s3**3
         for p in range(2, k3 * s3 + 1):
-            if not is_prime(p):
+            if prime_power(p) != (p, 1):
                 continue
             for c in range(1, 20):
                 if (k3 * s3) % p ** (2 * c) == 0 and p**c + 1 >= d:
@@ -235,6 +236,35 @@ def test_construct_refuses_a_seed_outside_64_bits(seed):
     with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\^64\), got {seed}"):
         nested.construct(nested.plan("lhs", 6, 2), seed)
     nested.construct(nested.plan("lhs", 6, 2), (1 << 64) - 1)
+
+
+@pytest.mark.parametrize("seed", [np.uint64(5), np.int8(5), 5.0, 1.5, "5"])
+def test_a_seed_must_be_an_integer(seed):
+    # 1.5 is not truncated to seed 1, nor "5" parsed
+    chosen = nested.plan("lhs", 6, 2)
+    if isinstance(seed, np.integer):
+        assert check_seed(seed) == 5 and type(check_seed(seed)) is int
+        assert np.array_equal(nested.construct(chosen, seed).matrix, nested.construct(chosen, 5).matrix)
+        return
+    with pytest.raises(ValueError, match=f"seed={seed!r} must be an integer"):
+        check_seed(seed)
+    with pytest.raises(ValueError, match=f"seed={seed!r} must be an integer"):
+        nested.construct(chosen, seed)
+
+
+@pytest.mark.parametrize("kind", ["lhs", "tang", "noa3"])
+@pytest.mark.parametrize("n,d", [(np.int64(64), 3), (64, np.uint8(3)), (64.0, 3), (64, 3.0), ("64", 3)])
+def test_plan_takes_integer_sizes(kind, n, d):
+    if isinstance(n, (int, np.integer)) and isinstance(d, (int, np.integer)):
+        chosen = nested.plan(kind, n, d)
+        assert chosen == nested.plan(kind, 64, 3)
+        assert (type(chosen.n), type(chosen.d)) == (int, int)
+        design = nested.construct(chosen, 7)
+        assert np.array_equal(design.matrix, nested.construct(nested.plan(kind, 64, 3), 7).matrix)
+        return
+    bad = f"n={n!r}" if not isinstance(n, int) else f"d={d!r}"
+    with pytest.raises(ValueError, match=f"{bad} must be an integer"):
+        nested.plan(kind, n, d)
 
 
 def test_plan_rejects_unknown_kind():
