@@ -32,6 +32,7 @@ MAX_ORDER = 1 << 12
 
 def prime_power(s: int) -> tuple[int, int] | None:
     """Decompose s as p^m with p prime, or return None."""
+    s = check_int(s, "s")
     if s < 2:
         return None
     p = 2

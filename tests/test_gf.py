@@ -220,6 +220,9 @@ def test_prime_power():
     assert prime_power(7) == (7, 1)
     assert prime_power(6) is None
     assert prime_power(1) is None
+    assert prime_power(np.int64(7)) == (7, 1) and type(prime_power(np.int64(7))[0]) is int
+    with pytest.raises(ValueError, match="s=7.5 must be an integer"):
+        prime_power(7.5)  # not taken for a prime
 
 
 def test_field_of_order_rejects_non_prime_power():

@@ -22,13 +22,13 @@ from noa.errors import (
     UnbalancedColumnError,
 )
 from noa.gf import MAX_ORDER, field_of_order, prime_power
-from noa.rng import check_seed
 from noa.nested import (
     Plan,
     _prime_power_roots,
     construct_oa,
     expand_to_lhs,
 )
+from noa.rng import check_seed
 
 
 def noa_params(plan):
