@@ -23,8 +23,8 @@ _MODULE_NAMES = {
     ),
     "gf": ("FieldSpec", "field_of_order", "prime_power"),
     "nested": (
-        "Plan", "construct", "construct_lhs", "construct_noa", "construct_oa", "construct_tang",
-        "expand_to_lhs", "plan", "plan_noa",
+        "Plan", "construct", "construct_lhs", "construct_noa", "construct_tang", "expand_to_lhs",
+        "plan", "plan_noa",
     ),
     "sampling": ("PointSet", "load_points", "parse_points", "save_points", "to_points"),
 }

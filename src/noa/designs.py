@@ -59,8 +59,9 @@ MAX_ENTRIES = 1 << 27
 # the most row visits check_strength takes on: C(d, t) column tuples of n
 # rows each, every tuple charged _TUPLE_ROWS more for its fixed per-call
 # cost (about 8 us); a few ns a visit, so at most about half an hour.  The
-# largest ladder any constructor verifies stays below it: construct_oa(107,
-# 3, 108) takes C(108, 3) tuples of 107^3 rows, about 2^37.9 visits
+# largest ladder any constructor verifies stays below it: noa gen --kind
+# bush --s 107 --t 3 --d 108 takes C(108, 3) tuples of 107^3 rows, about
+# 2^37.9 visits
 MAX_CHECK_WORK = 1 << 38
 _TUPLE_ROWS = 1 << 12
 

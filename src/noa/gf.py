@@ -106,8 +106,11 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, m={self.m})"
 
 
-# a GF(4096) context holds 256 MiB of tables, so only the latest few are kept
-@lru_cache(maxsize=8)
+# a GF(4096) context holds 256 MiB of tables, so only the latest few are kept;
+# typed, so an order equal to an int (8.0, np.int64(8)) never reads its entry
+@lru_cache(maxsize=8, typed=True)
 def field_of_order(s: int) -> FieldSpec:
     """Return the GF(s) context; cached since construction is deterministic."""
+    if type(s) is not int:  # a numpy integer shares the int's field; a float is refused
+        return field_of_order(check_int(s, "field order s"))
     return FieldSpec(s)

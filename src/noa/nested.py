@@ -3,9 +3,8 @@
 Every design kind (``lhs``, ``oa2``, ``tang``, ``noa3``) is planned by
 ``plan(kind, n, d)`` and built by ``construct(plan, seed)``, which returns
 the ``Design`` once it has verified ``plan.ladder``, the Latin hypercube's
-included; ``construct_oa`` builds a single randomized orthogonal array of
-any strength.  All constructions are pure functions of their parameters
-and a single user seed.
+included.  All constructions are pure functions of their parameters and a
+single user seed.
 
 The strength-3 design is built by combining stacked copies of a strength-3
 Bush array at s3 levels (its leading-coefficient column not built, so rows
@@ -267,13 +266,18 @@ def _expand_levels(column, n: int, d: int, s: int, rng: np.random.Generator) -> 
 
 
 def _build(plan: Plan, rng: np.random.Generator) -> Design:
-    """The design of an lhs, tang or noa3 plan, drawn from rng and not yet verified."""
+    """The design of a plan, drawn from rng and not yet verified."""
     n, d = plan.n, plan.d
     if plan.kind == "lhs":
         mat = np.empty((n, d), dtype=level_dtype(n), order="F")
         for col in mat.T:  # drawn in intp, which numpy shuffles fastest, a column at a time
             col[:] = rng.permutation(n)
         return Design(mat, s=n)
+    if plan.kind == "oa2":  # Owen's: one relabelled copy of the Bush columns
+        s = plan.ladder[0][0]  # the one rung's levels: at d = 1 it is (s, 1), with no s2
+        labels = np.arange(s, dtype=level_dtype(s))
+        take = _oa(field_of_order(s), 2, d, 1, rng, labels)
+        return Design(_stack(take, n, d, labels.dtype), s=s)
     s2, wide = plan.s2, level_dtype(n)
     # each column is taken at n levels' dtype, so it expands in place
     if plan.kind == "tang":
@@ -302,8 +306,6 @@ def _build(plan: Plan, rng: np.random.Generator) -> Design:
 def construct(plan: Plan, seed: int) -> Design:
     """Build a plan's design, deterministically per seed, and verify plan.ladder on it."""
     check_size(plan.n, plan.d)
-    if plan.kind == "oa2":
-        return construct_oa(plan.ladder[0][0], 2, plan.d, seed)  # the rung holds s
     design = _build(plan, stream(seed, STAGE_DESIGN))
     verify_ladder(design, plan.ladder)
     return design
@@ -322,22 +324,6 @@ def construct_tang(n: int, d: int, seed: int) -> Design:
 def construct_lhs(n: int, d: int, seed: int) -> Design:
     """construct(plan("lhs", n, d), seed): each column a uniform permutation of 0..n-1."""
     return construct(plan("lhs", n, d), seed)
-
-
-def construct_oa(s: int, t: int, d: int, seed: int) -> Design:
-    """Randomized OA(s^t, d, s, t): Bush columns, each relabelled at random.
-
-    This is Owen's (1992) randomized orthogonal array; it is verified
-    against bush_ladder(s, t, d), where callers find its ladder.
-    """
-    ladder = bush_ladder(s, t, d)
-    s = ladder[0][0]  # as an int: a numpy integer s cannot index level_dtype's table
-    rng = stream(seed, STAGE_DESIGN)
-    labels = np.arange(s, dtype=level_dtype(s))
-    take = _oa(field_of_order(s), t, d, 1, rng, labels)
-    design = Design(_stack(take, s**t, d, labels.dtype), s=s)
-    verify_ladder(design, ladder)
-    return design
 
 
 def expand_to_lhs(design: Design, seed: int) -> Design:

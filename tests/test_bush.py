@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from noa import bush, gf
-from noa.bush import bush_construct
+from noa import bush, cli, gf
+from noa.bush import bush_construct, bush_ladder
 from noa.designs import Design, check_strength
 from noa.errors import FieldOverflowError, StrengthError
 from noa.gf import field_of_order
-from noa.nested import construct_oa
+from noa.nested import construct, plan
 
 PRIME_POWERS_9 = [2, 3, 4, 5, 7, 8, 9]
 
@@ -104,28 +104,31 @@ def test_bush_sizes_must_be_integers(s, t, d):
            if not isinstance(v, (int, np.integer))]
     if bad:  # a float is refused, not met by numpy's own TypeError
         with pytest.raises(ValueError, match=f"{bad[0]} must be an integer"):
-            construct_oa(s, t, d, 0)
+            bush_ladder(s, t, d)  # the check of every Bush array's sizes
         if isinstance(s, int):  # bush_construct takes s from its field
             with pytest.raises(ValueError, match=f"{bad[0]} must be an integer"):
                 bush_construct(field_of_order(4), t, d)
         return
-    design = construct_oa(s, t, d, 0)  # a numpy integer passes, and s is kept as an int
+    # a numpy integer passes, and the rung and an oa2 design keep s as an int
+    (rung,) = bush_ladder(s, t, d)
+    assert rung == (4, 2) and (type(rung[0]), type(rung[1])) == (int, int)
+    design = construct(plan("oa2", s * s, d), 0)
     assert type(design.s) is int
-    assert np.array_equal(design.matrix, construct_oa(4, 2, 3, 0).matrix)
+    assert np.array_equal(design.matrix, construct(plan("oa2", 16, 3), 0).matrix)
     assert np.array_equal(bush_construct(field_of_order(4), t, d).matrix,
                           bush_construct(field_of_order(4), 2, 3).matrix)
 
 
-def test_inputs_refused_before_the_field_is_built(monkeypatch):
+def test_inputs_refused_before_the_field_is_built(monkeypatch, capsys):
     # GF(4096)'s tables take 256 MiB: a Bush array refused anyway is refused
     # before any field is built, so no field is needed to refuse it
     monkeypatch.setattr(gf, "FieldSpec", None)
-    with pytest.raises(FieldOverflowError, match="4096\\^3 rows x 3 columns exceeds"):
-        construct_oa(4096, 3, 3, 0)
-    with pytest.raises(StrengthError):
-        construct_oa(4096, 4, 3, 0)
-    with pytest.raises(ValueError):
-        construct_oa(4096, 2, 4098, 0)
+    with pytest.raises(FieldOverflowError, match="4096\\^2 rows x 9 columns exceeds"):
+        plan("oa2", 4096**2, 9)
+    assert cli.main(["gen", "--kind", "bush", "--s", "4096", "--t", "4"]) == 2
+    assert capsys.readouterr().err == "error: strength t=4 outside supported range [1, 3]\n"
+    with pytest.raises(ValueError, match="s \\+ 1 = 4097 columns at s=4096 levels, got d=4098"):
+        plan("oa2", 4096**2, 4098)
 
 
 def horner_rows(field, t, d):

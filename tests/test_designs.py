@@ -389,7 +389,7 @@ def test_check_strength_refuses_too_many_tuples_before_building_any():
 
 def test_every_constructible_ladder_fits_the_check_bound():
     # the largest ladders the constructors verify: a Bush OA(107^3, 108, 107, 3)
-    # (construct_oa and noa gen --kind bush), and a tang design of 509^2 rows
+    # (noa gen --kind bush --s 107 --t 3 --d 108), and a tang design of 509^2 rows
     # and 510 columns at strength 2, both just inside MAX_ENTRIES
     assert 107**3 * 108 <= designs.MAX_ENTRIES < 109**3 * 110
     assert 509**2 * 510 <= designs.MAX_ENTRIES

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -236,10 +237,12 @@ def test_field_of_a_numpy_integer_order_holds_python_ints(s):
     field = field_of_order(s)
     assert (type(field.p), type(field.m), type(field.s)) == (int, int, int)
     assert level_dtype(field.s) == np.uint8
+    assert field_of_order(int(s)) is field  # the cache keeps one field for both orders
 
 
-@pytest.mark.parametrize("s", [8.0, 7.5, "8"])
+@pytest.mark.parametrize("s", [8.0, 7.5, "8", pytest.param(np.float64(8.0), id="float64-8.0")])
 def test_field_order_must_be_an_integer(s):
-    field_of_order(8)  # refused even when GF(8) is cached
-    with pytest.raises(ValueError, match=f"field order s={s!r} must be an integer"):
+    field_of_order(8)  # refused even when GF(8) is cached,
+    field_of_order(np.int64(8))  # also under a numpy order, which 8.0 equals
+    with pytest.raises(ValueError, match=re.escape(f"field order s={s!r} must be an integer")):
         field_of_order(s)

@@ -17,7 +17,7 @@ from noa import designs
 from noa.cli import main
 from noa.designs import Design, collapse, format_design
 from noa.errors import UnbalancedColumnError
-from noa.nested import construct, construct_oa, expand_to_lhs, plan
+from noa.nested import construct, expand_to_lhs, plan
 from noa.sampling import format_points, to_points
 
 
@@ -36,11 +36,10 @@ OUTPUTS = {
     "tang-1024-5": lambda: format_design(construct(plan("tang", 1024, 5), 8)),
     "lhs-16-3": lambda: format_design(construct(plan("lhs", 16, 3), 7)),
     "lhs-300-2": lambda: format_design(construct(plan("lhs", 300, 2), 8)),
-    "oa-8-2-9": lambda: format_design(construct_oa(8, 2, 9, 7)),
-    "oa-5-3-4": lambda: format_design(construct_oa(5, 3, 4, 8)),
+    "oa-8-2-9": lambda: format_design(construct(plan("oa2", 64, 9), 7)),
     # GF(9): an odd characteristic with m > 1, whose smallest irreducible is not primitive
     "oa-9-2-4": lambda: format_design(construct(plan("oa2", 81, 4), 7)),
-    "expand-oa-4-2-3": lambda: format_design(expand_to_lhs(construct_oa(4, 2, 3, 7), 9)),
+    "expand-oa-4-2-3": lambda: format_design(expand_to_lhs(construct(plan("oa2", 16, 3), 7), 9)),
     # 1000 fine levels per level: the ranks are shuffled in more than one block
     "expand-100000-100": lambda: format_design(
         expand_to_lhs(collapse(construct(plan("lhs", 100000, 1), 3), 100), 4)
@@ -91,7 +90,6 @@ DIGESTS = {
     "noa3-512-3": "db5ee04d7ab96750948f990b753c686b8d649db69a6e7308a564df3e75ac560a",
     "noa3-64-3": "dd6147135083662efeb6a6349fe5d58201035a014f4dcff21bd3588ace82b127",
     "noa3-131072-5": "ced656565ca6d23b89d6a174afcfcc4fb82b583793034ddf20369d5829d5d470",
-    "oa-5-3-4": "d89dac470f25d2140eaf48aad491616af342a255774c8aafff1d78a2218e5169",
     "oa-8-2-9": "93c2bb9c95212b09715b25e406282de7f5c075bf5a0356b01d2cfc907f33662d",
     "oa-9-2-4": "50bc7ce57b239afed5aacffe28e1936a4aa67ef101bc5a1bd4a22a902dae9db0",
     "points-lhs-300-2": "5da8ff2170953e2cf6fa0cba47415719eb3fec6c97ce0ca2067607af97aef252",

@@ -23,9 +23,9 @@
   command and each public name imports its modules when first used, so a
   CLI process loads only what its command runs;
 - no comparison with a design-kind name (``"lhs"``, ``"oa2"``, ``"tang"``,
-  ``"noa3"``) outside ``nested.py``: ``nested.plan`` and
-  ``nested.construct`` are the one dispatch on the kind, so it cannot grow
-  back in ``bench`` or ``cli``;
+  ``"noa3"``) outside ``nested.py``: ``nested.plan`` and ``nested._build``
+  are the one dispatch on the kind, so it cannot grow back in ``bench`` or
+  ``cli``;
 - no ``prime_power(...)`` call outside ``gf.py`` and
   ``nested._prime_power_roots``: that search, capped at ``gf.MAX_ORDER``,
   is the one rule for which field orders a plan may use, so it cannot be
@@ -42,7 +42,11 @@
   ``construct_tang``, ``construct_lhs``, ``NestedDesign``) outside its own
   definition in ``nested.py`` and ``__init__.py``'s name table: the shims
   exist for ``benchmarks/`` alone, so no module comes to rely on them and
-  their removal stays a pure deletion.
+  their removal stays a pure deletion;
+- no ``STAGE_DESIGN`` outside ``rng.py``, ``nested.construct`` and
+  ``nested.expand_to_lhs`` (and ``nested.py``'s import of it): those two are
+  the one place a design's generator is opened, so a second construction
+  door, with a stream of its own, cannot grow back.
 """
 
 import ast
@@ -65,6 +69,7 @@ KIND_NAMES = {"lhs", "oa2", "tang", "noa3"}
 EXECUTORS = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
 SEEDERS = {"default_rng", "SeedSequence"}
 SHIMS = {"plan_noa", "construct_noa", "construct_tang", "construct_lhs", "NestedDesign"}
+DESIGN_DOORS = {"construct", "expand_to_lhs"}
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -98,6 +103,7 @@ def problems(path):
     yield from parallelism(path, tree)
     yield from seeders(path, tree)
     yield from harness_shims(path, tree)
+    yield from design_streams(path, tree)
 
 
 def unused_imports(path, tree):
@@ -292,6 +298,38 @@ def harness_shims(path, tree):
         yield f"{path.name}:{lineno}: names harness shim {name}"
 
 
+def design_streams(path, tree):
+    """Every STAGE_DESIGN named outside rng.py, nested.py's imports and nested's two doors."""
+    if path.name == "rng.py":
+        return
+
+    def home(node):
+        if isinstance(node, ast.FunctionDef):
+            return node.name in DESIGN_DOORS
+        return isinstance(node, ast.ImportFrom)
+
+    allowed = {
+        id(node)
+        for outer in ast.walk(tree)
+        if path.name == "nested.py" and home(outer)
+        for node in ast.walk(outer)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name == "STAGE_DESIGN" and id(node) not in allowed:
+            found.append((node.lineno, node.col_offset))
+    for lineno, _ in sorted(found):
+        yield f"{path.name}:{lineno}: STAGE_DESIGN outside nested.construct and expand_to_lhs"
+
+
 def unused_exports(exports, paths):
     """The exported names that no module in paths reads, imports or looks up."""
     used = set()
@@ -341,16 +379,16 @@ def test_all_rule_catches_test_only_names(tmp_path):
 def test_rules_catch_violations(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(
-        "from .nested import _oa, construct_oa\n"
+        "from .nested import _oa, construct\n"
         "from noa.rng import _seed_sequence\n"
         "if __debug__:\n"
-        "    assert construct_oa\n"
+        "    assert construct\n"
         "try:\n"
-        "    construct_oa()\n"
+        "    construct()\n"
         "except:\n"
         "    pass\n"
         "try:\n"
-        "    construct_oa()\n"
+        "    construct()\n"
         "except (ValueError, Exception):\n"
         "    pass\n"
         "except BaseException:\n"
@@ -366,19 +404,21 @@ def test_rules_catch_violations(tmp_path):
         "import multiprocessing.pool\n"
         "from threading import Lock, Thread\n"
         "from concurrent.futures import ThreadPoolExecutor\n"
-        "helpers = [Thread(target=construct_oa), threading.Thread(target=Lock)]\n"
+        "helpers = [Thread(target=construct), threading.Thread(target=Lock)]\n"
         "pool = multiprocessing.Pool(2) or ThreadPoolExecutor(2)\n"
         "with futures.ProcessPoolExecutor() as ex:\n"
-        "    ex.map(construct_oa, [])\n"
+        "    ex.map(construct, [])\n"
         "class _Helper:\n"
         "    def run(self):\n"
         "        try:\n"
-        "            construct_oa()\n"
+        "            construct()\n"
         "        except BaseException as error:\n"
         "            self.error = error\n"
         "from numpy.random import SeedSequence as Seeds\n"
         "gen = np.random.default_rng(Seeds([0, 1]))\n"
         "design = noa.construct_noa(plan_noa(64, 3), 0).design\n"
+        "from .rng import STAGE_DESIGN as DESIGN\n"
+        "oa = _build(plan, stream(seed, DESIGN or noa.rng.STAGE_DESIGN))\n"
     )
     assert [p.split(": ", 1)[1] for p in problems(bad)] == [
         "imports private nested._oa",
@@ -408,6 +448,8 @@ def test_rules_catch_violations(tmp_path):
         "default_rng outside rng.py",
         "names harness shim construct_noa",
         "names harness shim plan_noa",
+        "STAGE_DESIGN outside nested.construct and expand_to_lhs",
+        "STAGE_DESIGN outside nested.construct and expand_to_lhs",
     ]
     # no function or class of designs.py may keep a BaseException, whatever
     # its name
@@ -521,6 +563,22 @@ def test_rules_catch_violations(tmp_path):
     assert [p.split(": ", 1)[1] for p in problems(init)] == [
         "names harness shim construct_tang",
     ]
+    # a design's generator is opened by construct and expand_to_lhs alone:
+    # a second door with a stream of its own is refused
+    nested.write_text(
+        "from .rng import STAGE_DESIGN, stream\n"
+        "def construct(plan, seed):\n"
+        "    return _build(plan, stream(seed, STAGE_DESIGN))\n"
+        "def expand_to_lhs(design, seed):\n"
+        "    return _expand(design, stream(seed, STAGE_DESIGN))\n"
+        "def construct_oa(s, t, d, seed):\n"
+        "    return _stack(_oa(s, t, d, stream(seed, STAGE_DESIGN)))\n"
+    )
+    assert [p.split(": ", 1)[1] for p in problems(nested)] == [
+        "STAGE_DESIGN outside nested.construct and expand_to_lhs",
+    ]
+    rng.write_text("STAGE_DESIGN = 1\n")
+    assert list(problems(rng)) == []
 
 
 def test_rules_catch_unused_imports_and_caches(tmp_path):

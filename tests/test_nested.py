@@ -18,14 +18,12 @@ from noa.errors import (
     FieldOverflowError,
     InternalInvariantError,
     NoNontrivialPlanError,
-    NotPrimeError,
     UnbalancedColumnError,
 )
 from noa.gf import MAX_ORDER, field_of_order, prime_power
 from noa.nested import (
     Plan,
     _prime_power_roots,
-    construct_oa,
     expand_to_lhs,
 )
 from noa.rng import check_seed
@@ -522,11 +520,11 @@ def test_constructors_store_the_level_dtype():
         (nested.construct(nested.plan("noa3", 64, 3), 0), np.uint8),
         (nested.construct(nested.plan("noa3", 512, 3), 0), np.uint16),
         (nested.construct(nested.plan("tang", 1024, 3), 0), np.uint16),
-        (construct_oa(8, 2, 5, 0), np.uint8),
+        (nested.construct(nested.plan("oa2", 64, 5), 0), np.uint8),
         (nested.construct(nested.plan("lhs", 300, 2), 0), np.uint16),
         (nested.construct(nested.plan("lhs", 65537, 1), 0), np.uint32),
         # widened from the uint8 input's 17 levels to 289
-        (expand_to_lhs(construct_oa(17, 2, 3, 0), 0), np.uint16),
+        (expand_to_lhs(nested.construct(nested.plan("oa2", 289, 3), 0), 0), np.uint16),
     ]
     for design, dtype in designs_built:
         assert design.matrix.dtype == dtype == level_dtype(design.s)
@@ -587,9 +585,13 @@ def test_a_construction_that_breaks_a_rung_is_refused(monkeypatch, capsys):
         pytest.param(
             lambda: nested.construct(nested.plan("tang", 64, 3), 5), ((64, 1), (8, 2)), id="64-3-8"
         ),
-        pytest.param(lambda: construct_oa(8, 2, 9, 5), ((8, 2),), id="oa-8-2-9"),
-        pytest.param(lambda: construct_oa(5, 3, 4, 5), ((5, 3),), id="oa-5-3-4"),
-        pytest.param(lambda: construct_oa(4, 3, 2, 5), ((4, 2),), id="oa-4-3-2"),
+        pytest.param(
+            lambda: nested.construct(nested.plan("oa2", 64, 9), 5), ((8, 2),), id="oa-8-2-9"
+        ),
+        # one column: the rung is (4, 1), and the plan has no strength-2 rung
+        pytest.param(
+            lambda: nested.construct(nested.plan("oa2", 16, 1), 5), ((4, 1),), id="oa-4-2-1"
+        ),
     ],
 )
 def test_tang_ladder(build, ladder):
@@ -604,7 +606,7 @@ def test_tang_no_plan():
 def test_tang_deterministic():
     builds = (
         lambda seed: nested.construct(nested.plan("tang", 16, 4), seed),
-        lambda seed: construct_oa(7, 2, 5, seed),
+        lambda seed: nested.construct(nested.plan("oa2", 49, 5), seed),
     )
     for build in builds:
         a, b, c = build(8), build(8), build(9)
@@ -649,17 +651,20 @@ def test_relabelling_independent_across_columns():
     # pair of its columns' relabels of 0: uniform over the 9 cells when the
     # columns are relabelled independently, only the diagonal when they share
     # a permutation; 200 seeds miss some cell with probability < 9 (8/9)^200 < 1e-9
-    cells = {tuple(construct_oa(3, 2, 2, seed).matrix[0]) for seed in range(200)}
+    oa = nested.plan("oa2", 9, 2)
+    cells = {tuple(nested.construct(oa, seed).matrix[0]) for seed in range(200)}
     assert cells == set(itertools.product(range(3), repeat=2))
 
 
 def test_oa_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        construct_oa(4, 2, 6, 0)  # d > s + 1
+        nested.plan("oa2", 16, 6)  # d > s + 1
     with pytest.raises(ValueError):
-        construct_oa(4, 2, 0, 0)
-    with pytest.raises(NotPrimeError):
-        construct_oa(6, 2, 3, 0)
+        nested.plan("oa2", 16, 0)
+    with pytest.raises(ValueError, match="n=16.0 must be an integer"):
+        nested.plan("oa2", 16.0, 3)
+    with pytest.raises(NoNontrivialPlanError):
+        nested.plan("oa2", 36, 3)  # 6 is not a prime power
 
 
 def test_size_refused_before_allocation(monkeypatch):
@@ -739,7 +744,7 @@ def test_ladder_check_runs_under_optimize():
         import sys
         import noa.designs
         from noa.errors import InternalInvariantError
-        from noa.nested import construct, construct_oa, plan
+        from noa.nested import construct, plan
 
         assert False, "assert statements must be stripped under -O"
         failed = noa.designs.StrengthReport(t=1, ok=False, lam=None, violation=None)
@@ -747,7 +752,7 @@ def test_ladder_check_runs_under_optimize():
         builds = {
             "noa": lambda: construct(plan("noa3", 64, 3), 0),
             "tang": lambda: construct(plan("tang", 16, 3), 0),
-            "oa": lambda: construct_oa(4, 2, 3, 0),
+            "oa": lambda: construct(plan("oa2", 16, 3), 0),
             "lhs": lambda: construct(plan("lhs", 16, 3), 0),
         }
         for name, build in builds.items():
