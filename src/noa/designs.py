@@ -403,7 +403,9 @@ def verify_ladder(design: Design, ladder) -> None:
 #
 # Both CSV formats are one header line, a magic string followed by
 # key=value tokens that include integer n and d, then n lines of d
-# comma-separated values.
+# comma-separated values.  A key is non-empty, holds no whitespace or '='
+# and appears once; a value holds no whitespace, so every header written
+# reads back as the same pairs.
 
 _TABLE_ENTRIES = 1 << 15  # entries per block of format_table: a writer holds one block's objects
 
@@ -412,15 +414,27 @@ def format_table(magic: str, header, matrix: np.ndarray, spec: str) -> Iterator[
     """The file text for (key, value) header pairs and a matrix, a piece at a time.
 
     The header line, then blocks of at most _TABLE_ENTRIES entries (at least
-    one row), each rendered by one template of the %-format spec.
+    one row), each rendered by one template of the %-format spec.  A header
+    that would not read back as the same pairs is a ValueError, raised here,
+    before a writer has taken any text, so a refused save leaves its file.
     """
-    yield " ".join([magic, *(f"{k}={v}" for k, v in header)]) + "\n"
+    pairs: dict[str, str] = {}
+    for key, val in header:
+        key, val = str(key), str(val)
+        if key.split() != [key] or "=" in key:
+            raise ValueError(f"header key {key!r} must be non-empty, without whitespace or '='")
+        if key in pairs:
+            raise ValueError(f"header key {key!r} repeats an earlier key")
+        if any(map(str.isspace, val)):
+            raise ValueError(f"header value {key}={val!r} must hold no whitespace")
+        pairs[key] = val
     n, d = matrix.shape
     step = max(1, _TABLE_ENTRIES // d)
     row = ",".join([spec] * d) + "\n"
-    for lo in range(0, n, step):
-        block = matrix[lo : lo + step]
-        yield (row * len(block)) % tuple(block.ravel().tolist())
+    blocks = (matrix[lo : lo + step] for lo in range(0, n, step))
+    body = ((row * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
+    head = " ".join([magic, *(f"{k}={v}" for k, v in pairs.items())]) + "\n"
+    return itertools.chain([head], body)
 
 
 def parse_table(text: str, magic: str, keys, dtype) -> tuple[np.ndarray, dict[str, str]]:
@@ -429,8 +443,9 @@ def parse_table(text: str, magic: str, keys, dtype) -> tuple[np.ndarray, dict[st
     The body is converted by one np.loadtxt call: an entry is an ASCII
     number with optional sign and surrounding blanks, as numpy's text
     reader takes it.  Raises FormatError on a missing magic line, a token
-    without '=', a missing or non-integer key, a row count other than n, a
-    row of other than d entries, and an entry that does not convert.
+    without '=', a repeated key, a missing or non-integer key, a row count
+    other than n, a row of other than d entries, and an entry that does not
+    convert.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(magic):
@@ -440,6 +455,8 @@ def parse_table(text: str, magic: str, keys, dtype) -> tuple[np.ndarray, dict[st
         if "=" not in token:
             raise FormatError(f"bad header token {token!r}")
         key, val = token.split("=", 1)
+        if key in meta:
+            raise FormatError(f"header key {key!r} repeats")
         meta[key] = val
     try:
         n, d, *_ = [int(meta[k]) for k in keys]
@@ -487,8 +504,9 @@ def format_design(design: Design, extra: dict[str, str] | None = None) -> str:
 
 
 def save_design(design: Design, path, extra: dict[str, str] | None = None) -> None:
+    text = _design_text(design, extra)  # a refused header raises before the file is opened
     with open(path, "w") as fh:
-        fh.writelines(_design_text(design, extra))
+        fh.writelines(text)
 
 
 def parse_design(text: str) -> tuple[Design, dict[str, str]]:

@@ -6,7 +6,7 @@ class DesignError(Exception):
 
 
 class NotPrimeError(DesignError):
-    """A field modulus was not prime."""
+    """A field order was not a prime power."""
 
 
 class FieldOverflowError(DesignError):
@@ -38,7 +38,7 @@ class FormatError(DesignError):
 
 
 class InternalInvariantError(DesignError):
-    """A constructed design failed its own strength checks (a bug)."""
+    """An internal invariant failed, such as a built design's strength checks (a bug)."""
 
 
 class ConstructionError(DesignError):

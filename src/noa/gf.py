@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .designs import check_int
-from .errors import FieldOverflowError, NotPrimeError
+from .errors import FieldOverflowError, InternalInvariantError, NotPrimeError
 
 # the add and mul tables are s-by-s int64, 8*s^2 bytes each: 128 MiB at
 # s = 4096 (at 65536 it would be 32 GiB)
@@ -91,7 +91,7 @@ class FieldSpec:
             if len(powers) == s - 1:
                 break
         else:
-            raise AssertionError(f"GF({s}) has no primitive polynomial")
+            raise InternalInvariantError(f"GF({s}) has no primitive polynomial")
         # log 0 points past the doubled antilog table into zeros, so a row
         # or column of 0 gives 0
         exp = np.array(powers, dtype=np.int64)
@@ -106,11 +106,10 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, m={self.m})"
 
 
-# a GF(4096) context holds 256 MiB of tables, so only the latest few are kept;
-# typed, so an order equal to an int (8.0, np.int64(8)) never reads its entry
-@lru_cache(maxsize=8, typed=True)
+# a GF(4096) context holds 256 MiB of tables, so only the latest few are kept
+_fields = lru_cache(maxsize=8)(FieldSpec)
+
+
 def field_of_order(s: int) -> FieldSpec:
-    """Return the GF(s) context; cached since construction is deterministic."""
-    if type(s) is not int:  # a numpy integer shares the int's field; a float is refused
-        return field_of_order(check_int(s, "field order s"))
-    return FieldSpec(s)
+    """Return the GF(s) context, cached by s as an int since construction is deterministic."""
+    return _fields(check_int(s, "field order s"))

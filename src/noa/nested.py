@@ -143,25 +143,26 @@ def plan_noa(n: int, d: int) -> Plan:
     return plan("noa3", n, d)
 
 
-def _oa(field, t: int, d: int, k: int, rng: np.random.Generator, labels: np.ndarray):
+def _oa(t: int, d: int, k: int, rng: np.random.Generator, labels: np.ndarray):
     """take(j, out): column j of k stacked copies of d Bush columns, each copy relabelled.
 
-    Only the kept columns are built: the evaluation columns 1..d, or all
-    s + 1 when d = s + 1 forces column 0, which the coarse strength-3 array
-    never allows.  One draw of d * k independent permutations of the s
-    labels (distinct, in the dtype out is written in), made here, relabels
-    copy r's column j by the (j, r) permutation, which keeps strength t.
+    The copies are over GF(s), s = labels.size, one label per element.  Only
+    the kept columns are built: the evaluation columns 1..d, or all s + 1
+    when d = s + 1 forces column 0, which the coarse strength-3 array never
+    allows.  One draw of d * k independent permutations of the s labels
+    (distinct, in the dtype out is written in), made here, relabels copy
+    r's column j by the (j, r) permutation, which keeps strength t.
     take(j, out) writes column j of the k * s^t rows into out, a contiguous
     array of labels' dtype: a caller that goes on to larger levels in place
     passes labels in their dtype.  take draws nothing, so its columns may be
     taken in any order, in any lane.
     """
-    base = bush_columns(field, t, int(d <= field.s), d)
+    base = bush_columns(field_of_order(labels.size), t, int(d <= labels.size), d)
     n0 = base.shape[0]
     # in labels' dtype, so the gather below writes it; shuffled in place (no
     # broadcast view to copy), and as the draw permutes positions alone, any
     # s labels give the stream of 0..s-1
-    perms = np.empty((d, k, field.s), dtype=labels.dtype)
+    perms = np.empty((d, k, labels.size), dtype=labels.dtype)
     perms[...] = labels
     rng.permuted(perms, axis=2, out=perms)
 
@@ -174,9 +175,10 @@ def _oa(field, t: int, d: int, k: int, rng: np.random.Generator, labels: np.ndar
     return take
 
 
-def _stack(take, rows: int, d: int, dtype) -> np.ndarray:
-    """The rows x d column-major matrix in dtype whose column j is take(j, out)'s."""
-    mat = np.empty((rows, d), dtype=dtype, order="F")
+def _stack(s: int, d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The k * s^2 x d column-major matrix, in level_dtype(s), of _oa's k copies over GF(s)."""
+    take = _oa(2, d, k, rng, np.arange(s, dtype=level_dtype(s)))
+    mat = np.empty((k * s * s, d), dtype=level_dtype(s), order="F")
     for j, col in enumerate(mat.T):
         take(j, col)
     return mat
@@ -275,22 +277,18 @@ def _build(plan: Plan, rng: np.random.Generator) -> Design:
         return Design(mat, s=n)
     if plan.kind == "oa2":  # Owen's: one relabelled copy of the Bush columns
         s = plan.ladder[0][0]  # the one rung's levels: at d = 1 it is (s, 1), with no s2
-        labels = np.arange(s, dtype=level_dtype(s))
-        take = _oa(field_of_order(s), 2, d, 1, rng, labels)
-        return Design(_stack(take, n, d, labels.dtype), s=s)
+        return Design(_stack(s, d, 1, rng), s=s)
     s2, wide = plan.s2, level_dtype(n)
     # each column is taken at n levels' dtype, so it expands in place
     if plan.kind == "tang":
-        column = _oa(field_of_order(s2), 2, d, n // (s2 * s2), rng, np.arange(s2, dtype=wide))
+        column = _oa(2, d, n // (s2 * s2), rng, np.arange(s2, dtype=wide))
     else:  # coarse strength-3 rows plus fine rows, at s2 levels
         s3 = plan.s3
         q = s2 // s3  # the fine field's order
         # k3 = n / s3^3 copies, d <= s3, relabelled onto the multiples of q below s2
-        coarse = _oa(field_of_order(s3), 3, d, n // s3**3, rng, np.arange(0, s2, q, dtype=wide))
+        coarse = _oa(3, d, n // s3**3, rng, np.arange(0, s2, q, dtype=wide))
         # b = n / s2^2 copies, all taken now: the row shuffle draws next
-        labels = np.arange(q, dtype=level_dtype(q))
-        take = _oa(field_of_order(q), 2, d, n // s2**2, rng, labels)
-        fine = _stack(take, n // s3**2, d, labels.dtype)
+        fine = _stack(q, d, n // s2**2, rng)
         fine = fine[rng.permutation(fine.shape[0])]
 
         def column(j, out):

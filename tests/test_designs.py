@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -20,8 +21,10 @@ from noa.designs import (
     collapse,
     format_design,
     level_dtype,
+    load_design,
     nested64_fixture,
     parse_design,
+    save_design,
 )
 from noa.errors import FieldOverflowError, FormatError, NotDivisorError, StrengthError
 from noa.bush import bush_construct
@@ -737,6 +740,57 @@ def test_csv_round_trip():
     assert (loaded.matrix == d.matrix).all()
     assert loaded.s == d.s
     assert meta["seed"] == "7"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"s": "4"}, "header key 's' repeats an earlier key"),
+        ({"n": "2"}, "header key 'n' repeats an earlier key"),
+        ({"k=v": "1"}, "header key 'k=v' must be non-empty, without whitespace or '='"),
+        ({"": "1"}, "header key '' must be non-empty"),
+        ({"a b": "1"}, "header key 'a b' must be non-empty"),
+        ({"note": "a b"}, "header value note='a b' must hold no whitespace"),
+        ({"note": "1\n0,0"}, "header value note='1\\n0,0' must hold no whitespace"),
+        ({"note": "x\x1cy"}, "must hold no whitespace"),  # a line break to str.splitlines
+    ],
+)
+def test_save_refuses_a_header_that_would_not_load_back(tmp_path, extra, message):
+    design = Design(np.array([[0, 1], [1, 0]]), s=2)
+    path = tmp_path / "design.csv"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_design(design, path, extra)
+    assert path.read_text() == "kept\n"  # refused before the file was opened
+    with pytest.raises(ValueError, match=re.escape(message)):
+        format_design(design, extra)
+
+
+def test_save_keeps_every_header_it_writes(tmp_path):
+    design = Design(np.array([[0, 1], [1, 0]]), s=2)
+    extra = {"seed": "18446744073709551615", "ladder": "(4,1);(2,2)", "note": "", "k": "a=b"}
+    path = tmp_path / "design.csv"
+    save_design(design, path, extra)
+    assert path.read_text().splitlines()[0] == (
+        "# noa-design v1 n=2 d=2 s=2 seed=18446744073709551615 ladder=(4,1);(2,2) note= k=a=b"
+    )
+    loaded, meta = load_design(path)
+    assert (loaded.matrix == design.matrix).all() and loaded.s == 2
+    assert meta == {"n": "2", "d": "2", "s": "2", **extra}
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_design, "# noa-design v1 n=2 d=2 s=2 s=4\n0,1\n1,0\n"),
+        (parse_design, "# noa-design v1 n=2 d=2 s=2 k=1 k=1\n0,1\n1,0\n"),
+        (parse_design, "# noa-design v1 n=2 n=2 d=2 s=2\n0,1\n1,0\n"),
+        (parse_points, "# noa-points v1 n=1 d=2 d=2\n0.5,0.5\n"),
+    ],
+)
+def test_load_refuses_a_repeated_header_key(parse, text):
+    with pytest.raises(FormatError, match="header key '[nsdk]' repeats"):
+        parse(text)
 
 
 def test_csv_rejects_out_of_range_entry():

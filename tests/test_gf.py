@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from noa.designs import level_dtype
-from noa.errors import FieldOverflowError, NotPrimeError
+from noa import gf
+from noa.errors import FieldOverflowError, InternalInvariantError, NotPrimeError
 from noa.gf import FieldSpec, field_of_order, prime_power
 
 PRIME_POWERS_64 = [s for s in range(2, 65) if prime_power(s) is not None]
@@ -200,12 +201,28 @@ def test_characteristic(s):
 
 def test_field_cache_is_bounded():
     # a GF(4096) context holds 256 MiB of tables, so the cache keeps only a few
-    maxsize = field_of_order.cache_parameters()["maxsize"]
+    maxsize = gf._fields.cache_parameters()["maxsize"]
     assert maxsize is not None and maxsize < len(PRIME_POWERS_64)
-    field_of_order.cache_clear()
+    gf._fields.cache_clear()
     for s in PRIME_POWERS_64:
         field_of_order(s)
-    assert field_of_order.cache_info().currsize == maxsize
+    assert gf._fields.cache_info().currsize == maxsize
+
+
+def test_field_cache_keeps_one_entry_per_field():
+    # the cache is keyed by the checked int, so an equal numpy order finds its entry
+    gf._fields.cache_clear()
+    field = field_of_order(8)
+    assert field_of_order(np.int64(8)) is field
+    info = gf._fields.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_modulus_search_failure_is_an_internal_invariant(monkeypatch):
+    # no field order reaches the search's end, so an empty search stands in for a bug
+    monkeypatch.setattr(gf, "range", lambda *args: (), raising=False)
+    with pytest.raises(InternalInvariantError, match=r"GF\(4\) has no primitive polynomial"):
+        FieldSpec(4)
 
 
 def test_deterministic_construction():
@@ -233,7 +250,7 @@ def test_field_of_order_rejects_non_prime_power():
 
 @pytest.mark.parametrize("s", [np.int64(8), np.int64(7), np.uint16(9)])
 def test_field_of_a_numpy_integer_order_holds_python_ints(s):
-    field_of_order.cache_clear()  # so FieldSpec, not a cached field, answers
+    gf._fields.cache_clear()  # so FieldSpec, not a cached field, answers
     field = field_of_order(s)
     assert (type(field.p), type(field.m), type(field.s)) == (int, int, int)
     assert level_dtype(field.s) == np.uint8

@@ -10,8 +10,9 @@
   private, so the public names are the only coupling between modules;
 - no import that the module never references (``__init__.py`` imports to
   re-export, so it is exempt);
-- no ``functools.lru_cache``/``functools.cache`` except on ``gf.field_of_order``:
-  a process-lifetime cache of arrays holds their memory until exit;
+- no ``functools.lru_cache``/``functools.cache`` except the one that makes
+  ``gf._fields``, the bounded field cache behind ``gf.field_of_order``: a
+  process-lifetime cache of arrays holds their memory until exit;
 - no ``stream(...)`` call inside a ``for``/``while`` loop or a comprehension:
   a construction opens one generator and draws whole arrays from it, so a
   stream per copy or column (and its seeding cost) stays out of the loops;
@@ -46,7 +47,10 @@
 - no ``STAGE_DESIGN`` outside ``rng.py``, ``nested.construct`` and
   ``nested.expand_to_lhs`` (and ``nested.py``'s import of it): those two are
   the one place a design's generator is opened, so a second construction
-  door, with a stream of its own, cannot grow back.
+  door, with a stream of its own, cannot grow back;
+- no import of ``scipy``: numpy is the package's one dependency, and scipy,
+  declared in the ``test`` extra alone, is an oracle for the tests
+  (``tests/test_scipy_oracle.py``) whose worth is that noa never runs it.
 """
 
 import ast
@@ -104,6 +108,7 @@ def problems(path):
     yield from seeders(path, tree)
     yield from harness_shims(path, tree)
     yield from design_streams(path, tree)
+    yield from scipy_imports(path, tree)
 
 
 def unused_imports(path, tree):
@@ -122,7 +127,7 @@ def unused_imports(path, tree):
 
 
 def caches(path, tree):
-    """Every use of a functools cache other than the decorator of gf.field_of_order."""
+    """Every use of a functools cache other than in the value assigned to gf._fields."""
     names = {
         alias.asname or alias.name
         for node in ast.walk(tree)
@@ -132,10 +137,9 @@ def caches(path, tree):
     }
     allowed = set()
     for node in ast.walk(tree):
-        if (path.name == "gf.py" and isinstance(node, ast.FunctionDef)
-                and node.name == "field_of_order"):
-            for dec in node.decorator_list:
-                allowed.update(map(id, ast.walk(dec)))
+        if (path.name == "gf.py" and isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == ["_fields"]):
+            allowed.update(map(id, ast.walk(node.value)))
     for node in ast.walk(tree):
         if id(node) in allowed:
             continue
@@ -145,7 +149,7 @@ def caches(path, tree):
             and isinstance(node.value, ast.Name)
             and node.value.id == "functools"
         ):
-            yield f"{path.name}:{node.lineno}: cache outside gf.field_of_order"
+            yield f"{path.name}:{node.lineno}: cache outside gf._fields"
 
 
 def streams_in_loops(path, tree):
@@ -330,6 +334,20 @@ def design_streams(path, tree):
         yield f"{path.name}:{lineno}: STAGE_DESIGN outside nested.construct and expand_to_lhs"
 
 
+def scipy_imports(path, tree):
+    """Every import of scipy or one of its submodules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        else:
+            continue
+        for module in modules:
+            if module.split(".")[0] == "scipy":
+                yield f"{path.name}:{node.lineno}: imports {module}"
+
+
 def unused_exports(exports, paths):
     """The exported names that no module in paths reads, imports or looks up."""
     used = set()
@@ -419,6 +437,9 @@ def test_rules_catch_violations(tmp_path):
         "design = noa.construct_noa(plan_noa(64, 3), 0).design\n"
         "from .rng import STAGE_DESIGN as DESIGN\n"
         "oa = _build(plan, stream(seed, DESIGN or noa.rng.STAGE_DESIGN))\n"
+        "import scipy.stats as st, numpy\n"
+        "from scipy.stats import qmc\n"
+        "points = qmc.LatinHypercube(3).random(8) + st.norm.ppf(0.5) + numpy.pi\n"
     )
     assert [p.split(": ", 1)[1] for p in problems(bad)] == [
         "imports private nested._oa",
@@ -450,6 +471,8 @@ def test_rules_catch_violations(tmp_path):
         "names harness shim plan_noa",
         "STAGE_DESIGN outside nested.construct and expand_to_lhs",
         "STAGE_DESIGN outside nested.construct and expand_to_lhs",
+        "imports scipy.stats",
+        "imports scipy.stats",
     ]
     # no function or class of designs.py may keep a BaseException, whatever
     # its name
@@ -598,14 +621,27 @@ def test_rules_catch_unused_imports_and_caches(tmp_path):
     assert [p.split(": ", 1)[1] for p in problems(bad)] == [
         "unused import np",
         "unused import Design",
-        "cache outside gf.field_of_order",
-        "cache outside gf.field_of_order",
+        "cache outside gf._fields",
+        "cache outside gf._fields",
     ]
     allowed = tmp_path / "gf.py"
     allowed.write_text(
         "from functools import lru_cache\n"
-        "@lru_cache(maxsize=None)\n"
+        "_fields = lru_cache(maxsize=8)(FieldSpec)\n"
         "def field_of_order(s):\n"
-        "    return s\n"
+        "    return _fields(s)\n"
     )
     assert list(problems(allowed)) == []
+    # the one home is that assignment in gf.py: not a decorator there, and
+    # not an assignment to the same name in another module
+    allowed.write_text(
+        "from functools import lru_cache\n"
+        "_fields = lru_cache(maxsize=8)(FieldSpec)\n"
+        "@lru_cache(maxsize=None)\n"
+        "def field_of_order(s):\n"
+        "    return _fields(s)\n"
+    )
+    assert [p.split(": ", 1)[1] for p in problems(allowed)] == ["cache outside gf._fields"]
+    elsewhere = tmp_path / "bush.py"
+    elsewhere.write_text("from functools import lru_cache\n_fields = lru_cache(maxsize=8)(int)\n")
+    assert [p.split(": ", 1)[1] for p in problems(elsewhere)] == ["cache outside gf._fields"]

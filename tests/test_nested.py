@@ -614,23 +614,33 @@ def test_tang_deterministic():
         assert (a.matrix != c.matrix).any()
 
 
+def taken(take, rows, d, dtype):
+    """The rows x d column-major matrix in dtype whose column j is take(j, out)'s."""
+    mat = np.empty((rows, d), dtype=dtype, order="F")
+    for j, col in enumerate(mat.T):
+        take(j, col)
+    return mat
+
+
 def test_oa_relabelling_matches_loop():
     # reference loop over copies r and columns j, fed the same (d, k, s) draw
     field, d, k = field_of_order(4), 3, 2
     labels = np.arange(4, dtype=np.uint16)
-    take = nested._oa(field, 2, d, k, np.random.default_rng(5), labels)
-    got = nested._stack(take, k * 16, d, labels.dtype)
+    got = taken(nested._oa(2, d, k, np.random.default_rng(5), labels), k * 16, d, labels.dtype)
     perms = np.random.default_rng(5).permuted(np.broadcast_to(np.arange(4), (d, k, 4)), axis=2)
     base = bush_construct(field, 2, d + 1).matrix[:, 1:]
     want = np.vstack(
         [np.column_stack([perms[j, r][base[:, j]] for j in range(d)]) for r in range(k)]
     )
-    assert got.flags.f_contiguous
     assert got.dtype == np.uint16  # written in the labels' dtype, not the field's
     assert (got == want).all()
     # the draw permutes positions, so other labels take the same permutations
-    take = nested._oa(field, 2, d, k, np.random.default_rng(5), np.arange(0, 8, 2))
-    assert (nested._stack(take, k * 16, d, np.int64) == 2 * want).all()
+    take = nested._oa(2, d, k, np.random.default_rng(5), np.arange(0, 8, 2))
+    assert (taken(take, k * 16, d, np.int64) == 2 * want).all()
+    # _stack takes the same copies over GF(4), column-major in level_dtype(4)
+    stacked = nested._stack(4, d, k, np.random.default_rng(5))
+    assert stacked.flags.f_contiguous and stacked.dtype == np.uint8
+    assert (stacked == want).all()
 
 
 def test_relabelling_independent_across_copies():
