@@ -418,22 +418,22 @@ def format_table(magic: str, header, matrix: np.ndarray, spec: str) -> Iterator[
     that would not read back as the same pairs is a ValueError, raised here,
     before a writer has taken any text, so a refused save leaves its file.
     """
-    pairs: dict[str, str] = {}
-    for key, val in header:
-        key, val = str(key), str(val)
-        if key.split() != [key] or "=" in key:
+    pairs = [(str(key), str(val)) for key, val in header]
+    seen: set[str] = set()
+    for key, val in pairs:
+        if not key or "=" in key or any(map(str.isspace, key)):
             raise ValueError(f"header key {key!r} must be non-empty, without whitespace or '='")
-        if key in pairs:
+        if key in seen:
             raise ValueError(f"header key {key!r} repeats an earlier key")
         if any(map(str.isspace, val)):
             raise ValueError(f"header value {key}={val!r} must hold no whitespace")
-        pairs[key] = val
+        seen.add(key)
     n, d = matrix.shape
     step = max(1, _TABLE_ENTRIES // d)
     row = ",".join([spec] * d) + "\n"
     blocks = (matrix[lo : lo + step] for lo in range(0, n, step))
     body = ((row * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
-    head = " ".join([magic, *(f"{k}={v}" for k, v in pairs.items())]) + "\n"
+    head = " ".join([magic, *(f"{k}={v}" for k, v in pairs)]) + "\n"
     return itertools.chain([head], body)
 
 

@@ -122,7 +122,7 @@ def test_bush_sizes_must_be_integers(s, t, d):
 def test_inputs_refused_before_the_field_is_built(monkeypatch, capsys):
     # GF(4096)'s tables take 256 MiB: a Bush array refused anyway is refused
     # before any field is built, so no field is needed to refuse it
-    monkeypatch.setattr(gf, "FieldSpec", None)
+    monkeypatch.setattr(gf, "_fields", None)
     with pytest.raises(FieldOverflowError, match="4096\\^2 rows x 9 columns exceeds"):
         plan("oa2", 4096**2, 9)
     assert cli.main(["gen", "--kind", "bush", "--s", "4096", "--t", "4"]) == 2

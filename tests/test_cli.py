@@ -169,7 +169,7 @@ def test_gen_bush_too_large(tmp_path, capsys):
 
 def test_gen_bush_refused_before_the_field(capsys, monkeypatch):
     # GF(4096) would take 256 MiB of tables; the size is refused without them
-    monkeypatch.setattr(gf, "FieldSpec", None)
+    monkeypatch.setattr(gf, "_fields", None)
     code, stdout, err = run(capsys, "gen", "--kind", "bush", "--s", "4096", "--t", "2")
     assert (code, stdout) == (2, "")
     assert err == "error: Bush array of 4096^2 rows x 4097 columns exceeds 134217728 entries\n"
