@@ -401,13 +401,28 @@ def verify_ladder(design: Design, ladder) -> None:
 
 # --- table files --------------------------------------------------------------
 #
-# Both CSV formats are one header line, a magic string followed by
-# key=value tokens that include integer n and d, then n lines of d
-# comma-separated values.  A key is non-empty, holds no whitespace or '='
-# and appears once; a value holds no whitespace, so every header written
-# reads back as the same pairs.
+# Both CSV formats are one header line, the magic's tokens then key=value
+# tokens that include integer n and d, then n lines of d comma-separated
+# values.  A key is non-empty, holds no whitespace or '=' and appears once;
+# a value holds no whitespace.  _header checks that grammar for the writer and
+# the reader alike, so a header reads back exactly when it could be written.
 
 _TABLE_ENTRIES = 1 << 15  # entries per block of format_table: a writer holds one block's objects
+
+
+def _header(pairs, error) -> list[tuple[str, str]]:
+    """The header pairs as strings, in order; error (the writer's or reader's) names a bad one."""
+    pairs = [(str(key), str(val)) for key, val in pairs]
+    seen: set[str] = set()
+    for key, val in pairs:
+        if not key or "=" in key or any(map(str.isspace, key)):
+            raise error(f"header key {key!r} must be non-empty, without whitespace or '='")
+        if key in seen:
+            raise error(f"header key {key!r} repeats an earlier key")
+        if any(map(str.isspace, val)):
+            raise error(f"header value {key}={val!r} must hold no whitespace")
+        seen.add(key)
+    return pairs
 
 
 def format_table(magic: str, header, matrix: np.ndarray, spec: str) -> Iterator[str]:
@@ -418,16 +433,7 @@ def format_table(magic: str, header, matrix: np.ndarray, spec: str) -> Iterator[
     that would not read back as the same pairs is a ValueError, raised here,
     before a writer has taken any text, so a refused save leaves its file.
     """
-    pairs = [(str(key), str(val)) for key, val in header]
-    seen: set[str] = set()
-    for key, val in pairs:
-        if not key or "=" in key or any(map(str.isspace, key)):
-            raise ValueError(f"header key {key!r} must be non-empty, without whitespace or '='")
-        if key in seen:
-            raise ValueError(f"header key {key!r} repeats an earlier key")
-        if any(map(str.isspace, val)):
-            raise ValueError(f"header value {key}={val!r} must hold no whitespace")
-        seen.add(key)
+    pairs = _header(header, ValueError)
     n, d = matrix.shape
     step = max(1, _TABLE_ENTRIES // d)
     row = ",".join([spec] * d) + "\n"
@@ -437,46 +443,43 @@ def format_table(magic: str, header, matrix: np.ndarray, spec: str) -> Iterator[
     return itertools.chain([head], body)
 
 
-def parse_table(text: str, magic: str, keys, dtype) -> tuple[np.ndarray, dict[str, str]]:
-    """The n x d body as one array of dtype, and the header, whose keys (n, d first) are integers.
+def _read(rows, dtype) -> np.ndarray:
+    """Lines of comma-separated numbers as one 2-d array of dtype, by numpy's text reader."""
+    return np.loadtxt(rows, delimiter=",", dtype=dtype, comments=None, ndmin=2)
 
-    The body is converted by one np.loadtxt call: an entry is an ASCII
-    number with optional sign and surrounding blanks, as numpy's text
-    reader takes it.  Raises FormatError on a missing magic line, a token
-    without '=', a repeated key, a missing or non-integer key, a row count
-    other than n, a row of other than d entries, and an entry that does not
-    convert.
+
+def parse_table(text: str, magic: str, keys, dtype) -> tuple[np.ndarray, dict[str, str], list[int]]:
+    """The n x d body as one array of dtype, the header, and the integer keys' values (n, d first).
+
+    The integer keys (a line each) and the body are converted by one reader,
+    _read: ASCII numbers with optional sign, integers within int64.  Raises
+    FormatError on a first line not opening with the magic's tokens, a token
+    without '=', a header _header refuses, a missing or non-integer key, a row
+    count other than n, a row of other than d entries, or an unread entry.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(magic):
+    head, *body = [ln for ln in text.splitlines() if ln.strip()] or [""]
+    tokens, start = head.split(), len(magic.split())
+    if tokens[:start] != magic.split():
         raise FormatError(f"missing '{magic}' header")
-    meta: dict[str, str] = {}
-    for token in lines[0][len(magic):].split():
-        if "=" not in token:
-            raise FormatError(f"bad header token {token!r}")
-        key, val = token.split("=", 1)
-        if key in meta:
-            raise FormatError(f"header key {key!r} repeats")
-        meta[key] = val
-    try:
-        n, d, *_ = [int(meta[k]) for k in keys]
+    if bad := [token for token in tokens[start:] if "=" not in token]:
+        raise FormatError(f"bad header token {bad[0]!r}")
+    meta = dict(_header((token.split("=", 1) for token in tokens[start:]), FormatError))
+    try:  # a value holding a comma reads as more than one integer, an empty one as none
+        n, d, *_ = sizes = _read([meta[k] for k in keys], np.int64).reshape(len(keys)).tolist()
     except (KeyError, ValueError) as exc:
         raise FormatError(f"header must carry integer {', '.join(keys)}: {exc}") from exc
     if d < 1:
         raise FormatError(f"header d={d} must be >= 1")
-    body = lines[1:]
     if len(body) != n:
         raise FormatError(f"expected {n} rows, found {len(body)}")
-    if not body:
-        return np.empty((0, d), dtype=dtype), meta
     try:
-        values = np.loadtxt(body, delimiter=",", dtype=dtype, comments=None, ndmin=2)
+        values = _read(body, dtype) if body else np.empty((0, d), dtype)
     except ValueError as exc:  # numpy's message quotes the token
         _check_row_lengths(body, d)
         raise FormatError(f"bad entry: {exc}") from exc
     if values.shape[1] != d:  # every row has the same, wrong, length
         _check_row_lengths(body, d)
-    return values, meta
+    return values, meta, sizes
 
 
 def _check_row_lengths(rows, d: int) -> None:
@@ -510,9 +513,9 @@ def save_design(design: Design, path, extra: dict[str, str] | None = None) -> No
 
 
 def parse_design(text: str) -> tuple[Design, dict[str, str]]:
-    matrix, meta = parse_table(text, _MAGIC, ("n", "d", "s"), np.int64)
+    matrix, meta, (_n, _d, s) = parse_table(text, _MAGIC, ("n", "d", "s"), np.int64)
     try:
-        return Design(matrix, s=int(meta["s"])), meta
+        return Design(matrix, s=s), meta
     except ValueError as exc:  # no rows, s < 1, or an entry outside [0, s)
         raise FormatError(str(exc)) from exc
 
@@ -545,7 +548,5 @@ _FIXTURE_COLUMNS = """
 
 def nested64_fixture() -> Design:
     """The checked-in 64-run, 5-factor, 8-level nested design."""
-    rows = []
-    for block in _FIXTURE_COLUMNS.split():
-        rows.append([int(ch) for ch in block])
+    rows = [[int(ch) for ch in block] for block in _FIXTURE_COLUMNS.split()]
     return Design(np.array(rows, dtype=np.int64), s=8)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .designs import Design, format_table, parse_table, pipeline, read_text, real_array
 from .errors import FormatError
-from .rng import STAGE_JITTER, stream
+from .rng import STAGE_JITTER, check_seed, stream
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +58,7 @@ def to_points(design: Design, mode: str = "uniform", seed: int = 0) -> PointSet:
     """
     if mode not in ("uniform", "midpoint"):
         raise ValueError(f"mode must be 'uniform' or 'midpoint', got {mode!r}")
+    check_seed(seed)  # in both modes, though a midpoint draws nothing
     n, s = design.n, design.s
     if s > 1 << 53:  # _place computes in float64, which holds every level exactly only up to 2^53
         raise ValueError(f"s={s} levels exceed 2^53, past which float64 points merge strata")
@@ -126,7 +127,7 @@ def save_points(ps: PointSet, path) -> None:
 
 
 def parse_points(text: str) -> PointSet:
-    points, _meta = parse_table(text, _MAGIC, ("n", "d"), np.float64)
+    points = parse_table(text, _MAGIC, ("n", "d"), np.float64)[0]
     try:
         return PointSet(points)
     except ValueError as exc:

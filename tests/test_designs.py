@@ -11,6 +11,8 @@ from concurrent import futures
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noa import designs
 from noa.designs import (
@@ -791,6 +793,75 @@ def test_save_keeps_every_header_it_writes(tmp_path):
 def test_load_refuses_a_repeated_header_key(parse, text):
     with pytest.raises(FormatError, match="header key '[nsdk]' repeats"):
         parse(text)
+
+
+# headers the writer cannot write: an empty key, a header integer that only
+# Python's int() reads (10, 2), and a magic line that is a prefix of a token
+UNWRITABLE_HEADERS = [
+    ("# noa-design v1 n=2 d=2 s=2 =5\n0,1\n1,0\n", "header key '' must be non-empty"),
+    ("# noa-design v1 n=2 d=2 s=1_0\n0,1\n1,0\n", "'1_0'"),
+    ("# noa-design v1 n=2 d=\uff12 s=2\n0,1\n1,0\n", "'\uff12'"),
+    ("# noa-design v1x=5 n=2 d=2 s=2\n0,1\n1,0\n", "missing '# noa-design v1' header"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", UNWRITABLE_HEADERS, ids=["empty-key", "underscore", "fullwidth", "magic-prefix"]
+)
+def test_load_refuses_a_header_the_writer_cannot_write(tmp_path, capsys, text, message):
+    with pytest.raises(FormatError, match=re.escape(message)) as exc:
+        parse_design(text)
+    # noa verify on such a file: a parse error (exit 1) with one line, not a strength verdict
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    code = main(["verify", "--in", str(path), "--t", "1"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (1, "", f"error: {exc.value}\n")
+
+
+def test_load_reads_header_integers_by_the_entry_grammar():
+    # a sign, as an entry may carry, still loads; past int64, or a comma, does not
+    design, meta = parse_design("# noa-design v1 n=+2 d=2 s=2\n0,1\n1,0\n")
+    assert (design.n, meta["n"]) == (2, "+2")
+    for header in ("n=2 d=2 s=99999999999999999999", "n=2,2 d=2 s=2", "n= d=2 s=2"):
+        with pytest.raises(FormatError, match="header must carry integer n, d, s"):
+            parse_design(f"# noa-design v1 {header}\n0,1\n1,0\n")
+
+
+# keys and values drawn from the characters a header gets wrong: empty,
+# whitespace (a line break too), '=', the keys n, d and s, non-ASCII digits
+HEADER_PIECES = ["n", "d", "s", "k", "=", " ", "\t", "\n", "\x1c", "\uff12", "1", "_"]
+HEADER_TEXT = st.lists(st.sampled_from(HEADER_PIECES), max_size=3).map("".join)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(extra=st.dictionaries(HEADER_TEXT, HEADER_TEXT, max_size=3))
+def test_a_header_is_written_only_when_it_reads_back(extra):
+    design = Design(np.array([[0, 1], [1, 0]]), s=2)
+    try:
+        text = format_design(design, extra)
+    except ValueError:
+        return
+    assert parse_design(text)[1] == {"n": "2", "d": "2", "s": "2", **extra}
+
+
+NO_SPACE_TEXT = st.text().map(lambda text: "".join(c for c in text if not c.isspace()))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(key=st.one_of(st.sampled_from(["", "n", "d", "s"]), NO_SPACE_TEXT), value=NO_SPACE_TEXT)
+def test_load_refuses_a_token_exactly_when_save_refuses_its_pair(key, value):
+    # the reader splits a token at its first '=', so the key holds none
+    key = key.replace("=", "")
+    design = Design(np.array([[0, 1], [1, 0]]), s=2)
+    text = f"# noa-design v1 n=2 d=2 s=2 {key}={value}\n0,1\n1,0\n"
+    try:
+        format_design(design, {key: value})
+    except ValueError:
+        with pytest.raises(FormatError):
+            parse_design(text)
+        return
+    assert parse_design(text)[1][key] == value
 
 
 def test_csv_rejects_out_of_range_entry():

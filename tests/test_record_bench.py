@@ -109,6 +109,31 @@ def test_compare_takes_one_pair_as_its_own_quartiles():
     ]
 
 
+def test_compare_compares_only_the_metrics_both_sides_recorded():
+    # the second side drops op_tail_ms and adds op_cpu_p50_ms; one first run lacks other
+    entries = {name: {"better": "lower"} for name in ("op_p50_ms", "op_tail_ms", "op_cpu_p50_ms")}
+    first = [synthetic_run(op_p50_ms=300.0, op_tail_ms=400.0, other=1.0),
+             synthetic_run(op_p50_ms=310.0, op_tail_ms=410.0)]
+    second = [synthetic_run(op_p50_ms=290.0, op_cpu_p50_ms=250.0, other=1.0),
+              synthetic_run(op_p50_ms=320.0, op_cpu_p50_ms=260.0, other=1.0)]
+    lines = [
+        "op_p50_ms (lower is better): median 305 -> 305; first's quartiles 297.5, 312.5; "
+        "second better in 1 of 2 pairs; claim not met",
+        "op_tail_ms: recorded by 2 of 2 first runs and 0 of 2 second runs; not compared",
+        "other: recorded by 1 of 2 first runs and 2 of 2 second runs; not compared",
+        "op_cpu_p50_ms: recorded by 0 of 2 first runs and 2 of 2 second runs; not compared",
+    ]
+    assert record_bench.compare(first, second, entries) == lines
+    # the other way round: the metric the change no longer records is named, not a KeyError
+    assert record_bench.compare(second, first, entries) == [
+        "op_p50_ms (lower is better): median 305 -> 305; first's quartiles 282.5, 327.5; "
+        "second better in 1 of 2 pairs; claim not met",
+        "op_cpu_p50_ms: recorded by 2 of 2 first runs and 0 of 2 second runs; not compared",
+        "other: recorded by 2 of 2 first runs and 1 of 2 second runs; not compared",
+        "op_tail_ms: recorded by 0 of 2 first runs and 2 of 2 second runs; not compared",
+    ]
+
+
 def verdict(xs, ys, better="lower", **bound):
     """compare's verdicts for one metric over the pairs (xs[i], ys[i])."""
     first, second = ([synthetic_run(m=v) for v in vs] for vs in (xs, ys))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -233,6 +234,24 @@ def test_to_points_recovers_levels_up_to_2_pow_53():
     for mode in ("uniform", "midpoint"):
         points = to_points(Design(levels, s=s), mode, seed=3).points
         assert (np.floor(points * s).astype(np.uint64) == levels).all()
+
+
+@pytest.mark.parametrize("mode", ["uniform", "midpoint"])
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (1.5, "seed=1.5 must be an integer"),
+        ("x", "seed='x' must be an integer"),
+        (None, "seed=None must be an integer"),
+        (-1, "seed must be in [0, 2^64), got -1"),
+        (1 << 70, f"seed must be in [0, 2^64), got {1 << 70}"),
+    ],
+)
+def test_to_points_refuses_a_bad_seed_in_either_mode(mode, seed, message):
+    # a midpoint draws nothing, yet its seed is checked as uniform mode's is
+    design = Design(np.array([[0, 1], [1, 0]]), s=2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        to_points(design, mode, seed)
 
 
 @pytest.mark.parametrize("s", [(1 << 53) + 1, (1 << 53) + 2])

@@ -12,11 +12,13 @@ child's ``# calibration kernel`` line: the factor that scaled its times,
 and the kernel and unscaled op times it came from.  Runs are added to a
 file that already exists.  Nothing under ``benchmarks/`` is edited.
 
-Given two checkouts, it then prints one line per metric that the first
-checkout's ``BENCHMARK.json`` (read, never written) gives a ``better``
-direction: each side's median over these runs, the first side's quartiles,
-in how many pairs the second side was better, and the verdict of the gain
-rule and, where the metric has one, of its bound (see ``compare``).
+Given two checkouts, it then prints one line per metric that every run of
+both sides recorded and the first checkout's ``BENCHMARK.json`` (read,
+never written) gives a ``better`` direction: each side's median over these
+runs, the first side's quartiles, in how many pairs the second side was
+better, and the verdict of the gain rule and, where the metric has one, of
+its bound (see ``compare``).  A metric that some run did not record gets a
+line saying how many runs of each side did, and is not compared.
 
     python3 tools/record_bench.py --workload design-n262144 --seeds 1,2,3 \\
         --seconds 40 --out-dir . PARENT_CHECKOUT CHANGE_CHECKOUT
@@ -35,6 +37,7 @@ import re
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 META = "# meta "
@@ -120,9 +123,13 @@ def metrics(benchmark: dict) -> dict[str, dict]:
 def compare(first: list[dict], second: list[dict], entries: dict[str, dict]) -> list[str]:
     """One line per metric with a better direction, over runs paired in order.
 
-    Each line gives both sides' medians, the first side's quartiles
-    (statistics.quantiles' default, exclusive method; a single run is its
-    own quartiles) and how many pairs the second side won: a pair is won
+    Only a metric that every run of both sides recorded is compared; one
+    that some run lacks (a metric added or dropped by the second side) gets
+    a line counting the runs of each side that recorded it, direction or not.
+
+    A compared metric's line gives both sides' medians, the first side's
+    quartiles (statistics.quantiles' default, exclusive method; a single run
+    is its own quartiles) and how many pairs the second side won: a pair is won
     when its value is lower, or higher, as the metric's direction says, so
     a tie wins nothing.  Then the verdicts: "claim met" when there are at
     least 10 pairs, the second side won at least 9 in 10 of them and its
@@ -132,13 +139,18 @@ def compare(first: list[dict], second: list[dict], entries: dict[str, dict]) -> 
     first by more than that fraction of the first, else "within bound".
     """
     lines = []
-    for name in first[0]["result"]["metrics"]:
+    sides = (first, second)
+    held = [Counter(name for run in side for name in run["result"]["metrics"]) for side in sides]
+    for name in dict.fromkeys(name for side in held for name in side):
+        if [count[name] for count in held] != [len(side) for side in sides]:
+            lines.append(f"{name}: recorded by {held[0][name]} of {len(first)} first runs and "
+                         f"{held[1][name]} of {len(second)} second runs; not compared")
+            continue
         if name not in entries:
             continue
         entry = entries[name]
         lower = entry["better"] == "lower"
-        xs, ys = ([run["result"]["metrics"][name]["value"] for run in side]
-                  for side in (first, second))
+        xs, ys = ([run["result"]["metrics"][name]["value"] for run in side] for side in sides)
         q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
         won = sum(y < x if lower else y > x for x, y in zip(xs, ys))
         mx, my = statistics.median(xs), statistics.median(ys)
