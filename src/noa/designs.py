@@ -403,9 +403,8 @@ def verify_ladder(design: Design, ladder) -> None:
 #
 # Both CSV formats are one header line, the magic's tokens then key=value
 # tokens that include integer n and d, then n lines of d comma-separated
-# values.  A key is non-empty, holds no whitespace or '=' and appears once;
-# a value holds no whitespace.  _header checks that grammar for the writer and
-# the reader alike, so a header reads back exactly when it could be written.
+# values.  The writer and the reader check the pairs by one grammar, _header,
+# so a header reads back exactly when it could have been written.
 
 _TABLE_ENTRIES = 1 << 15  # entries per block of format_table: a writer holds one block's objects
 
@@ -548,5 +547,7 @@ _FIXTURE_COLUMNS = """
 
 def nested64_fixture() -> Design:
     """The checked-in 64-run, 5-factor, 8-level nested design."""
-    rows = [[int(ch) for ch in block] for block in _FIXTURE_COLUMNS.split()]
+    rows = []
+    for block in _FIXTURE_COLUMNS.split():
+        rows.append([int(ch) for ch in block])
     return Design(np.array(rows, dtype=np.int64), s=8)
