@@ -106,13 +106,10 @@ KINDS = ("iid", "lhs", "oa2", "tang", "noa3")
 _KIND_ID = {k: i for i, k in enumerate(KINDS)}
 
 
-def kind_points(kind: str, n: int, d: int, seed: int, plan: nested.Plan | None) -> PointSet:
-    """One randomized point set of the given kind, a pure function of seed.
-
-    plan is nested.plan(kind, n, d), or None for iid, which has none.
-    """
-    if kind == "iid":
-        return PointSet(stream(seed, STAGE_IID).random((n, d)))
+def kind_points(plan: nested.Plan, seed: int) -> PointSet:
+    """One randomized point set of plan's kind, n and d, a pure function of seed."""
+    if plan.kind == "iid":
+        return PointSet(stream(seed, STAGE_IID).random((plan.n, plan.d)))
     return to_points(nested.construct(plan, seed), "uniform", seed)
 
 
@@ -128,9 +125,9 @@ def check_inputs(ns, d: int, kinds, reps: int, integrand: str, seed: int) -> tup
     per kind, is refused with FieldOverflowError; a kind with no plan for an
     n, with a ConstructionError that names it.
 
-    Returns (plans, f): plans[kind][n] is nested.plan(kind, n, d) (None for
-    iid), with each kind once, in the order first named, and f is the
-    integrand.
+    Returns (plans, f): plans[kind][n] is nested.plan(kind, n, d) (for iid,
+    Plan("iid", n, d, ()), which has no rungs), with each kind once, in the
+    order first named, and f is the integrand.
     """
     ns = [check_int(n, "n") for n in ns]
     d, reps = check_int(d, "d"), check_int(reps, "reps")
@@ -157,7 +154,9 @@ def check_inputs(ns, d: int, kinds, reps: int, integrand: str, seed: int) -> tup
     for kind, by_n in plans.items():
         for n in ns:
             try:
-                by_n[n] = None if kind == "iid" else nested.plan(kind, n, d)
+                by_n[n] = (  # iid's points are drawn, not built: its plan has no rungs
+                    nested.Plan(kind, n, d, ()) if kind == "iid" else nested.plan(kind, n, d)
+                )
             except (DesignError, ValueError) as exc:
                 raise ConstructionError(f"kind {kind!r} failed for n={n}, d={d}: {exc}") from exc
     return plans, f
@@ -171,12 +170,12 @@ class KindStats:
     estimates: np.ndarray = field(repr=False)
 
 
-def _kind_stats(kind: str, n: int, d: int, plan, f: Integrand, reps: int, seed: int) -> KindStats:
-    """Estimate f with `reps` fresh designs of one kind, each built from plan."""
+def _kind_stats(plan: nested.Plan, f: Integrand, reps: int, seed: int) -> KindStats:
+    """Estimate f with `reps` fresh point sets, each drawn from plan."""
     ests = np.empty(reps)
     for r in range(reps):
-        rep_seed = derive_seed(seed, STAGE_BENCH, _KIND_ID[kind], r)
-        ests[r] = estimate(kind_points(kind, n, d, rep_seed, plan), f)
+        rep_seed = derive_seed(seed, STAGE_BENCH, _KIND_ID[plan.kind], r)
+        ests[r] = estimate(kind_points(plan, rep_seed), f)
     mean = float(ests.mean())
     var = float(ests.var(ddof=1)) if reps > 1 else 0.0
     bias = mean - f.true_integral
@@ -235,7 +234,7 @@ def run_bench(
     # as ints, so the report holds no numpy integer that json cannot take
     n, d, reps = check_int(n, "n"), check_int(d, "d"), check_int(reps, "reps")
     plans, f = check_inputs((n,), d, kinds, reps, integrand, seed)
-    results = {kind: _kind_stats(kind, n, d, plans[kind][n], f, reps, seed) for kind in plans}
+    results = {kind: _kind_stats(by_n[n], f, reps, seed) for kind, by_n in plans.items()}
     return BenchReport(
         n=n,
         d=d,
@@ -267,7 +266,7 @@ def fit_rate(ns, d: int, kinds, integrand: str, reps: int, seed: int) -> dict[st
         raise ValueError(f"need at least 3 distinct run counts, got {ns}")
     fits = {}
     for kind, by_n in plans.items():  # by_n has each run count once, in the order first named
-        variances = tuple(_kind_stats(kind, n, d, by_n[n], f, reps, seed).var for n in by_n)
+        variances = tuple(_kind_stats(p, f, reps, seed).var for p in by_n.values())
         degenerate = any(v <= 0.0 for v in variances)
         slope = None if degenerate else float(np.polyfit(np.log([*by_n]), np.log(variances), 1)[0])
         fits[kind] = RateFit(tuple(by_n), variances, slope, degenerate)

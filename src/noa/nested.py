@@ -278,6 +278,8 @@ def _build(plan: Plan, rng: np.random.Generator) -> Design:
     if plan.kind == "oa2":  # Owen's: one relabelled copy of the Bush columns
         s = plan.ladder[0][0]  # the one rung's levels: at d = 1 it is (s, 1), with no s2
         return Design(_stack(s, d, 1, rng), s=s)
+    if plan.kind not in ("tang", "noa3"):  # read before plan.s2, which iid's plan has not
+        raise ValueError(f"construct builds lhs, oa2, tang and noa3, not {plan.kind!r}")
     s2, wide = plan.s2, level_dtype(n)
     # each column is taken at n levels' dtype, so it expands in place
     if plan.kind == "tang":

@@ -117,9 +117,9 @@ def test_estimate_refuses_an_empty_point_set():
 
 @pytest.mark.parametrize("kind", ["iid", "lhs", "oa2", "tang", "noa3"])
 def test_kind_points_shape_and_determinism(kind):
-    plan = None if kind == "iid" else nested.plan(kind, 64, 3)
-    a = kind_points(kind, 64, 3, 11, plan)
-    b = kind_points(kind, 64, 3, 11, plan)
+    plan = nested.Plan("iid", 64, 3, ()) if kind == "iid" else nested.plan(kind, 64, 3)
+    a = kind_points(plan, 11)
+    b = kind_points(plan, 11)
     assert a.points.shape == (64, 3)
     assert (a.points == b.points).all()
 
@@ -271,7 +271,7 @@ def test_check_inputs_plans_each_kind_once_in_the_order_first_named(monkeypatch)
     calls = counting(monkeypatch, nested, "plan")
     plans, f = check_inputs((16, 64), 3, ["tang", "iid", "lhs", "tang"], 5, "BILIN", 0)
     assert list(plans) == ["tang", "iid", "lhs"]
-    assert plans["iid"] == {16: None, 64: None}
+    assert plans["iid"] == {16: nested.Plan("iid", 16, 3, ()), 64: nested.Plan("iid", 64, 3, ())}
     assert calls == [("tang", 16, 3), ("tang", 64, 3), ("lhs", 16, 3), ("lhs", 64, 3)]
     assert plans["lhs"][64] == nested.plan("lhs", 64, 3)
     assert (f.name, f.d) == ("BILIN", 3)
@@ -320,7 +320,7 @@ def test_fit_rate_variances_are_run_bench_variances(monkeypatch):
     calls = counting(monkeypatch, bench, "kind_points")
     fits = fit_rate([16, 64, 256, 64], 3, ["lhs", "iid"], "ADD-EXP", 10, 2)
     assert list(fits) == ["lhs", "iid"]
-    assert [args[:2] for args in calls] == [
+    assert [(plan.kind, plan.n) for plan, _ in calls] == [
         (kind, n) for kind in ("lhs", "iid") for n in (16, 64, 256) for _ in range(10)
     ]
     for kind, fit in fits.items():

@@ -271,6 +271,17 @@ def test_plan_rejects_unknown_kind():
             nested.plan(kind, 64, 3)
 
 
+@pytest.mark.parametrize(
+    "chosen",
+    [Plan("bogus", 64, 3, ((64, 1), (8, 2), (4, 3))), Plan("iid", 64, 3, ())],
+    ids=["bogus-with-noa3-ladder", "iid-with-no-rungs"],
+)
+def test_construct_refuses_a_kind_it_does_not_build(chosen):
+    # a noa3 ladder does not make a noa3 design, nor is iid's plan read for an s2
+    with pytest.raises(ValueError, match=f"builds lhs, oa2, tang and noa3, not {chosen.kind!r}"):
+        nested.construct(chosen, 0)
+
+
 def test_noa_columns_are_permutations():
     design = nested.construct(nested.plan("noa3", 64, 3), 9)
     for j in range(3):

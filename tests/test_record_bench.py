@@ -166,6 +166,29 @@ def test_compare_calls_a_metric_worse_only_past_its_bound_of_the_first_median():
     assert verdict([300.0], [361.0], bound=0.2).endswith("; worse than bound 0.2")
 
 
+UNRESOLVED = "; unresolved: first's spread wider than bound 0.2"
+
+
+def test_compare_calls_a_bound_unresolved_when_the_first_spread_is_wider():
+    # quartiles 92.5 and 117.5 around a median of 100: a spread of 25%
+    xs = [90.0, 95.0, 100.0, 115.0, 120.0]
+    assert verdict(xs, xs, bound=0.25).endswith("; within bound 0.25")
+    assert verdict(xs, xs, bound=0.2).endswith(UNRESOLVED)
+    # a change no worse by its median is unresolved, and so is one far worse
+    assert verdict(xs, [x - 1 for x in xs], bound=0.2).endswith(UNRESOLVED)
+    assert verdict(xs, [x * 2 for x in xs], bound=0.2).endswith(UNRESOLVED)
+
+
+def test_compare_resolves_a_wide_spread_when_every_second_run_beats_every_first():
+    xs = [90.0, 95.0, 100.0, 115.0, 120.0]
+    assert verdict(xs, [x - 31 for x in xs], bound=0.2).endswith("; within bound 0.2")
+    # one second run ties the best first run, so not every one is better
+    assert verdict(xs, [x - 30 for x in xs], bound=0.2).endswith(UNRESOLVED)
+    # higher is better: every second run above every first run
+    assert verdict(xs, [x + 31 for x in xs], "higher", bound=0.2).endswith("; within bound 0.2")
+    assert verdict(xs, [x + 30 for x in xs], "higher", bound=0.2).endswith(UNRESOLVED)
+
+
 def test_file_stems_number_the_checkouts_of_one_revision():
     assert record_bench.file_stems(["abc", "def"]) == ["abc", "def"]
     assert record_bench.file_stems(["abc", "abc"]) == ["abc-1", "abc-2"]

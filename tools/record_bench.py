@@ -135,8 +135,10 @@ def compare(first: list[dict], second: list[dict], entries: dict[str, dict]) -> 
     least 10 pairs, the second side won at least 9 in 10 of them and its
     median is better than the first's by more than the first's
     interquartile range, else "claim not met"; and for a metric with a
-    bound, "worse than bound" when the second median is worse than the
-    first by more than that fraction of the first, else "within bound".
+    bound, "unresolved" when the first side's interquartile range is wider
+    than that fraction of its median, unless every second run is better than
+    every first run; else "worse than bound" when the second median is worse
+    than the first by more than that fraction of the first, else "within bound".
     """
     lines = []
     sides = (first, second)
@@ -160,8 +162,13 @@ def compare(first: list[dict], second: list[dict], entries: dict[str, dict]) -> 
                 f"first's quartiles {q1:.6g}, {q3:.6g}; second better in {won} of {len(xs)} "
                 f"pairs; claim {'met' if met else 'not met'}")
         if "bound" in entry:
-            worse = -gain > entry["bound"] * abs(mx)
-            line += f"; {'worse than' if worse else 'within'} bound {entry['bound']:g}"
+            bound = entry["bound"]
+            beats_all = max(ys) < min(xs) if lower else min(ys) > max(xs)
+            if q3 - q1 > bound * abs(mx) and not beats_all:
+                verdict = "unresolved: first's spread wider than"
+            else:
+                verdict = "worse than" if -gain > bound * abs(mx) else "within"
+            line += f"; {verdict} bound {bound:g}"
         lines.append(line)
     return lines
 
