@@ -43,7 +43,12 @@ class Integrand:
 
 
 def make_integrand(name: str, d: int) -> Integrand:
-    """Built-in test integrands on [0,1)^d with analytic integrals."""
+    """Built-in test integrands on [0,1)^d with analytic integrals; d is an integer >= 1."""
+    if name not in INTEGRANDS:
+        raise ValueError(f"unknown integrand {name!r}, expected one of {', '.join(INTEGRANDS)}")
+    d = check_int(d, "d")
+    if d < 1:
+        raise ValueError(f"{name} needs d >= 1")
     if name == "ADD-LIN":
         return Integrand(name, d, lambda x: (x - 0.5).sum(axis=1), 0.0)
     if name == "ADD-EXP":
@@ -58,13 +63,9 @@ def make_integrand(name: str, d: int) -> Integrand:
         return Integrand(
             name, d, lambda x: (x[:, 0] - 0.5) * (x[:, 1] - 0.5) * (x[:, 2] - 0.5), 0.0
         )
-    if name == "PROD-EXP":
-        if d > 709:  # past it, e^d, which bounds the integrand and its integral, overflows a float
-            raise ValueError("PROD-EXP needs d <= 709")
-        if d < 1:  # its product starts from the first column
-            raise ValueError("PROD-EXP needs d >= 1")
-        return Integrand(name, d, _prod_exp, (E - 1.0) ** d)
-    raise ValueError(f"unknown integrand {name!r}, expected one of {', '.join(INTEGRANDS)}")
+    if d > 709:  # past it, e^d, which bounds PROD-EXP and its integral, overflows a float
+        raise ValueError("PROD-EXP needs d <= 709")
+    return Integrand(name, d, _prod_exp, (E - 1.0) ** d)
 
 
 def _prod_exp(x: np.ndarray) -> np.ndarray:

@@ -18,21 +18,18 @@ Working memory is, per half (below), one flag byte per cell (an int64
 count above index 1) and at most 12 bytes per block row.  A check of more
 than MAX_CHECK_WORK row visits is refused before any of it is built.
 
-pipeline is the package's one two-lane runner: a one-worker executor's
-thread produces items in order while the calling thread consumes them, one
-item apart.  Only work of more than one 2^16-row block in a process that
-may run on more than one CPU gets that helper lane and imports
-concurrent.futures; other work is a plain loop with no thread.  Three
-stages run on it, each with byte-identical output either way: this strength
-check (the helper checks the upper half of the t-subsets, the caller the
-lower half), the level expansion in nested._expand_levels (the helper draws
-the next column's fine levels while the caller sorts a column's keys and
-scatters its levels) and sampling.to_points (the helper draws the next row
-block's offsets while the caller casts a block's levels and places its
-points).  The helper lane allocates no array: every buffer it writes is the
-caller's.  The strength report names the lower half's first failing subset,
-else the upper's, so it is the lexicographically first violation either
-way; once the lower half has failed, the helper takes no further subset.
+pipeline is the package's one two-lane runner, and its docstring states
+its contract.  Three stages run on it, each with byte-identical output with
+one lane or two: this strength check (the helper checks the upper half of
+the t-subsets, the caller the lower half, and takes the upper's answer only
+once the lower half has passed), the level expansion in
+nested._expand_levels (the helper draws column j's fine levels while the
+caller builds, sorts and balance-checks column j) and sampling.to_points
+(the helper draws a row block's offsets while the caller casts its levels).
+The helper lane allocates no array: every buffer it writes is the
+caller's.  The strength report names the lower half's first failing
+subset, else the upper's, so it is the lexicographically first violation
+either way.
 """
 
 from __future__ import annotations
@@ -212,8 +209,8 @@ def check_strength(design: Design, t: int) -> StrengthReport:
     lam = n // cells
     columns = design.matrix.T  # C-contiguous: row j is column j
     # two contiguous halves of the tuples when the runner gives the upper one
-    # a lane of its own, taken lazily from two generators
-    mid = count // 2 if count > 1 and _lanes(n) == 2 else count
+    # a lane of its own, taken lazily from two generators (one tuple is all upper)
+    mid = count // 2 if _lanes(n) == 2 else count
     halves = [itertools.islice(itertools.combinations(range(design.d), t), mid)]
     if mid < count:
         halves.append(itertools.islice(itertools.combinations(range(design.d), t), mid, None))
@@ -225,19 +222,12 @@ def check_strength(design: Design, t: int) -> StrengthReport:
     # column and reads no radix (and s = s^t need not fit that dtype)
     radix = narrow.type(s) if t > 1 else None
     work = [(_blocks(columns, narrow), radix, lam, np.empty(cells, state), half) for half in halves]
-    found = []
 
-    def produce(i, stop):  # item 0 only lets the calling thread start the lower half
-        return _first_failure(*work[1], stop) if i else None
+    def upper(i, stop):  # None when the lower half is every tuple
+        return _first_failure(*work[1], stop) if mid < count else None
 
-    def consume(i, failed):
-        if i == 0:
-            failed = _first_failure(*work[0])
-        found.append(failed)
-        return failed is not None  # the lower half's failure comes first: stop the upper
-
-    pipeline(n, len(work), produce, consume)
-    failed = found[-1]
+    # the lower half's failure comes first, and leaves the upper untaken: stopped
+    (failed,) = pipeline(n, 1, upper, lambda i, take: _first_failure(*work[0]) or take())
     if failed is None:
         return StrengthReport(t=t, ok=True, lam=lam, violation=None)
     counts = _count(work[0][0], failed, radix, np.zeros(cells, dtype=np.int64))
@@ -330,44 +320,42 @@ def _lanes(rows: int) -> int:
     return 2 if rows > _BLOCK and _cpus() > 1 else 1
 
 
-def pipeline(rows: int, count: int, produce, consume) -> None:
-    """consume(i, produce(i, stop)) for i = 0, 1, ..., count - 1, in that order.
+def pipeline(rows: int, count: int, produce, consume) -> list:
+    """[consume(i, take) for i in range(count)], where take() returns produce(i, stop).
 
-    consume always runs in the calling thread.  With two lanes (count > 1
-    and _lanes(rows) == 2) a one-worker executor calls produce(0),
-    produce(1), ..., each submitted once the calling thread has taken the
-    item before, so produce(i + 1) runs beside consume(i) and never beside
-    an earlier consume: an item may reuse a buffer of the item two before.
+    consume runs in the calling thread and calls take() once, where it
+    first needs item i; only the last consume, or one that raises, may
+    leave its item untaken, which is then stopped and dropped.  stop, a
+    list, is non-empty once the run is ending, so a long produce may poll
+    it and return early.  With two lanes (_lanes(rows) == 2) a one-worker
+    executor calls produce(0), produce(1), ... in order: produce(0) beside
+    consume(0), and produce(i + 1) once item i is taken, never beside
+    consume(i - 1), so an item may reuse a buffer of the item two before.
     numpy releases the GIL inside array kernels, so the lanes overlap.  With
-    one lane this is the plain loop, with no thread.
-
-    A true return from consume ends the run: no further item is produced or
-    consumed.  stop, a list, is non-empty once the run is ending, so a long
-    produce may poll it and return early.  Whatever either lane raises is
-    raised here with its traceback, at the item where the one-lane loop
-    would raise it, and the worker thread has ended when this returns.
+    one lane take() calls produce itself, and no thread starts.  Whatever
+    either lane raises is raised here with its traceback, where the one-lane
+    run would raise it, and the worker has ended when this returns.
     """
     stop: list = []
-    if count < 2 or _lanes(rows) == 1:
-        for i in range(count):
-            if consume(i, produce(i, stop)):
-                break
-        return
+    if _lanes(rows) == 1:
+        return [consume(i, lambda i=i: produce(i, stop)) for i in range(count)]
     # imported here: a one-lane process never loads concurrent.futures (nor logging)
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1, thread_name_prefix="noa-pipeline") as lane:
+        future, taken = lane.submit(produce, 0, stop), 0
+
+        def take():
+            nonlocal future, taken
+            item = future.result()
+            taken += 1
+            if taken < count:
+                future = lane.submit(produce, taken, stop)
+            return item
+
         try:
-            future = lane.submit(produce, 0, stop)
-            for i in range(count):
-                item = future.result()
-                if i + 1 < count:
-                    future = lane.submit(produce, i + 1, stop)
-                if consume(i, item):
-                    break
-        finally:
-            # before the with block joins the worker; the item made beside the last
-            # consume is dropped, result or error: the one-lane loop never made it
+            return [consume(i, take) for i in range(count)]
+        finally:  # before the with block joins the worker
             stop.append(True)
 
 

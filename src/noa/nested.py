@@ -18,9 +18,8 @@ add the Latin hypercube rung.  The expansion takes a per-column builder,
 not a finished matrix: every random draw of the relabelling is made first,
 and column j is then built at s2 levels in the calling lane just before its
 rows are ordered by level with one in-place sort of distinct keys,
-level << shift | row, while the helper lane draws column j + 1's fine
-levels; the rows of each level take a random arrangement of its n/s2 fine
-levels.
+level << shift | row, while the helper lane draws column j's fine levels;
+the rows of each level take a random arrangement of its n/s2 fine levels.
 
 The noa3 planner enumerates every pair of field orders (s3, q) that this
 construction can build for (n, d) and takes the one with the largest s3,
@@ -200,16 +199,16 @@ def _expand_levels(column, n: int, d: int, s: int, rng: np.random.Generator) -> 
     The columns run on designs.pipeline: the producer draws a column's
     fine levels, in order, into one of two column buffers allocated here,
     and the consumer builds the column with column(j, out), orders its rows
-    by level and scatters the drawn levels, so the builder runs only in the
-    calling lane.  It orders them by sorting, in place, one key per row,
-    level << shift | row: the keys are distinct, so any sort lists the rows
-    of each level in row order, as a stable sort by level would.  The rows
-    of level lev then sit at positions lev*m .. (lev+1)*m - 1, and as the
-    sorted levels never decrease, the column is balanced exactly when the
-    first and last key of every such block hold its level.  Only the
-    producer reads rng, so the draws, and the result, are the same with one
-    lane or two; with two, column j + 1 is drawn while column j is built
-    and sorted.
+    by level, then takes and scatters the drawn levels, so the builder runs
+    only in the calling lane.  It orders them by sorting, in place, one key
+    per row, level << shift | row: the keys are distinct, so any sort lists
+    the rows of each level in row order, as a stable sort by level would.
+    The rows of level lev then sit at positions lev*m .. (lev+1)*m - 1, and
+    as the sorted levels never decrease, the column is balanced exactly
+    when the first and last key of every such block hold its level.  Only
+    the producer reads rng, so the draws, and the result, are the same with
+    one lane or two; with two, column j is drawn while it is built and
+    sorted, and column j + 1 while it is scattered.
     """
     if n % s != 0:
         raise UnbalancedColumnError(f"n={n} not divisible by s={s}")
@@ -247,7 +246,7 @@ def _expand_levels(column, n: int, d: int, s: int, rng: np.random.Generator) -> 
             fine[lo : lo + block.size] = block.ravel()
         return fine
 
-    def consume(j, fine):  # one column at a time: an all-column sort costs peak memory
+    def consume(j, take):  # one column at a time: an all-column sort costs peak memory
         col = mat[:, j]
         column(j, col)
         np.left_shift(col, shift, out=keys)
@@ -259,6 +258,7 @@ def _expand_levels(column, n: int, d: int, s: int, rng: np.random.Generator) -> 
             raise UnbalancedColumnError(
                 f"column {j}: level {lev} occurs {int(counts[lev])} times, expected {m}"
             )
+        fine = take()  # only the scatter needs the drawn levels
         for lo in range(0, n, index.size):
             part = np.bitwise_and(keys[lo : lo + index.size], mask, out=index[: n - lo])
             col[part] = fine[lo : lo + index.size]
@@ -277,6 +277,8 @@ def _build(plan: Plan, rng: np.random.Generator) -> Design:
         return Design(mat, s=n)
     if plan.kind == "oa2":  # Owen's: one relabelled copy of the Bush columns
         s = plan.ladder[0][0]  # the one rung's levels: at d = 1 it is (s, 1), with no s2
+        if s * s != n:
+            raise ValueError(f"an oa2 design at {s} levels has {s * s} rows, not n={n}")
         return Design(_stack(s, d, 1, rng), s=s)
     if plan.kind not in ("tang", "noa3"):  # read before plan.s2, which iid's plan has not
         raise ValueError(f"construct builds lhs, oa2, tang and noa3, not {plan.kind!r}")
@@ -304,8 +306,15 @@ def _build(plan: Plan, rng: np.random.Generator) -> Design:
 
 
 def construct(plan: Plan, seed: int) -> Design:
-    """Build a plan's design, deterministically per seed, and verify plan.ladder on it."""
+    """Build a plan's design, deterministically per seed, and verify plan.ladder on it.
+
+    Refuses, before any field or array is built, a plan over MAX_ENTRIES
+    entries, or a rung whose index n/levels^t is not a positive integer.
+    """
     check_size(plan.n, plan.d)
+    for levels, t in plan.ladder:  # so no Bush array built has more than n rows
+        if min(levels, t) < 1 or plan.n % levels**t or plan.n < levels**t:
+            raise ValueError(f"rung ({levels}, {t}) of a plan of n={plan.n} rows has no index")
     design = _build(plan, stream(seed, STAGE_DESIGN))
     verify_ladder(design, plan.ladder)
     return design

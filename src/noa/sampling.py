@@ -50,10 +50,10 @@ def to_points(design: Design, mode: str = "uniform", seed: int = 0) -> PointSet:
 
     The rows run on designs.pipeline a block of _POINT_ROWS at a time: the
     producer writes a block's offsets (uniform jitter, or 0.5) straight into
-    the C-order output, and the consumer casts the block's levels, once,
-    into a C-order float64 buffer and places that block's points, so every
-    step of _place runs on contiguous arrays of one dtype.  The jitter is
-    drawn in row order either way, so it is the stream of one whole-array
+    the C-order output; the consumer casts the block's levels, once, into a
+    C-order float64 buffer, then takes the offsets and places the points, so
+    every step of _place runs on contiguous arrays of one dtype.  The jitter
+    is drawn in row order either way, so it is the stream of one whole-array
     draw, and the points are the same with one lane or two.
     """
     if mode not in ("uniform", "midpoint"):
@@ -76,10 +76,10 @@ def to_points(design: Design, mode: str = "uniform", seed: int = 0) -> PointSet:
             rng.random(out=block)
         return block
 
-    def consume(i, block):
-        rows = len(block)
-        levels[:rows] = design.matrix[i * _POINT_ROWS : (i + 1) * _POINT_ROWS]
-        _place(levels[:rows], block, s, scratch[:rows])
+    def consume(i, take):
+        cast = levels[: min(n - i * _POINT_ROWS, _POINT_ROWS)]
+        cast[...] = design.matrix[i * _POINT_ROWS : (i + 1) * _POINT_ROWS]
+        _place(cast, take(), s, scratch[: len(cast)])
 
     pipeline(n, -(-n // _POINT_ROWS), produce, consume)
     return PointSet(x)

@@ -173,6 +173,15 @@ def test_prod_exp_refuses_d_past_709():
         make_integrand("PROD-EXP", 710)
 
 
+@pytest.mark.parametrize("name", INTEGRANDS)
+@pytest.mark.parametrize("d, message", [(0, "needs d >= 1"), (2.5, "d=2.5 must be an integer")])
+def test_every_integrand_refuses_a_bad_d(name, d, message):
+    with pytest.raises(ValueError, match=message):
+        make_integrand(name, d)
+    with pytest.raises(ValueError, match=message):  # the gate too, with no run count to check
+        check_inputs([], d, ["lhs"], 2, name, 0)
+
+
 def test_prod_exp_refuses_d_below_1():
     with pytest.raises(ValueError, match="PROD-EXP needs d >= 1"):
         make_integrand("PROD-EXP", 0)

@@ -349,6 +349,35 @@ def test_helper_stops_once_the_lower_half_fails(two_cpus, monkeypatch):
     assert len(two_cpus) == 2
 
 
+def test_helper_stops_once_the_lower_half_raises(two_cpus, monkeypatch):
+    # an error in the lower half ends the run as a failure there does: the
+    # helper, which waits for that end, then checks no tuple
+    checked = []
+    real_first, real_index = designs._first_failure, designs._index
+
+    def first_failure(*work):
+        if threading.current_thread() is threading.main_thread():
+            raise MemoryError("lower half")
+        stop = work[-1]
+        deadline = time.monotonic() + 10
+        while not stop and time.monotonic() < deadline:
+            time.sleep(1e-3)
+        return real_first(*work)
+
+    def index(part, cols, *rest):
+        if threading.current_thread() is not threading.main_thread():
+            checked.append(cols)
+        return real_index(part, cols, *rest)
+
+    monkeypatch.setattr(designs, "_first_failure", first_failure)
+    monkeypatch.setattr(designs, "_index", index)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="lower half"):
+        check_strength(wide_oa(), 2)
+    assert checked == [] and threading.active_count() == before
+    assert len(two_cpus) == 1
+
+
 def test_two_halves_under_concurrent_callers(two_cpus):
     # four callers, each with a helper lane, on two CPUs or fewer, with
     # thread switches forced often: every report must still be the one-thread one
@@ -409,12 +438,12 @@ def test_every_constructible_ladder_fits_the_check_bound():
 # the level expansion and to_points all run on it.
 
 
-def logged(log, raise_at=(None, None), stop_at=None, poll_at=None, wait=False):
+def logged(log, raise_at=(None, None), poll_at=None, wait=False):
     """A produce and a consume that log each call in the thread it ran in.
 
-    raise_at is (lane, item): that lane raises at that item.  consume
-    returns True at stop_at.  produce(poll_at) runs until the run is
-    ending.  With wait, consume(i) first waits until produce(i + 1) began.
+    raise_at is (lane, item): that lane raises at that item.  produce(poll_at)
+    runs until the run is ending.  consume(i) takes its item first and
+    returns it; with wait, it then waits until produce(i + 1) began.
     """
 
     def began(i):
@@ -431,7 +460,8 @@ def logged(log, raise_at=(None, None), stop_at=None, poll_at=None, wait=False):
             raise MemoryError(f"producer at {i}")
         return i * i
 
-    def consume(i, item):
+    def consume(i, take):
+        item = take()
         deadline = time.monotonic() + 10
         while wait and not began(i + 1) and time.monotonic() < deadline:
             time.sleep(1e-3)
@@ -440,20 +470,20 @@ def logged(log, raise_at=(None, None), stop_at=None, poll_at=None, wait=False):
         if item != i * i:
             raise AssertionError(f"item {i} is {item}")
         log.append(("consumed", i, threading.current_thread()))
-        return i == stop_at
+        return item
 
     return produce, consume
 
 
 def test_pipeline_one_lane_is_the_plain_loop(two_cpus, monkeypatch):
-    # at most one block, or one item, or one CPU: no thread, and each item
-    # is produced, then consumed, in the calling thread
+    # at most one block, or one CPU: no thread, and each item is produced,
+    # when its consumer takes it, in the calling thread
     me = threading.current_thread()
     before = threading.active_count()
-    for rows, count, cpus in ((2**16, 3, 2), (2**16 + 1, 1, 2), (2**16 + 1, 3, 1)):
+    for rows, count, cpus in ((2**16, 3, 2), (2**16 + 1, 3, 1)):
         monkeypatch.setattr(designs, "_cpus", lambda: cpus)
         log = []
-        designs.pipeline(rows, count, *logged(log))
+        assert designs.pipeline(rows, count, *logged(log)) == [i * i for i in range(count)]
         assert log == [(kind, i, me) for i in range(count) for kind in ("produce", "consumed")]
     assert two_cpus == [] and threading.active_count() == before
 
@@ -466,7 +496,7 @@ def test_pipeline_two_lanes_keep_order_one_item_apart(two_cpus):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        designs.pipeline(2**16 + 1, 40, *logged(log))
+        assert designs.pipeline(2**16 + 1, 40, *logged(log)) == [i * i for i in range(40)]
     finally:
         sys.setswitchinterval(interval)
     me = threading.current_thread()
@@ -476,6 +506,32 @@ def test_pipeline_two_lanes_keep_order_one_item_apart(two_cpus):
     at = {e[:2]: k for k, e in enumerate(log)}
     assert all(at["produce", i] > at["consumed", i - 2] for i in range(2, 40))
     assert len(two_cpus) == 1 and not two_cpus[0].is_alive()
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_pipeline_runs_the_first_consume_beside_the_first_produce(two_cpus, count):
+    # each side of item 0 waits until the other has begun: the consumer's
+    # work before it takes its item overlaps the item's production, a
+    # one-item run's too
+    seen = []
+
+    def until(began):
+        deadline = time.monotonic() + 2
+        while not began() and time.monotonic() < deadline:
+            time.sleep(1e-3)
+        return began()
+
+    def produce(i, stop):
+        seen.append(("produce", i))
+        return i == 0 and until(lambda: ("consume", 0) in seen)
+
+    def consume(i, take):
+        seen.append(("consume", i))
+        return i == 0 and until(lambda: ("produce", 0) in seen), take()
+
+    results = designs.pipeline(2**16 + 1, count, produce, consume)
+    assert results[0] == (True, True)
+    assert len(results) == count and len(two_cpus) == 1
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -501,18 +557,6 @@ def test_pipeline_raises_the_consumer_error_and_stops_the_producer(monkeypatch, 
     assert [e[1] for e in log if e[0] == "consumed"] == [0, 1]
     # the one item produced beside the failed one ended early, and no other began
     assert [e[1] for e in log if e[0] == "produce"] == list(range(3 + (cpus == 2)))
-    assert log.count(("stopped", True)) == (cpus == 2)
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_pipeline_ends_when_consume_returns_true(monkeypatch, cpus):
-    monkeypatch.setattr(designs, "_cpus", lambda: cpus)
-    log = []
-    before = threading.active_count()
-    designs.pipeline(2**16 + 1, 10, *logged(log, stop_at=1, poll_at=2, wait=cpus == 2))
-    assert threading.active_count() == before
-    assert [e[1] for e in log if e[0] == "consumed"] == [0, 1]
-    assert [e[1] for e in log if e[0] == "produce"] == list(range(2 + (cpus == 2)))
     assert log.count(("stopped", True)) == (cpus == 2)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noa import bush, cli, designs, nested
+from noa import bush, cli, designs, gf, nested
 from noa.bush import bush_construct
 from noa.designs import Design, check_strength, collapse, level_dtype
 from noa.errors import (
@@ -279,6 +279,25 @@ def test_plan_rejects_unknown_kind():
 def test_construct_refuses_a_kind_it_does_not_build(chosen):
     # a noa3 ladder does not make a noa3 design, nor is iid's plan read for an s2
     with pytest.raises(ValueError, match=f"builds lhs, oa2, tang and noa3, not {chosen.kind!r}"):
+        nested.construct(chosen, 0)
+
+
+@pytest.mark.parametrize(
+    "chosen, message",
+    [
+        (Plan("oa2", 4, 2, ((4096, 2),)), "rung \\(4096, 2\\) of a plan of n=4 rows"),
+        (Plan("oa2", 32, 2, ((4, 2),)), "at 4 levels has 16 rows, not n=32"),
+        (Plan("tang", 72, 3, ((72, 1), (4, 2))), "rung \\(4, 2\\) of a plan of n=72 rows"),
+        (Plan("lhs", 8, 2, ((0, 1),)), "rung \\(0, 1\\)"),
+    ],
+    ids=["index-below-one", "oa2-rows-not-n", "index-not-whole", "no-levels"],
+)
+def test_construct_refuses_a_ladder_that_disagrees_with_n(monkeypatch, chosen, message):
+    # refused before any field is built: GF(4096) and a 4096^2-row Bush
+    # array for a 4-row plan would take 548 MiB, and an oa2 plan of 32 rows
+    # would have returned one copy of 16
+    monkeypatch.setattr(gf, "_fields", None)
+    with pytest.raises(ValueError, match=message):
         nested.construct(chosen, 0)
 
 

@@ -226,3 +226,20 @@ def test_main_records_and_compares_two_checkouts_of_one_revision(tmp_path, monke
         "op_p50_ms (lower is better): median 301.5 -> 302.5; first's quartiles 300.75, 302.25; "
         "second better in 0 of 2 pairs; claim not met; within bound 0.25",
     ]
+
+
+def test_main_prints_each_runs_median_op_time_and_peak_memory(tmp_path, monkeypatch, capsys):
+    # a memory step that follows the recording shows run by run, not only in the medians
+    def run_once(checkout, workload, seed, seconds, trace):
+        run = synthetic_run(op_p50_ms=250.0 + seed, peak_rss_mb=81.5 + seed)
+        return {"workload": workload, "seed": seed, "seconds": seconds, "trace": trace, **run}
+
+    monkeypatch.setattr(record_bench, "short_rev", lambda checkout: "abc")
+    monkeypatch.setattr(record_bench, "run_once", run_once)
+    argv = ["--workload", "design-n262144", "--seeds", "1,2", "--out-dir", str(tmp_path),
+            str(tmp_path)]
+    assert record_bench.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "abc seed 1: op_p50_ms 251.0, peak_rss_mb 82.5",
+        "abc seed 2: op_p50_ms 252.0, peak_rss_mb 83.5",
+    ]

@@ -196,8 +196,9 @@ def main(argv=None) -> int:
         for i in order if k % 2 == 0 else order[::-1]:  # each side first in turn
             run = run_once(args.checkouts[i], args.workload, seed, args.seconds, args.trace)
             runs[i].append(run)
-            p50 = run["result"]["metrics"].get("op_p50_ms", {}).get("value")
-            print(f"{stems[i]} seed {seed}: op_p50_ms {p50}", flush=True)
+            got = run["result"]["metrics"]
+            p50, rss = (got.get(name, {}).get("value") for name in ("op_p50_ms", "peak_rss_mb"))
+            print(f"{stems[i]} seed {seed}: op_p50_ms {p50}, peak_rss_mb {rss}", flush=True)
     for rev, stem, side in zip(revs, stems, runs):
         record(args.out_dir / f"BENCH_{stem}.json", rev, side)
     if len(runs) == 2:
